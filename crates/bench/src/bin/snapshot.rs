@@ -1,10 +1,9 @@
 //! `bench-snapshot` — dependency-free benchmark snapshot for CI trending.
 //!
-//! The Criterion suite needs registry crates, so it cannot run in the offline
-//! build. This binary re-times the two ablation pillars that matter for
-//! regression tracking — the full `characterize` pipeline (measure) and the
-//! Sinkhorn standardization at its heart — over [`hc_bench::ABLATION_SIZES`]
-//! with nothing but `std::time`, and prints one JSON document to stdout.
+//! This binary times the two pillars that matter for regression tracking —
+//! the full `characterize` pipeline (measure) and the Sinkhorn standardization
+//! at its heart — over [`hc_bench::ABLATION_SIZES`] with nothing but
+//! `std::time`, and prints one JSON document to stdout.
 //! `scripts/bench_snapshot.sh` redirects it into a dated `BENCH_<date>.json`.
 //!
 //! A counting global allocator also records heap allocations per call, in
@@ -26,7 +25,7 @@ use hc_core::report::{characterize_in, characterize_with};
 use hc_core::standard::TmaOptions;
 use hc_core::weights::Weights;
 use hc_core::Analyzer;
-use hc_sinkhorn::balance::{balance, standard_targets};
+use hc_sinkhorn::balance::{balance_with, standard_targets, BalanceOptions};
 
 /// `System` wrapped with an allocation counter, so the snapshot can report
 /// allocs-per-call alongside wall time. Only allocation events are counted
@@ -129,7 +128,7 @@ fn characterize_alloc_point(t: usize, m: usize) -> AllocPoint {
     let w = Weights::uniform(t, m);
     let mut cold_call = || {
         let mut ws = hc_linalg::Workspace::new();
-        let r = characterize_in(&ecs, &w, &opts, &mut ws).expect("fixture characterizes");
+        let r = characterize_in(&ecs, &w, &opts, None, &mut ws).expect("fixture characterizes");
         assert!(r.tma.is_finite());
     };
     cold_call(); // warm caches unrelated to the workspace
@@ -236,8 +235,9 @@ fn main() {
 
         let a = dense_fixture(t, m);
         let (rows, cols) = standard_targets(t, m);
+        let opts = BalanceOptions::default();
         let mut balance_call = || {
-            let out = balance(&a, &rows, &cols).expect("fixture balances");
+            let out = balance_with(&a, &rows, &cols, &opts).expect("fixture balances");
             assert!(out.iterations > 0);
         };
         balance_call();

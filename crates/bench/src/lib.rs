@@ -1,8 +1,8 @@
-//! # hc-bench — shared fixtures for the Criterion benchmark suite
+//! # hc-bench — shared fixtures for the benchmark binaries
 //!
-//! One bench target per paper figure plus the ablation studies listed in
-//! DESIGN.md. This library crate holds the deterministic inputs so every bench
-//! measures computation, not setup.
+//! The `snapshot` bin times the `characterize` pipeline and Sinkhorn balancing
+//! over [`ABLATION_SIZES`]; this library crate holds its deterministic inputs
+//! so every lane measures computation, not setup.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -1,7 +1,7 @@
 //! A reusable analysis context: one [`Workspace`] threaded through every
 //! measure kernel.
 //!
-//! [`Analyzer`] owns the scratch arena the `_in` kernels draw from
+//! [`Analyzer`] owns the scratch arena the workspace kernels draw from
 //! ([`characterize_in`], [`standard_form_in`], [`sensitivities_in`]) and keeps
 //! a cached uniform-weight vector, so steady-state analysis of repeated shapes
 //! — the serving daemon's workload — performs zero numeric heap allocations.
@@ -10,7 +10,7 @@
 
 use crate::ecs::Ecs;
 use crate::error::MeasureError;
-use crate::report::{characterize_budgeted_in, MeasureReport};
+use crate::report::{characterize_in, MeasureReport};
 use crate::sensitivity::{sensitivities_in, SensitivityReport};
 use crate::standard::{standard_form_in, StandardForm, TmaOptions};
 use crate::weights::Weights;
@@ -77,11 +77,11 @@ impl Analyzer {
         budget: Option<&Budget>,
     ) -> Result<MeasureReport, MeasureError> {
         match weights {
-            Some(w) => characterize_budgeted_in(ecs, w, opts, budget, &mut self.ws),
+            Some(w) => characterize_in(ecs, w, opts, budget, &mut self.ws),
             None => {
                 self.uniform_weights(ecs.num_tasks(), ecs.num_machines());
                 let (_, w) = self.uniform.as_ref().expect("just cached");
-                characterize_budgeted_in(ecs, w, opts, budget, &mut self.ws)
+                characterize_in(ecs, w, opts, budget, &mut self.ws)
             }
         }
     }

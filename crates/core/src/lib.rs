@@ -49,7 +49,6 @@ pub use error::MeasureError;
 pub use measures::{machine_performances, mph, mph_from_performances, task_difficulties, tdh};
 pub use report::{characterize, characterize_in, characterize_with, MeasureReport};
 pub use standard::{
-    standard_form, standard_form_in, tma, tma_with, tma_with_in, StandardForm, TmaOptions,
-    ZeroPolicy,
+    standard_form, standard_form_in, tma, tma_with, StandardForm, TmaOptions, ZeroPolicy,
 };
 pub use weights::Weights;

@@ -20,24 +20,11 @@ use hc_linalg::Workspace;
 /// Machine performances `MP_j` (Eq. 4; Eq. 2 under uniform weights): the weighted
 /// column sums of the ECS matrix, in machine order (not sorted).
 pub fn machine_performances(ecs: &Ecs, weights: &Weights) -> Result<Vec<f64>, MeasureError> {
-    weights.check(ecs)?;
-    let m = ecs.matrix();
-    let mut out = vec![0.0; m.cols()];
-    for (i, row) in m.row_iter().enumerate() {
-        let wt = weights.task()[i];
-        for (j, &v) in row.iter().enumerate() {
-            out[j] += wt * v;
-        }
-    }
-    for (j, o) in out.iter_mut().enumerate() {
-        *o *= weights.machine()[j];
-    }
-    Ok(out)
+    machine_performances_in(ecs, weights, &mut Workspace::new())
 }
 
-/// [`machine_performances`] into a workspace-pooled vector. The accumulation
-/// order is identical, so the values are bit-for-bit the same; the caller may
-/// return the vector with [`Workspace::recycle_vec`].
+/// [`machine_performances`] into a workspace-pooled vector; the caller may
+/// return it with [`Workspace::recycle_vec`].
 pub fn machine_performances_in(
     ecs: &Ecs,
     weights: &Weights,
@@ -61,21 +48,10 @@ pub fn machine_performances_in(
 /// Task difficulties `TD_i` (Eq. 6): the weighted row sums of the ECS matrix, in
 /// task order (not sorted). Higher = easier (more of the task completed per time).
 pub fn task_difficulties(ecs: &Ecs, weights: &Weights) -> Result<Vec<f64>, MeasureError> {
-    weights.check(ecs)?;
-    let m = ecs.matrix();
-    let mut out = Vec::with_capacity(m.rows());
-    for (i, row) in m.row_iter().enumerate() {
-        let s: f64 = row
-            .iter()
-            .zip(weights.machine())
-            .map(|(&v, &wm)| wm * v)
-            .sum();
-        out.push(weights.task()[i] * s);
-    }
-    Ok(out)
+    task_difficulties_in(ecs, weights, &mut Workspace::new())
 }
 
-/// [`task_difficulties`] into a workspace-pooled vector (bit-identical values).
+/// [`task_difficulties`] into a workspace-pooled vector.
 pub fn task_difficulties_in(
     ecs: &Ecs,
     weights: &Weights,
@@ -95,10 +71,17 @@ pub fn task_difficulties_in(
     Ok(out)
 }
 
+/// The shared adjacent-ratio homogeneity: sort ascending, average `v[k]/v[k+1]`.
+/// Defined as 1 for a single value. All values must be positive.
+pub fn adjacent_ratio_homogeneity(values: &[f64]) -> Result<f64, MeasureError> {
+    adjacent_ratio_homogeneity_in(values, &mut Workspace::new())
+}
+
 /// [`adjacent_ratio_homogeneity`] with the sort scratch drawn from `ws`.
 ///
-/// Uses an unstable in-place sort (no merge buffer); equal values are
-/// interchangeable in the adjacent-ratio sum, so the result is identical.
+/// Uses an unstable in-place sort (no merge buffer); the values are positive
+/// and finite, so equal values are bit-identical and the sorted sequence — and
+/// with it the adjacent-ratio sum — does not depend on sort stability.
 pub fn adjacent_ratio_homogeneity_in(
     values: &[f64],
     ws: &mut Workspace,
@@ -122,28 +105,6 @@ pub fn adjacent_ratio_homogeneity_in(
     let h = sum / (sorted.len() - 1) as f64;
     ws.recycle_vec(sorted);
     Ok(h)
-}
-
-/// The shared adjacent-ratio homogeneity: sort ascending, average `v[k]/v[k+1]`.
-/// Defined as 1 for a single value. All values must be positive.
-pub fn adjacent_ratio_homogeneity(values: &[f64]) -> Result<f64, MeasureError> {
-    if values.is_empty() {
-        return Err(MeasureError::InvalidEnvironment {
-            reason: "homogeneity of an empty value set".into(),
-        });
-    }
-    if values.iter().any(|&v| !v.is_finite() || v <= 0.0) {
-        return Err(MeasureError::InvalidEnvironment {
-            reason: "homogeneity requires positive finite values".into(),
-        });
-    }
-    if values.len() == 1 {
-        return Ok(1.0);
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
-    let sum: f64 = sorted.windows(2).map(|w| w[0] / w[1]).sum();
-    Ok(sum / (sorted.len() - 1) as f64)
 }
 
 /// MPH from a pre-computed machine-performance vector (Eq. 3) — the form used for

@@ -5,7 +5,7 @@ use crate::error::MeasureError;
 use crate::measures::{
     adjacent_ratio_homogeneity_in, machine_performances_in, task_difficulties_in,
 };
-use crate::standard::{standard_form_budgeted_in, tma_from_standard_form_budgeted_in, TmaOptions};
+use crate::standard::{standard_form_budgeted_in, tma_from_standard_form, TmaOptions};
 use crate::weights::Weights;
 use hc_linalg::{Budget, Workspace};
 
@@ -179,33 +179,24 @@ pub fn characterize_with(
     opts: &TmaOptions,
 ) -> Result<MeasureReport, MeasureError> {
     ONE_SHOT_WS.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ws) => characterize_in(ecs, weights, opts, &mut ws),
+        Ok(mut ws) => characterize_in(ecs, weights, opts, None, &mut ws),
         // Unreachable today (nothing below re-enters), but a fresh workspace
         // keeps the entry point total rather than panicking if that changes.
-        Err(_) => characterize_in(ecs, weights, opts, &mut Workspace::new()),
+        Err(_) => characterize_in(ecs, weights, opts, None, &mut Workspace::new()),
     })
 }
 
-/// [`characterize_with`] in a caller-supplied workspace: every intermediate —
-/// performance vectors, homogeneity sort scratch, the standard form, and the
-/// SVD — is pooled. On a warm workspace (same shape as a previous, recycled
-/// report) the whole computation performs zero heap allocations. MPH/TDH are
-/// computed from the already-accumulated performance vectors, which is
-/// bit-identical to the owned path's separate recomputation.
+/// The characterization kernel: [`characterize_with`] in a caller-supplied
+/// workspace. Every intermediate — performance vectors, homogeneity sort
+/// scratch, the standard form, and the SVD — is pooled. On a warm workspace
+/// (same shape as a previous, recycled report) the whole computation performs
+/// zero heap allocations. MPH/TDH are computed from the already-accumulated
+/// performance vectors, which is bit-identical to computing them separately.
+///
+/// `budget` is threaded through the standardization and SVD phases. Expiry
+/// surfaces as [`MeasureError::DeadlineExceeded`] with iteration-progress
+/// diagnostics; `None` polls nothing and gives bit-identical results.
 pub fn characterize_in(
-    ecs: &Ecs,
-    weights: &Weights,
-    opts: &TmaOptions,
-    ws: &mut Workspace,
-) -> Result<MeasureReport, MeasureError> {
-    characterize_budgeted_in(ecs, weights, opts, None, ws)
-}
-
-/// [`characterize_in`] with a cooperative cancellation [`Budget`] threaded
-/// through the standardization and SVD phases. Expiry surfaces as
-/// [`MeasureError::DeadlineExceeded`] with iteration-progress diagnostics.
-/// `None` is exactly the unbudgeted path (bit-identical results).
-pub fn characterize_budgeted_in(
     ecs: &Ecs,
     weights: &Weights,
     opts: &TmaOptions,
@@ -233,7 +224,7 @@ pub fn characterize_budgeted_in(
     };
     let tma = {
         let mut s = hc_obs::span("measure.svd");
-        let tma = tma_from_standard_form_budgeted_in(&sf, opts.svd, budget, ws)?;
+        let tma = tma_from_standard_form(&sf, opts.svd, budget, ws)?;
         if s.armed() {
             s.field_f64("tma", tma);
         }

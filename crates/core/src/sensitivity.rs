@@ -9,7 +9,7 @@
 use crate::ecs::Ecs;
 use crate::error::MeasureError;
 use crate::measures::adjacent_ratio_homogeneity_in;
-use crate::standard::{tma_with_in, TmaOptions};
+use crate::standard::{standard_form_in, tma_from_standard_form, TmaOptions};
 use hc_linalg::{Matrix, Workspace};
 
 /// Per-entry gradients of the three measures.
@@ -88,8 +88,10 @@ fn measures_of(
     }
     let tdh_v = adjacent_ratio_homogeneity_in(&rs, ws)?;
     ws.recycle_vec(rs);
-    let tma_v = tma_with_in(e, opts, ws)?;
-    Ok((mph_v, tdh_v, tma_v))
+    let sf = standard_form_in(e, opts, ws)?;
+    let tma_v = tma_from_standard_form(&sf, opts.svd, None, ws);
+    sf.recycle(ws);
+    Ok((mph_v, tdh_v, tma_v?))
 }
 
 /// [`sensitivities`] in a caller-supplied workspace.

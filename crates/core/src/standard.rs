@@ -17,10 +17,10 @@
 use crate::ecs::Ecs;
 use crate::error::MeasureError;
 use crate::weights::Weights;
-use hc_linalg::svd::{svd_with, svd_with_budgeted_in, SvdAlgorithm};
+use hc_linalg::svd::{svd_with, svd_with_stats_budgeted_in, SvdAlgorithm};
 use hc_linalg::{Budget, Matrix, Workspace};
-use hc_sinkhorn::balance::{standardize_budgeted_in, BalanceOptions, BalanceOutcome};
-use hc_sinkhorn::regularized::regularized_standard_form_budgeted_in;
+use hc_sinkhorn::balance::{standardize_in, BalanceOptions, BalanceOutcome};
+use hc_sinkhorn::regularized::regularized_standard_form_in;
 use hc_sinkhorn::structure::{analyze_structure, total_support_core, Balanceability};
 
 /// How to treat ECS matrices containing zeros when computing the standard form.
@@ -130,11 +130,11 @@ pub fn standard_form_in(
     standard_form_budgeted_in(ecs, opts, None, ws)
 }
 
-/// [`standard_form_in`] with a cooperative cancellation [`Budget`] threaded
-/// into the balancing iteration. Expiry surfaces as
-/// [`MeasureError::DeadlineExceeded`] with partial-progress diagnostics.
-/// `None` is exactly the unbudgeted path (bit-identical results).
-pub fn standard_form_budgeted_in(
+/// The standard-form kernel behind [`standard_form_in`], with a cooperative
+/// cancellation [`Budget`] threaded into the balancing iteration. Expiry
+/// surfaces as [`MeasureError::DeadlineExceeded`] with partial-progress
+/// diagnostics; `None` polls nothing.
+pub(crate) fn standard_form_budgeted_in(
     ecs: &Ecs,
     opts: &TmaOptions,
     budget: Option<&Budget>,
@@ -215,13 +215,8 @@ fn standard_form_of(
                 }
             }
             ZeroPolicy::Regularize { epsilon } => {
-                let out = regularized_standard_form_budgeted_in(
-                    m.view(),
-                    epsilon,
-                    &opts.balance,
-                    budget,
-                    ws,
-                )?;
+                let out =
+                    regularized_standard_form_in(m.view(), epsilon, &opts.balance, budget, ws)?;
                 if !out.is_converged() {
                     return Err(MeasureError::BalanceDidNotConverge {
                         residual: out.residual,
@@ -234,7 +229,7 @@ fn standard_form_of(
     }
 
     let working = core_holder.as_ref().unwrap_or(m);
-    let out = standardize_budgeted_in(working.view(), &opts.balance, budget, ws)?;
+    let out = standardize_in(working.view(), None, &opts.balance, budget, ws)?;
     if !out.is_converged() {
         return Err(MeasureError::BalanceDidNotConverge {
             residual: out.residual,
@@ -291,30 +286,15 @@ impl StandardForm {
     }
 }
 
-/// TMA from an already-computed standard form (Eq. 8).
-pub fn tma_from_standard_form(sf: &StandardForm, alg: SvdAlgorithm) -> Result<f64, MeasureError> {
-    let mut ws = Workspace::new();
-    tma_from_standard_form_in(sf, alg, &mut ws)
-}
-
-/// [`tma_from_standard_form`] with the SVD run entirely in `ws`.
-pub fn tma_from_standard_form_in(
-    sf: &StandardForm,
-    alg: SvdAlgorithm,
-    ws: &mut Workspace,
-) -> Result<f64, MeasureError> {
-    tma_from_standard_form_budgeted_in(sf, alg, None, ws)
-}
-
-/// [`tma_from_standard_form_in`] with a cooperative cancellation [`Budget`]
-/// threaded into the SVD loops.
-pub fn tma_from_standard_form_budgeted_in(
+/// TMA from an already-computed standard form (Eq. 8), with the SVD run in
+/// `ws` under `budget`.
+pub(crate) fn tma_from_standard_form(
     sf: &StandardForm,
     alg: SvdAlgorithm,
     budget: Option<&Budget>,
     ws: &mut Workspace,
 ) -> Result<f64, MeasureError> {
-    let s = svd_with_budgeted_in(sf.matrix.view(), alg, budget, ws)?;
+    let (s, _) = svd_with_stats_budgeted_in(sf.matrix.view(), alg, budget, ws)?;
     let k = s.singular_values.len();
     if k <= 1 {
         // A 1×M or T×1 environment has no affinity structure.
@@ -329,17 +309,8 @@ pub fn tma_from_standard_form_budgeted_in(
 /// Task-machine affinity (Eq. 8 on the standard form) with explicit options.
 pub fn tma_with(ecs: &Ecs, opts: &TmaOptions) -> Result<f64, MeasureError> {
     let mut ws = Workspace::new();
-    tma_with_in(ecs, opts, &mut ws)
-}
-
-/// [`tma_with`] in a caller-supplied workspace: the standard form, the SVD,
-/// and every intermediate buffer are pooled, so repeated calls on the same
-/// shape allocate nothing.
-pub fn tma_with_in(ecs: &Ecs, opts: &TmaOptions, ws: &mut Workspace) -> Result<f64, MeasureError> {
-    let sf = standard_form_in(ecs, opts, ws)?;
-    let tma = tma_from_standard_form_in(&sf, opts.svd, ws);
-    sf.recycle(ws);
-    tma
+    let sf = standard_form_in(ecs, opts, &mut ws)?;
+    tma_from_standard_form(&sf, opts.svd, None, &mut ws)
 }
 
 /// Task-machine affinity with default options (limit policy for zeros).
@@ -356,8 +327,8 @@ pub fn tma(ecs: &Ecs) -> Result<f64, MeasureError> {
     tma_with(ecs, &TmaOptions::default())
 }
 
-/// The earlier, column-normalized TMA of Eq. 5 (from the authors' HCW 2010 paper
-/// [2]): normalize each column to sum 1, then
+/// The earlier, column-normalized TMA of Eq. 5 (from the authors' HCW 2010 paper,
+/// reference \[2\]): normalize each column to sum 1, then
 /// `TMA = Σ_{i≥2} σᵢ / ((min(T,M) − 1) · σ₁)`.
 ///
 /// Kept for cross-validation: on matrices whose row sums are already equal the
@@ -584,11 +555,21 @@ mod tests {
             assert_eq!(pooled.iterations, owned.iterations);
             assert_eq!(pooled.residual.to_bits(), owned.residual.to_bits());
             assert_eq!(pooled.reduced_to_core, owned.reduced_to_core);
-            let t_owned = tma_from_standard_form(&owned, SvdAlgorithm::Auto).unwrap();
-            let t_pooled = tma_from_standard_form_in(&pooled, SvdAlgorithm::Auto, &mut ws).unwrap();
+            let t_owned =
+                tma_from_standard_form(&owned, SvdAlgorithm::Auto, None, &mut Workspace::new())
+                    .unwrap();
+            let t_pooled =
+                tma_from_standard_form(&pooled, SvdAlgorithm::Auto, None, &mut ws).unwrap();
             assert_eq!(t_owned.to_bits(), t_pooled.to_bits());
             pooled.recycle(&mut ws);
         }
+    }
+
+    fn tma_pooled(ecs: &Ecs, opts: &TmaOptions, ws: &mut Workspace) -> Result<f64, MeasureError> {
+        let sf = standard_form_in(ecs, opts, ws)?;
+        let tma = tma_from_standard_form(&sf, opts.svd, None, ws);
+        sf.recycle(ws);
+        tma
     }
 
     #[test]
@@ -596,9 +577,9 @@ mod tests {
         let e = ecs(&[&[1.0, 5.0, 2.0], &[3.0, 1.0, 4.0], &[2.0, 2.0, 9.0]]);
         let mut ws = Workspace::new();
         let opts = TmaOptions::default();
-        let cold = tma_with_in(&e, &opts, &mut ws).unwrap();
+        let cold = tma_pooled(&e, &opts, &mut ws).unwrap();
         ws.reset_stats();
-        let warm = tma_with_in(&e, &opts, &mut ws).unwrap();
+        let warm = tma_pooled(&e, &opts, &mut ws).unwrap();
         assert_eq!(cold.to_bits(), warm.to_bits());
         assert_eq!(ws.stats().fresh, 0, "stats: {:?}", ws.stats());
     }

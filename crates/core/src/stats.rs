@@ -1,6 +1,6 @@
 //! Ensemble statistics for measure studies.
 //!
-//! Simulation studies (the paper's application [2], and our X3/X5 experiments)
+//! Simulation studies (the paper's application \[2\], and our X3/X5 experiments)
 //! characterize *distributions* of measures over matrix ensembles. This module
 //! provides the small, dependency-free summary machinery those studies need:
 //! per-measure summaries, histograms, and Pearson/Spearman correlations.

@@ -1,5 +1,5 @@
 //! The classic Braun et al. 2001 benchmark categories (the paper's reference
-//! [6]): twelve ETC classes crossing heterogeneity regime × consistency class.
+//! \[6\]): twelve ETC classes crossing heterogeneity regime × consistency class.
 //!
 //! Naming follows the literature: `u_x_ttmm` where `x ∈ {c, s, i}` (consistent,
 //! semi-consistent, inconsistent) and `tt`/`mm` ∈ {hi, lo} are task/machine

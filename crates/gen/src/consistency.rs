@@ -1,5 +1,5 @@
 //! ETC consistency classification (Braun et al. 2001 / Ali et al. 2000 — the
-//! paper's references [4] and [6]).
+//! paper's references \[4\] and \[6\]).
 //!
 //! An ETC matrix is **consistent** when the machines have a global speed order:
 //! if machine `a` is faster than machine `b` for one task, it is faster for every

@@ -2,13 +2,13 @@
 //!
 //! One of the paper's motivating applications is *"generating ETC matrices for
 //! simulation studies that span the entire range of heterogeneities"* (reference
-//! [2] of the paper). This crate implements three generators:
+//! \[2\] of the paper). This crate implements three generators:
 //!
-//! * [`range_based`] — the classic range-based method of Ali et al. 2000
-//!   (reference [4]), the de-facto standard in the resource-allocation literature.
-//! * [`cvb`] — the coefficient-of-variation-based method (also Ali et al.), built
+//! * [`range_based`](mod@range_based) — the classic range-based method of Ali et al. 2000
+//!   (reference \[4\]), the de-facto standard in the resource-allocation literature.
+//! * [`cvb`](mod@cvb) — the coefficient-of-variation-based method (also Ali et al.), built
 //!   on an in-crate Marsaglia–Tsang gamma sampler ([`dist`]).
-//! * [`targeted`] — **measure-targeted synthesis**: produce an ECS matrix whose
+//! * [`targeted`](mod@targeted) — **measure-targeted synthesis**: produce an ECS matrix whose
 //!   (MPH, TDH, TMA) hit prescribed values exactly (up to the stated tolerances),
 //!   by combining three facts proved in the paper:
 //!   1. the standard form fixes σ₁ = 1 and TMA is a function of the remaining

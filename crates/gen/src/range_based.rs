@@ -1,5 +1,5 @@
 //! The range-based ETC generation method (Ali et al. 2000, the paper's
-//! reference [4] — "used widely" per the paper's Sec. I).
+//! reference \[4\] — "used widely" per the paper's Sec. I).
 //!
 //! Each task gets a baseline `τ_i ~ U(1, R_task)`; each ETC entry multiplies the
 //! baseline by an independent machine factor: `ETC(i, j) = τ_i · U(1, R_mach)`.

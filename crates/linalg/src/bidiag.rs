@@ -5,10 +5,10 @@
 //! orthogonal, and `B` is upper bidiagonal (diagonal `d`, superdiagonal `e`). This is
 //! stage one of the Golub–Reinsch SVD in [`crate::svd`].
 //!
-//! [`bidiagonalize_in`] is the workspace kernel: every reflector lives in a
+//! [`bidiagonalize_in`] is the one entry point: every reflector lives in a
 //! pooled flat buffer and Householder applications run directly on strided
 //! column data, so a warm [`Workspace`] makes the whole factorization
-//! allocation-free. [`bidiagonalize`] is the owned-API wrapper over it.
+//! allocation-free.
 
 use crate::error::LinAlgError;
 use crate::matrix::Matrix;
@@ -82,16 +82,10 @@ fn apply_right_rows(a: &mut Matrix, v: &[f64], beta: f64, row0: usize, col0: usi
     }
 }
 
-/// Bidiagonalizes `a` (requires `m ≥ n ≥ 1`).
-pub fn bidiagonalize(a: &Matrix) -> Result<Bidiag> {
-    let mut ws = Workspace::new();
-    bidiagonalize_in(a.view(), &mut ws)
-}
-
-/// Workspace variant of [`bidiagonalize`]: all scratch (the working copy, the
-/// packed reflectors, and the accumulation targets) is checked out of `ws`,
-/// and the returned factors are built from pooled buffers the caller may hand
-/// back with [`Workspace::recycle_matrix`]/[`Workspace::recycle_vec`].
+/// Bidiagonalizes `a` (requires `m ≥ n ≥ 1`). All scratch (the working copy,
+/// the packed reflectors, and the accumulation targets) is checked out of
+/// `ws`, and the returned factors are built from pooled buffers the caller may
+/// hand back with [`Workspace::recycle_matrix`]/[`Workspace::recycle_vec`].
 pub fn bidiagonalize_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Bidiag> {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
@@ -216,6 +210,10 @@ mod tests {
     use super::*;
     use crate::matmul::matmul_naive;
 
+    fn bidiag_of(a: &Matrix) -> Result<Bidiag> {
+        bidiagonalize_in(a.view(), &mut Workspace::new())
+    }
+
     fn assert_orthonormal_cols(q: &Matrix, tol: f64) {
         let g = matmul_naive(&q.transpose(), q).unwrap();
         assert!(
@@ -225,7 +223,7 @@ mod tests {
     }
 
     fn check(a: &Matrix) {
-        let bd = bidiagonalize(a).unwrap();
+        let bd = bidiag_of(a).unwrap();
         assert_orthonormal_cols(&bd.u, 1e-11);
         assert_orthonormal_cols(&bd.v, 1e-11);
         let rec = bd.reconstruct();
@@ -258,7 +256,7 @@ mod tests {
     #[test]
     fn single_column() {
         let a = Matrix::from_rows(&[&[3.0], &[4.0]]).unwrap();
-        let bd = bidiagonalize(&a).unwrap();
+        let bd = bidiag_of(&a).unwrap();
         assert!((bd.d[0].abs() - 5.0).abs() < 1e-12);
         assert!(bd.e.is_empty());
         check(&a);
@@ -267,7 +265,7 @@ mod tests {
     #[test]
     fn one_by_one() {
         let a = Matrix::from_rows(&[&[-7.0]]).unwrap();
-        let bd = bidiagonalize(&a).unwrap();
+        let bd = bidiag_of(&a).unwrap();
         assert!((bd.d[0].abs() - 7.0).abs() < 1e-12);
         check(&a);
     }
@@ -282,7 +280,7 @@ mod tests {
     fn wide_rejected() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(
-            bidiagonalize(&a),
+            bidiag_of(&a),
             Err(LinAlgError::ShapeMismatch { .. })
         ));
     }
@@ -290,7 +288,7 @@ mod tests {
     #[test]
     fn empty_rejected() {
         assert!(matches!(
-            bidiagonalize(&Matrix::zeros(0, 0)),
+            bidiag_of(&Matrix::zeros(0, 0)),
             Err(LinAlgError::Empty { .. })
         ));
     }
@@ -298,7 +296,7 @@ mod tests {
     #[test]
     fn zero_matrix_ok() {
         let a = Matrix::zeros(4, 3);
-        let bd = bidiagonalize(&a).unwrap();
+        let bd = bidiag_of(&a).unwrap();
         assert!(bd.d.iter().all(|&v| v == 0.0));
         check(&a);
     }
@@ -315,7 +313,7 @@ mod tests {
         ws.reset_stats();
         let warm = bidiagonalize_in(a.view(), &mut ws).unwrap();
         assert_eq!(ws.stats().fresh, 0, "warm run must not allocate");
-        let owned = bidiagonalize(&a).unwrap();
+        let owned = bidiag_of(&a).unwrap();
         assert_eq!(warm.u, owned.u);
         assert_eq!(warm.v, owned.v);
         assert_eq!(warm.d, owned.d);

@@ -8,9 +8,10 @@
 //! [`LinAlgError::DeadlineExceeded`] (with the iterations completed and the
 //! residual at the point of cancellation) when either trips.
 //!
-//! Budgets are threaded as an `Option<&Budget>` through the `*_budgeted_in`
-//! kernel variants; the plain entry points pass `None` and pay nothing, so
-//! unbudgeted numerical results are bit-for-bit unchanged.
+//! Every iterating kernel takes the budget as an `Option<&Budget>` argument
+//! just before its workspace. `None` polls nothing and pays nothing, so
+//! unbudgeted numerical results are bit-for-bit those of a budgeted run that
+//! does not trip.
 
 use crate::error::LinAlgError;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -11,19 +11,22 @@
 //! * Householder QR ([`qr`]) and Golub–Kahan bidiagonalization ([`bidiag`]).
 //! * Two independent SVD algorithms ([`svd`]): one-sided Jacobi (high relative
 //!   accuracy, the default for the small ECS matrices in the paper) and
-//!   Golub–Reinsch implicit-shift bidiagonal QR (for larger inputs). A
-//!   scoped-thread-parallel Jacobi variant lives in [`par`].
+//!   Golub–Reinsch implicit-shift bidiagonal QR (for larger inputs), behind one
+//!   validated kernel.
 //! * Symmetric eigen-solver and power iteration ([`eigen`]) used to cross-check the
 //!   SVDs in tests.
 //! * Scoped data-parallel helpers ([`par`]) built on `std::thread::scope` — no detached
 //!   threads, deterministic reductions.
-//! * Zero-copy views ([`view`]) and a recycling scratch arena ([`workspace`]) —
-//!   the `_in`/`_into` kernel variants take [`MatRef`] views plus a caller
-//!   [`Workspace`] and perform no heap allocation once the workspace is warm;
-//!   the owned-`Matrix` API is a thin wrapper over them.
+//! * Zero-copy views ([`view`]) and a recycling scratch arena ([`workspace`]).
+//!   Each numeric operation has one kernel with one call shape: it takes
+//!   [`MatRef`] input, an `Option<&Budget>` just before the workspace when it
+//!   iterates, and the caller's [`Workspace`] last, and returns its iteration
+//!   count in the result. Once the workspace is warm the kernel performs no heap
+//!   allocation. Owned-`Matrix` conveniences such as [`svd::svd`] wrap a kernel
+//!   with a throwaway workspace.
 //! * Cooperative cancellation ([`budget`]) — a [`Budget`] (wall-clock deadline
-//!   plus [`CancelToken`]) polled by the iterative loops' `*_budgeted_in`
-//!   variants, so a serving layer can bound worst-case latency.
+//!   plus [`CancelToken`]) polled once per iteration by the iterative kernels,
+//!   so a serving layer can bound worst-case latency.
 //!
 //! All algorithms are implemented from the standard literature (Golub & Van Loan,
 //! *Matrix Computations*) and cross-validated against each other in the test suite.

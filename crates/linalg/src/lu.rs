@@ -207,7 +207,7 @@ mod tests {
     fn det_matches_singular_value_product() {
         let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
         let d = det(&a).unwrap().abs();
-        let s = crate::svd::singular_values(&a).unwrap();
+        let s = crate::svd::svd(&a).unwrap().singular_values;
         assert!((d - s[0] * s[1]).abs() < 1e-10);
     }
 

@@ -1,54 +1,11 @@
-//! Matrix norms, over owned matrices and borrowed [`MatRef`] views alike.
+//! Matrix norms.
 
 use crate::matrix::Matrix;
 use crate::vecops;
-use crate::view::MatRef;
 
 /// Frobenius norm `sqrt(Σ aᵢⱼ²)`, computed with scaling to avoid overflow.
 pub fn frobenius(m: &Matrix) -> f64 {
     vecops::norm2(m.as_slice())
-}
-
-/// [`frobenius`] over a view: traverses row-major, so the result is
-/// bit-identical to the owned-matrix norm whenever the view covers one.
-pub fn frobenius_view(m: MatRef<'_>) -> f64 {
-    if let Some(s) = m.as_contiguous_slice() {
-        return vecops::norm2(s);
-    }
-    // Strided: same scaled two-pass accumulation as `vecops::norm2`, walking
-    // the entries in row-major order.
-    let mut scale = 0.0_f64;
-    for row in m.row_iter() {
-        scale = row.iter().fold(scale, |s, v| s.max(v.abs()));
-    }
-    if scale == 0.0 || !scale.is_finite() {
-        return scale;
-    }
-    let mut ssq = 0.0;
-    for row in m.row_iter() {
-        for v in row {
-            let t = v / scale;
-            ssq += t * t;
-        }
-    }
-    scale * ssq.sqrt()
-}
-
-/// [`one_norm`] over a view (maximum absolute column sum).
-pub fn one_norm_view(m: MatRef<'_>) -> f64 {
-    (0..m.cols())
-        .map(|j| m.col_iter(j).map(f64::abs).sum())
-        .fold(0.0_f64, f64::max)
-}
-
-/// [`inf_norm`] over a view (maximum absolute row sum).
-pub fn inf_norm_view(m: MatRef<'_>) -> f64 {
-    m.row_iter().map(vecops::norm1).fold(0.0_f64, f64::max)
-}
-
-/// [`max_abs`] over a view.
-pub fn max_abs_view(m: MatRef<'_>) -> f64 {
-    m.row_iter().map(vecops::norm_inf).fold(0.0_f64, f64::max)
 }
 
 /// Induced 1-norm: maximum absolute column sum.
@@ -105,26 +62,6 @@ mod tests {
         assert_eq!(inf_norm(&i), 1.0);
         assert_eq!(max_abs(&i), 1.0);
         assert!((frobenius(&i) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn view_norms_match_owned() {
-        let m = sample();
-        assert_eq!(frobenius_view(m.view()), frobenius(&m));
-        assert_eq!(one_norm_view(m.view()), one_norm(&m));
-        assert_eq!(inf_norm_view(m.view()), inf_norm(&m));
-        assert_eq!(max_abs_view(m.view()), max_abs(&m));
-    }
-
-    #[test]
-    fn view_norms_on_strided_block() {
-        let big = Matrix::from_fn(4, 4, |i, j| (i as f64 + 1.0) * (j as f64 - 1.5));
-        let v = big.view().submatrix(1, 1, 2, 3);
-        let owned = v.to_matrix();
-        assert_eq!(frobenius_view(v), frobenius(&owned));
-        assert_eq!(one_norm_view(v), one_norm(&owned));
-        assert_eq!(inf_norm_view(v), inf_norm(&owned));
-        assert_eq!(max_abs_view(v), max_abs(&owned));
     }
 
     #[test]

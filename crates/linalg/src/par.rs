@@ -9,8 +9,7 @@
 //!   order, so results are bit-identical regardless of thread count.
 //!
 //! The thread count defaults to the machine's available parallelism and can be pinned
-//! with the `HC_THREADS` environment variable (useful for the serial-vs-parallel
-//! ablation benchmarks).
+//! with the `HC_THREADS` environment variable.
 
 use std::num::NonZeroUsize;
 
@@ -140,188 +139,6 @@ where
     partials.into_iter().fold(identity, combine)
 }
 
-// ---------------------------------------------------------------------------
-// Parallel one-sided Jacobi SVD
-// ---------------------------------------------------------------------------
-
-use crate::error::LinAlgError;
-use crate::matrix::Matrix;
-use crate::svd::{Svd, JACOBI_MAX_SWEEPS};
-use crate::vecops;
-use std::sync::Mutex;
-
-/// Round-robin tournament pairing: for `n` players, `n−1` rounds (n even; a bye
-/// is inserted for odd `n`) in which every round's pairs are disjoint.
-fn tournament_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
-    if n < 2 {
-        return Vec::new();
-    }
-    let m = if n.is_multiple_of(2) { n } else { n + 1 }; // m−1 = bye sentinel when odd
-    let bye = m - 1;
-    let mut ring: Vec<usize> = (0..m).collect();
-    let mut rounds = Vec::with_capacity(m - 1);
-    for _ in 0..m - 1 {
-        let mut pairs = Vec::with_capacity(m / 2);
-        for k in 0..m / 2 {
-            let (a, b) = (ring[k], ring[m - 1 - k]);
-            if n % 2 == 1 && (a == bye || b == bye) {
-                continue;
-            }
-            pairs.push((a.min(b), a.max(b)));
-        }
-        rounds.push(pairs);
-        // Rotate all but the first element.
-        ring[1..].rotate_right(1);
-    }
-    rounds
-}
-
-/// One-sided Jacobi SVD with the column-pair rotations of each tournament round
-/// executed in parallel (pairs within a round touch disjoint columns, so the
-/// round is embarrassingly parallel; columns live behind `std::sync` mutexes
-/// that are never contended).
-///
-/// Produces the same singular values as [`crate::svd::jacobi_svd`] up to
-/// round-off; the rotation *order* differs, so factors can differ by sign or by
-/// rotation within degenerate subspaces.
-pub fn par_jacobi_svd(a: &Matrix, threads: usize) -> crate::Result<Svd> {
-    if a.is_empty() {
-        return Err(LinAlgError::Empty {
-            op: "par_jacobi_svd",
-        });
-    }
-    a.check_finite("par_jacobi_svd")?;
-    if a.rows() < a.cols() {
-        let t = par_jacobi_svd(&a.transpose(), threads)?;
-        return Ok(Svd {
-            u: t.v,
-            singular_values: t.singular_values,
-            v: t.u,
-        });
-    }
-    let (m, n) = a.shape();
-    let eps = f64::EPSILON;
-    let fro = crate::norms::frobenius(a);
-    let zero_guard = (eps * fro) * (eps * fro);
-
-    // Column-major working storage behind per-column mutexes.
-    let w: Vec<Mutex<Vec<f64>>> = (0..n).map(|j| Mutex::new(a.col(j))).collect();
-    let v: Vec<Mutex<Vec<f64>>> = (0..n)
-        .map(|j| {
-            let mut col = vec![0.0; n];
-            col[j] = 1.0;
-            Mutex::new(col)
-        })
-        .collect();
-
-    let rounds = tournament_rounds(n);
-    let rotate_pair = |p: usize, q: usize| -> bool {
-        let mut wp = hc_obs::sync::lock_recover(&w[p]);
-        let mut wq = hc_obs::sync::lock_recover(&w[q]);
-        let mut app = 0.0;
-        let mut aqq = 0.0;
-        let mut apq = 0.0;
-        for i in 0..m {
-            app += wp[i] * wp[i];
-            aqq += wq[i] * wq[i];
-            apq += wp[i] * wq[i];
-        }
-        if app <= zero_guard
-            || aqq <= zero_guard
-            || apq.abs() <= eps * (app * aqq).sqrt()
-            || apq == 0.0
-        {
-            return false;
-        }
-        let tau = (aqq - app) / (2.0 * apq);
-        let t = if tau >= 0.0 {
-            1.0 / (tau + (1.0 + tau * tau).sqrt())
-        } else {
-            -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-        };
-        let c = 1.0 / (1.0 + t * t).sqrt();
-        let s = c * t;
-        for i in 0..m {
-            let (x, y) = (wp[i], wq[i]);
-            wp[i] = c * x - s * y;
-            wq[i] = s * x + c * y;
-        }
-        drop((wp, wq));
-        let mut vp = hc_obs::sync::lock_recover(&v[p]);
-        let mut vq = hc_obs::sync::lock_recover(&v[q]);
-        for i in 0..n {
-            let (x, y) = (vp[i], vq[i]);
-            vp[i] = c * x - s * y;
-            vq[i] = s * x + c * y;
-        }
-        true
-    };
-
-    let mut converged = false;
-    for _sweep in 0..JACOBI_MAX_SWEEPS {
-        let mut any = false;
-        for round in &rounds {
-            if round.len() <= 1 || threads <= 1 {
-                for &(p, q) in round {
-                    any |= rotate_pair(p, q);
-                }
-            } else {
-                let flags: Vec<bool> =
-                    par_map_indexed(round.len(), threads.min(round.len()), |k| {
-                        let (p, q) = round[k];
-                        rotate_pair(p, q)
-                    });
-                any |= flags.iter().any(|&f| f);
-            }
-        }
-        if !any {
-            converged = true;
-            break;
-        }
-    }
-
-    // Assemble σ, U, V.
-    let mut sigma = Vec::with_capacity(n);
-    let mut u = Matrix::zeros(m, n);
-    let mut vm = Matrix::zeros(n, n);
-    for j in 0..n {
-        let col = hc_obs::sync::lock_recover(&w[j]);
-        let nrm = vecops::norm2(&col);
-        sigma.push(nrm);
-        if nrm > 0.0 {
-            for i in 0..m {
-                u[(i, j)] = col[i] / nrm;
-            }
-        }
-        let vcol = hc_obs::sync::lock_recover(&v[j]);
-        for i in 0..n {
-            vm[(i, j)] = vcol[i];
-        }
-    }
-    if !converged {
-        // Same tolerance audit as the serial variant.
-        let mut worst: f64 = 0.0;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                if sigma[p] > 0.0 && sigma[q] > 0.0 {
-                    let wp = hc_obs::sync::lock_recover(&w[p]);
-                    let wq = hc_obs::sync::lock_recover(&w[q]);
-                    let dot: f64 = wp.iter().zip(wq.iter()).map(|(a, b)| a * b).sum();
-                    worst = worst.max(dot.abs() / (sigma[p] * sigma[q]));
-                }
-            }
-        }
-        if worst > 1e-10 {
-            return Err(LinAlgError::NoConvergence {
-                algorithm: "par-jacobi-svd",
-                iterations: JACOBI_MAX_SWEEPS,
-                residual: worst,
-            });
-        }
-    }
-    Ok(crate::svd::finalize_svd(u, sigma, vm))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,57 +185,6 @@ mod tests {
             let got = par_fold(1000, threads, 0u64, |i| i as u64, |a, b| a + b);
             assert_eq!(got, want, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn tournament_rounds_cover_all_pairs_disjointly() {
-        for n in [2usize, 3, 4, 5, 8, 9] {
-            let rounds = tournament_rounds(n);
-            let mut seen = std::collections::HashSet::new();
-            for round in &rounds {
-                let mut used = std::collections::HashSet::new();
-                for &(p, q) in round {
-                    assert!(p < q && q < n, "bad pair ({p},{q}) for n={n}");
-                    assert!(used.insert(p), "column {p} reused within a round");
-                    assert!(used.insert(q), "column {q} reused within a round");
-                    assert!(seen.insert((p, q)), "pair ({p},{q}) repeated");
-                }
-            }
-            assert_eq!(seen.len(), n * (n - 1) / 2, "n={n}: all pairs covered");
-        }
-        assert!(tournament_rounds(1).is_empty());
-    }
-
-    #[test]
-    fn par_jacobi_matches_serial_sigma() {
-        for (m, n) in [(6, 6), (9, 4), (4, 9), (17, 5)] {
-            let a = Matrix::from_fn(m, n, |i, j| {
-                0.05 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
-            });
-            let serial = crate::svd::jacobi_svd(&a).unwrap();
-            for threads in [1, 2, 4] {
-                let par = par_jacobi_svd(&a, threads).unwrap();
-                for (x, y) in par.singular_values.iter().zip(&serial.singular_values) {
-                    assert!(
-                        (x - y).abs() < 1e-9 * (1.0 + y),
-                        "{m}x{n} t={threads}: {x} vs {y}"
-                    );
-                }
-                // Valid factorization.
-                assert!(par.residual(&a) < 1e-9 * (1.0 + crate::norms::frobenius(&a)));
-            }
-        }
-    }
-
-    #[test]
-    fn par_jacobi_edge_cases() {
-        assert!(par_jacobi_svd(&Matrix::zeros(0, 0), 2).is_err());
-        let single = Matrix::from_rows(&[&[3.0], &[4.0]]).unwrap();
-        let s = par_jacobi_svd(&single, 2).unwrap();
-        assert!((s.singular_values[0] - 5.0).abs() < 1e-12);
-        let mut bad = Matrix::identity(2);
-        bad[(0, 0)] = f64::NAN;
-        assert!(par_jacobi_svd(&bad, 2).is_err());
     }
 
     #[test]

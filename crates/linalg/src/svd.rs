@@ -3,25 +3,27 @@
 //! Two independent algorithms with identical output contracts, cross-validated
 //! against each other in the test suite:
 //!
-//! * **One-sided Jacobi** ([`jacobi_svd`]) — orthogonalizes the columns of a working
-//!   copy with plane rotations. Simple, unconditionally convergent in practice, and
-//!   computes small singular values to high *relative* accuracy, which matters for
-//!   the TMA measure where non-maximum singular values are the signal. Default for
-//!   the paper-scale matrices.
-//! * **Golub–Reinsch** ([`golub_reinsch_svd`]) — Householder bidiagonalization
-//!   followed by implicit-shift QR on the bidiagonal (the classic LAPACK-style
-//!   dense SVD). Faster for large matrices.
+//! * **One-sided Jacobi** ([`SvdAlgorithm::Jacobi`]) — orthogonalizes the
+//!   columns of a working copy with plane rotations. Simple, unconditionally
+//!   convergent in practice, and computes small singular values to high
+//!   *relative* accuracy, which matters for the TMA measure where non-maximum
+//!   singular values are the signal. Default for the paper-scale matrices.
+//! * **Golub–Reinsch** ([`SvdAlgorithm::GolubReinsch`]) — Householder
+//!   bidiagonalization followed by implicit-shift QR on the bidiagonal (the
+//!   classic LAPACK-style dense SVD). Faster for large matrices.
 //!
-//! [`svd`] dispatches on size; [`Svd`] holds `U`, `σ`, `V` with singular values
-//! sorted descending and the factors' columns permuted to match.
+//! [`Svd`] holds `U`, `σ`, `V` with singular values sorted descending and the
+//! factors' columns permuted to match.
 //!
-//! Each algorithm is implemented once, as a workspace kernel ([`svd_with_in`],
-//! [`jacobi_svd_in`], [`golub_reinsch_svd_in`]) that takes a borrowed
-//! [`MatRef`] and checks every scratch buffer — working copy, rotation
-//! accumulators, the returned factors themselves — out of a caller-supplied
-//! [`Workspace`]. The owned-`Matrix` entry points are thin wrappers that spin
-//! up a throwaway workspace, so both paths compute identical floating-point
-//! results by construction.
+//! Every cold SVD runs through one kernel, [`svd_with_stats_budgeted_in`]: it
+//! validates the input (non-empty, finite), picks the algorithm, transposes
+//! wide inputs, polls an optional [`Budget`], draws every scratch buffer —
+//! including the returned factors — from a caller-supplied [`Workspace`], and
+//! returns the iteration count beside the decomposition. [`svd`] and
+//! [`svd_with`] are owned-`Matrix` conveniences over it with a throwaway
+//! workspace. [`svd_warm_stats_budgeted_in`] is the same kernel seeded from a
+//! previous decomposition. The two algorithms themselves are private, so no
+//! public path skips the input checks.
 
 use crate::bidiag::{bidiagonalize_in, Bidiag};
 use crate::budget::Budget;
@@ -32,7 +34,7 @@ use crate::view::MatRef;
 use crate::workspace::Workspace;
 use crate::Result;
 
-/// Algorithm selector for [`svd_with`].
+/// Algorithm selector for [`svd_with`] and [`svd_with_stats_budgeted_in`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvdAlgorithm {
     /// One-sided Jacobi (default for small matrices; high relative accuracy).
@@ -111,11 +113,6 @@ impl Svd {
     }
 }
 
-/// Computes singular values only (descending), using the default dispatch.
-pub fn singular_values(a: &Matrix) -> Result<Vec<f64>> {
-    Ok(svd(a)?.singular_values)
-}
-
 /// Computes the SVD with automatic algorithm choice.
 pub fn svd(a: &Matrix) -> Result<Svd> {
     svd_with(a, SvdAlgorithm::Auto)
@@ -124,56 +121,106 @@ pub fn svd(a: &Matrix) -> Result<Svd> {
 /// Computes the SVD with an explicit algorithm choice.
 pub fn svd_with(a: &Matrix, alg: SvdAlgorithm) -> Result<Svd> {
     let mut ws = Workspace::new();
-    svd_with_in(a.view(), alg, &mut ws)
+    Ok(svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws)?.0)
 }
 
-/// Workspace kernel behind [`svd`]: automatic algorithm choice, scratch from `ws`.
-pub fn svd_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Svd> {
-    svd_with_in(a, SvdAlgorithm::Auto, ws)
-}
-
-/// Workspace kernel behind [`svd_with`]: all scratch — including the returned
-/// factors — is checked out of `ws`; pass the factors back through
-/// [`Svd::recycle`] to make repeat calls on the same shape allocation-free.
-pub fn svd_with_in(a: MatRef<'_>, alg: SvdAlgorithm, ws: &mut Workspace) -> Result<Svd> {
-    svd_with_budgeted_in(a, alg, None, ws)
-}
-
-/// [`svd_with_in`] with a cooperative cancellation [`Budget`]: the sweep/QR
-/// loops poll the budget once per iteration and bail out with
-/// [`LinAlgError::DeadlineExceeded`] when it trips. `None` is exactly the
-/// unbudgeted path (bit-identical results, no polling cost).
-pub fn svd_with_budgeted_in(
+/// The SVD kernel: decomposes `a` with `alg`, returning the decomposition and
+/// the iteration count (Jacobi sweeps or Golub–Reinsch QR iterations,
+/// whichever algorithm ran).
+///
+/// All scratch — including the returned factors — is checked out of `ws`;
+/// pass the factors back through [`Svd::recycle`] to make repeat calls on the
+/// same shape allocation-free. The sweep/QR loops poll `budget` once per
+/// iteration and bail out with [`LinAlgError::DeadlineExceeded`] when it
+/// trips; `None` runs unpolled and gives bit-identical results.
+pub fn svd_with_stats_budgeted_in(
     a: MatRef<'_>,
     alg: SvdAlgorithm,
     budget: Option<&Budget>,
     ws: &mut Workspace,
-) -> Result<Svd> {
+) -> Result<(Svd, usize)> {
+    validate(a)?;
+    let jacobi = match alg {
+        SvdAlgorithm::Jacobi => true,
+        SvdAlgorithm::GolubReinsch => false,
+        SvdAlgorithm::Auto => a.len() <= AUTO_GR_THRESHOLD,
+    };
+    on_tall(a, ws, |t, ws| {
+        if jacobi {
+            jacobi_cold(t, budget, ws)
+        } else {
+            golub_reinsch_tall(t, budget, ws)
+        }
+    })
+}
+
+/// [`svd_with_stats_budgeted_in`] warm-started from a previous decomposition
+/// of a nearby matrix, returning the number of Jacobi sweeps it took.
+///
+/// Seeds the one-sided Jacobi iteration at the prior solution: the working
+/// matrix starts as `W₀ = A · V_prior` and rotations accumulate into a copy of
+/// `V_prior`, so the invariant `W = A · V` holds throughout and the converged
+/// result is a genuine SVD of `A` itself (sorted and sign-fixed exactly like
+/// the cold path). When `A` is a small perturbation of the matrix the prior
+/// decomposed, `W₀`'s columns are already near-orthogonal and convergence takes
+/// one or two sweeps instead of a full cold run; when it is not, the same
+/// sweep tolerance and sweep cap apply. Wide inputs transpose and seed from
+/// `prior.u`, mirroring the cold transposition path.
+///
+/// The prior must be a *full* thin SVD of a same-shaped matrix (its `V` must be
+/// `k × k` square for a tall input, as produced by every SVD entry point in
+/// this crate); anything else fails with [`LinAlgError::ShapeMismatch`].
+pub fn svd_warm_stats_budgeted_in(
+    a: MatRef<'_>,
+    prior: &Svd,
+    budget: Option<&Budget>,
+    ws: &mut Workspace,
+) -> Result<(Svd, usize)> {
+    validate(a)?;
+    // Aᵀ = V Σ Uᵀ: the prior's U seeds the transposed problem.
+    let seed = if a.rows() < a.cols() {
+        &prior.u
+    } else {
+        &prior.v
+    };
+    on_tall(a, ws, |t, ws| jacobi_warm_seeded(t, seed, budget, ws))
+}
+
+/// The input checks every public SVD path runs first.
+fn validate(a: MatRef<'_>) -> Result<()> {
     if a.is_empty() {
         return Err(LinAlgError::Empty { op: "svd" });
     }
-    a.check_finite("svd")?;
-    match alg {
-        SvdAlgorithm::Jacobi => jacobi_svd_budgeted_in(a, budget, ws),
-        SvdAlgorithm::GolubReinsch => golub_reinsch_svd_budgeted_in(a, budget, ws),
-        SvdAlgorithm::Auto => {
-            if a.len() <= AUTO_GR_THRESHOLD {
-                jacobi_svd_budgeted_in(a, budget, ws)
-            } else {
-                golub_reinsch_svd_budgeted_in(a, budget, ws)
-            }
-        }
+    a.check_finite("svd")
+}
+
+/// Runs `tall` on `a` when `m ≥ n`, or on a pooled copy of `aᵀ` when `m < n`,
+/// swapping the factors back (`Aᵀ = V Σ Uᵀ`).
+fn on_tall(
+    a: MatRef<'_>,
+    ws: &mut Workspace,
+    tall: impl FnOnce(MatRef<'_>, &mut Workspace) -> Result<(Svd, usize)>,
+) -> Result<(Svd, usize)> {
+    if a.rows() >= a.cols() {
+        return tall(a, ws);
     }
+    let at = transpose_pooled(a, ws);
+    let t = tall(at.view(), ws);
+    ws.recycle_matrix(at);
+    let (t, iters) = t?;
+    Ok((
+        Svd {
+            u: t.v,
+            singular_values: t.singular_values,
+            v: t.u,
+        },
+        iters,
+    ))
 }
 
 /// Sorts the spectrum descending, permuting `u`/`v` columns to match, and fixes a
 /// deterministic sign convention (largest-magnitude entry of each `u` column is
-/// positive). Shared by every SVD variant in the crate.
-pub(crate) fn finalize_svd(u: Matrix, sigma: Vec<f64>, v: Matrix) -> Svd {
-    let mut ws = Workspace::new();
-    finalize_in(u, sigma, v, &mut ws)
-}
-
+/// positive). Shared by both SVD algorithms.
 fn finalize_in(mut u: Matrix, mut sigma: Vec<f64>, mut v: Matrix, ws: &mut Workspace) -> Svd {
     let k = sigma.len();
     let mut order = ws.take_idx(k);
@@ -221,7 +268,7 @@ fn finalize_in(mut u: Matrix, mut sigma: Vec<f64>, mut v: Matrix, ws: &mut Works
     }
 }
 
-/// Copies `aᵀ` into a pooled matrix (for the wide-input transposition paths).
+/// Copies `aᵀ` into a pooled matrix (for [`on_tall`]).
 fn transpose_pooled(a: MatRef<'_>, ws: &mut Workspace) -> Matrix {
     let (m, n) = a.shape();
     let mut at = ws.take_matrix(n, m, 0.0);
@@ -238,143 +285,15 @@ fn transpose_pooled(a: MatRef<'_>, ws: &mut Workspace) -> Matrix {
 // ---------------------------------------------------------------------------
 
 /// Maximum number of Jacobi sweeps before declaring non-convergence.
-pub const JACOBI_MAX_SWEEPS: usize = 60;
+const JACOBI_MAX_SWEEPS: usize = 60;
 
-/// One-sided Jacobi SVD (Hestenes method).
-///
-/// Works on `W = A` (or `Aᵀ` when `m < n`, swapping the factors afterwards),
-/// repeatedly applying plane rotations from the right until all column pairs are
-/// numerically orthogonal. Then `σⱼ = ‖wⱼ‖` and `uⱼ = wⱼ/σⱼ`.
-pub fn jacobi_svd(a: &Matrix) -> Result<Svd> {
-    let mut ws = Workspace::new();
-    jacobi_svd_in(a.view(), &mut ws)
-}
-
-/// Workspace kernel behind [`jacobi_svd`].
-pub fn jacobi_svd_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Svd> {
-    jacobi_svd_budgeted_in(a, None, ws)
-}
-
-/// [`jacobi_svd_in`] polling `budget` once per sweep.
-pub fn jacobi_svd_budgeted_in(
-    a: MatRef<'_>,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<Svd> {
-    Ok(jacobi_svd_stats_budgeted_in(a, budget, ws)?.0)
-}
-
-/// [`jacobi_svd_budgeted_in`] also returning the number of sweeps performed —
-/// the iteration-accounting hook for callers comparing warm vs cold work.
-pub fn jacobi_svd_stats_budgeted_in(
-    a: MatRef<'_>,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<(Svd, usize)> {
-    if a.rows() < a.cols() {
-        let at = transpose_pooled(a, ws);
-        let t = jacobi_svd_stats_budgeted_in(at.view(), budget, ws);
-        ws.recycle_matrix(at);
-        let (t, sweeps) = t?;
-        return Ok((
-            Svd {
-                u: t.v,
-                singular_values: t.singular_values,
-                v: t.u,
-            },
-            sweeps,
-        ));
-    }
+/// Cold Jacobi on a tall (`m ≥ n`) input: `W₀ = a`, `V₀ = I`.
+fn jacobi_cold(a: MatRef<'_>, budget: Option<&Budget>, ws: &mut Workspace) -> Result<(Svd, usize)> {
     let (m, n) = a.shape();
     let mut w = ws.take_matrix(m, n, 0.0);
     w.view_mut().copy_from(a);
     let v = ws.take_identity(n);
     jacobi_sweep_core(w, v, false, budget, ws)
-}
-
-/// [`svd_with_budgeted_in`] also returning the iteration count (Jacobi sweeps
-/// or Golub–Reinsch QR iterations, whichever algorithm ran).
-pub fn svd_with_stats_budgeted_in(
-    a: MatRef<'_>,
-    alg: SvdAlgorithm,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<(Svd, usize)> {
-    if a.is_empty() {
-        return Err(LinAlgError::Empty { op: "svd" });
-    }
-    a.check_finite("svd")?;
-    match alg {
-        SvdAlgorithm::Jacobi => jacobi_svd_stats_budgeted_in(a, budget, ws),
-        SvdAlgorithm::GolubReinsch => golub_reinsch_svd_stats_budgeted_in(a, budget, ws),
-        SvdAlgorithm::Auto => {
-            if a.len() <= AUTO_GR_THRESHOLD {
-                jacobi_svd_stats_budgeted_in(a, budget, ws)
-            } else {
-                golub_reinsch_svd_stats_budgeted_in(a, budget, ws)
-            }
-        }
-    }
-}
-
-/// [`svd_with_budgeted_in`] warm-started from a previous decomposition of a
-/// nearby matrix.
-///
-/// Seeds the one-sided Jacobi iteration at the prior solution: the working
-/// matrix starts as `W₀ = A · V_prior` and rotations accumulate into a copy of
-/// `V_prior`, so the invariant `W = A · V` holds throughout and the converged
-/// result is a genuine SVD of `A` itself (sorted and sign-fixed exactly like
-/// the cold path). When `A` is a small perturbation of the matrix the prior
-/// decomposed, `W₀`'s columns are already near-orthogonal and convergence takes
-/// one or two sweeps instead of a full cold run; when it is not, the same
-/// sweep tolerance and [`JACOBI_MAX_SWEEPS`] cap apply. Wide inputs transpose
-/// and seed from `prior.u`, mirroring the cold transposition path.
-///
-/// The prior must be a *full* thin SVD of a same-shaped matrix (its `V` must be
-/// `k × k` square for a tall input, as produced by every SVD entry point in
-/// this crate); anything else fails with [`LinAlgError::ShapeMismatch`].
-pub fn svd_warm_budgeted_in(
-    a: MatRef<'_>,
-    prior: &Svd,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<Svd> {
-    Ok(svd_warm_stats_budgeted_in(a, prior, budget, ws)?.0)
-}
-
-/// [`svd_warm_budgeted_in`] also returning the number of Jacobi sweeps the
-/// warm-seeded iteration took.
-pub fn svd_warm_stats_budgeted_in(
-    a: MatRef<'_>,
-    prior: &Svd,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<(Svd, usize)> {
-    if a.is_empty() {
-        return Err(LinAlgError::Empty { op: "svd" });
-    }
-    a.check_finite("svd")?;
-    if a.rows() < a.cols() {
-        // Aᵀ = V Σ Uᵀ: the prior's U seeds the transposed problem.
-        let at = transpose_pooled(a, ws);
-        let t = jacobi_warm_seeded(at.view(), &prior.u, budget, ws);
-        ws.recycle_matrix(at);
-        let (t, sweeps) = t?;
-        return Ok((
-            Svd {
-                u: t.v,
-                singular_values: t.singular_values,
-                v: t.u,
-            },
-            sweeps,
-        ));
-    }
-    jacobi_warm_seeded(a, &prior.v, budget, ws)
-}
-
-/// [`svd_warm_budgeted_in`] without a budget.
-pub fn svd_warm_in(a: MatRef<'_>, prior: &Svd, ws: &mut Workspace) -> Result<Svd> {
-    svd_warm_budgeted_in(a, prior, None, ws)
 }
 
 /// Warm Jacobi on a tall (`m ≥ n`) input: `W₀ = a · seed_v`, `V₀ = seed_v`.
@@ -574,47 +493,13 @@ fn worst_column_correlation(w: &Matrix, zero_guard: f64) -> f64 {
 /// Maximum implicit-QR iterations per singular value.
 const GR_MAX_ITERS: usize = 75;
 
-/// Golub–Reinsch SVD: bidiagonalize, then implicit-shift QR on the bidiagonal.
-pub fn golub_reinsch_svd(a: &Matrix) -> Result<Svd> {
-    let mut ws = Workspace::new();
-    golub_reinsch_svd_in(a.view(), &mut ws)
-}
-
-/// Workspace kernel behind [`golub_reinsch_svd`].
-pub fn golub_reinsch_svd_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Svd> {
-    golub_reinsch_svd_budgeted_in(a, None, ws)
-}
-
-/// [`golub_reinsch_svd_in`] polling `budget` once per implicit-QR iteration.
-pub fn golub_reinsch_svd_budgeted_in(
-    a: MatRef<'_>,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<Svd> {
-    Ok(golub_reinsch_svd_stats_budgeted_in(a, budget, ws)?.0)
-}
-
-/// [`golub_reinsch_svd_budgeted_in`] also returning the total implicit-QR
-/// iteration count.
-pub fn golub_reinsch_svd_stats_budgeted_in(
+/// Golub–Reinsch on a tall (`m ≥ n`) input: bidiagonalize, then
+/// implicit-shift QR on the bidiagonal. Returns the total QR iteration count.
+fn golub_reinsch_tall(
     a: MatRef<'_>,
     budget: Option<&Budget>,
     ws: &mut Workspace,
 ) -> Result<(Svd, usize)> {
-    if a.rows() < a.cols() {
-        let at = transpose_pooled(a, ws);
-        let t = golub_reinsch_svd_stats_budgeted_in(at.view(), budget, ws);
-        ws.recycle_matrix(at);
-        let (t, iters) = t?;
-        return Ok((
-            Svd {
-                u: t.v,
-                singular_values: t.singular_values,
-                v: t.u,
-            },
-            iters,
-        ));
-    }
     let mut obs = hc_obs::span("linalg.svd.golub_reinsch");
     let mut total_iters = 0usize;
     let Bidiag { u, v, d, e } = {
@@ -829,6 +714,12 @@ mod tests {
         }
     }
 
+    fn cold_jacobi(a: &Matrix, ws: &mut Workspace) -> Svd {
+        svd_with_stats_budgeted_in(a.view(), SvdAlgorithm::Jacobi, None, ws)
+            .unwrap()
+            .0
+    }
+
     fn det2_sigma(a: f64, b: f64, c: f64, d: f64) -> (f64, f64) {
         // Exact singular values of [[a, b], [c, d]].
         let q1 = a * a + b * b + c * c + d * d;
@@ -843,7 +734,7 @@ mod tests {
     fn jacobi_known_2x2() {
         let (a, b, c, d) = (3.0, 1.0, 1.0, 3.0);
         let m = Matrix::from_rows(&[&[a, b], &[c, d]]).unwrap();
-        let s = jacobi_svd(&m).unwrap();
+        let s = svd_with(&m, SvdAlgorithm::Jacobi).unwrap();
         let (s1, s2) = det2_sigma(a, b, c, d);
         assert!((s.singular_values[0] - s1).abs() < 1e-12);
         assert!((s.singular_values[1] - s2).abs() < 1e-12);
@@ -854,7 +745,7 @@ mod tests {
     fn gr_known_2x2() {
         let (a, b, c, d) = (2.0, 0.5, -1.0, 1.5);
         let m = Matrix::from_rows(&[&[a, b], &[c, d]]).unwrap();
-        let s = golub_reinsch_svd(&m).unwrap();
+        let s = svd_with(&m, SvdAlgorithm::GolubReinsch).unwrap();
         let (s1, s2) = det2_sigma(a, b, c, d);
         assert!((s.singular_values[0] - s1).abs() < 1e-10);
         assert!((s.singular_values[1] - s2).abs() < 1e-10);
@@ -893,8 +784,8 @@ mod tests {
             let a = Matrix::from_fn(m, n, |i, j| {
                 0.1 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
             });
-            let sj = jacobi_svd(&a).unwrap();
-            let sg = golub_reinsch_svd(&a).unwrap();
+            let sj = svd_with(&a, SvdAlgorithm::Jacobi).unwrap();
+            let sg = svd_with(&a, SvdAlgorithm::GolubReinsch).unwrap();
             assert_valid_svd(&a, &sj, 1e-10);
             assert_valid_svd(&a, &sg, 1e-10);
             for (x, y) in sj.singular_values.iter().zip(&sg.singular_values) {
@@ -915,7 +806,7 @@ mod tests {
             });
             for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
                 let owned = svd_with(&a, alg).unwrap();
-                let pooled = svd_with_in(a.view(), alg, &mut ws).unwrap();
+                let (pooled, _) = svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws).unwrap();
                 assert_eq!(owned.singular_values, pooled.singular_values);
                 assert_eq!(owned.u, pooled.u);
                 assert_eq!(owned.v, pooled.v);
@@ -929,11 +820,12 @@ mod tests {
         let a = Matrix::from_fn(9, 6, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
         let mut ws = Workspace::new();
         for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
-            svd_with_in(a.view(), alg, &mut ws)
+            svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws)
                 .unwrap()
+                .0
                 .recycle(&mut ws);
             ws.reset_stats();
-            let s = svd_with_in(a.view(), alg, &mut ws).unwrap();
+            let (s, _) = svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws).unwrap();
             assert_eq!(ws.stats().fresh, 0, "{alg:?} warm run allocated");
             s.recycle(&mut ws);
         }
@@ -988,6 +880,60 @@ mod tests {
         let mut a = Matrix::identity(2);
         a[(1, 1)] = f64::INFINITY;
         assert!(matches!(svd(&a), Err(LinAlgError::NonFinite { .. })));
+
+        // No public SVD path skips the input checks: every algorithm through
+        // the kernel, and the warm kernel, on an empty matrix and on a NaN
+        // inside a tall and inside a wide matrix.
+        let mut ws = Workspace::new();
+        let empty = Matrix::zeros(0, 0);
+        let clean_tall = Matrix::from_fn(4, 3, |i, j| 1.0 + (i * 3 + j) as f64 / 7.0);
+        let clean_wide = clean_tall.transpose();
+        let mut tall = clean_tall.clone();
+        tall[(2, 1)] = f64::NAN;
+        let mut wide = clean_wide.clone();
+        wide[(1, 2)] = f64::NAN;
+        for alg in [
+            SvdAlgorithm::Jacobi,
+            SvdAlgorithm::GolubReinsch,
+            SvdAlgorithm::Auto,
+        ] {
+            assert!(
+                matches!(
+                    svd_with_stats_budgeted_in(empty.view(), alg, None, &mut ws),
+                    Err(LinAlgError::Empty { .. })
+                ),
+                "{alg:?} accepted an empty matrix"
+            );
+            for bad in [&tall, &wide] {
+                assert!(
+                    matches!(
+                        svd_with_stats_budgeted_in(bad.view(), alg, None, &mut ws),
+                        Err(LinAlgError::NonFinite { .. })
+                    ),
+                    "{alg:?} accepted a NaN in a {:?} matrix",
+                    bad.shape()
+                );
+            }
+        }
+        for (bad, clean) in [
+            (&empty, &clean_tall),
+            (&tall, &clean_tall),
+            (&wide, &clean_wide),
+        ] {
+            let prior = cold_jacobi(clean, &mut ws);
+            let got = svd_warm_stats_budgeted_in(bad.view(), &prior, None, &mut ws);
+            let want_empty = bad.is_empty();
+            assert!(
+                matches!(
+                    (&got, want_empty),
+                    (Err(LinAlgError::Empty { .. }), true)
+                        | (Err(LinAlgError::NonFinite { .. }), false)
+                ),
+                "warm SVD of a {:?} input returned {got:?}",
+                bad.shape()
+            );
+            prior.recycle(&mut ws);
+        }
     }
 
     #[test]
@@ -995,7 +941,7 @@ mod tests {
         // Diagonal grading over 12 orders of magnitude: Jacobi must keep relative
         // accuracy on the tiny singular value.
         let m = Matrix::from_diag(&[1.0, 1e-6, 1e-12]);
-        let s = jacobi_svd(&m).unwrap();
+        let s = svd_with(&m, SvdAlgorithm::Jacobi).unwrap();
         assert!((s.singular_values[2] - 1e-12).abs() / 1e-12 < 1e-8);
     }
 
@@ -1043,8 +989,9 @@ mod tests {
         let mut ws = Workspace::new();
         let generous = Budget::with_deadline(std::time::Duration::from_secs(600));
         for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
-            let plain = svd_with_in(a.view(), alg, &mut ws).unwrap();
-            let budgeted = svd_with_budgeted_in(a.view(), alg, Some(&generous), &mut ws).unwrap();
+            let (plain, _) = svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws).unwrap();
+            let (budgeted, _) =
+                svd_with_stats_budgeted_in(a.view(), alg, Some(&generous), &mut ws).unwrap();
             assert_eq!(plain.singular_values, budgeted.singular_values, "{alg:?}");
             assert_eq!(plain.u, budgeted.u);
             assert_eq!(plain.v, budgeted.v);
@@ -1060,7 +1007,7 @@ mod tests {
         let mut ws = Workspace::new();
         let expired = Budget::with_deadline(std::time::Duration::ZERO);
         for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
-            match svd_with_budgeted_in(a.view(), alg, Some(&expired), &mut ws) {
+            match svd_with_stats_budgeted_in(a.view(), alg, Some(&expired), &mut ws) {
                 Err(LinAlgError::DeadlineExceeded { .. }) => {}
                 other => panic!("{alg:?}: expected DeadlineExceeded, got {other:?}"),
             }
@@ -1074,8 +1021,8 @@ mod tests {
             let a = Matrix::from_fn(m, n, |i, j| {
                 0.1 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
             });
-            let prior = svd_with_in(a.view(), SvdAlgorithm::Jacobi, &mut ws).unwrap();
-            let warm = svd_warm_in(a.view(), &prior, &mut ws).unwrap();
+            let prior = cold_jacobi(&a, &mut ws);
+            let (warm, _) = svd_warm_stats_budgeted_in(a.view(), &prior, None, &mut ws).unwrap();
             assert_valid_svd(&a, &warm, 1e-10);
             for (x, y) in warm.singular_values.iter().zip(&prior.singular_values) {
                 assert!(
@@ -1094,13 +1041,13 @@ mod tests {
         let a = Matrix::from_fn(20, 20, |i, j| {
             0.1 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
         });
-        let prior = svd_with_in(a.view(), SvdAlgorithm::Jacobi, &mut ws).unwrap();
+        let prior = cold_jacobi(&a, &mut ws);
         let mut edited = a.clone();
         edited[(3, 5)] *= 1.001;
 
         hc_obs::recorder::note_u64("svd_jacobi_sweeps", 0);
-        let cold = svd_with_in(edited.view(), SvdAlgorithm::Jacobi, &mut ws).unwrap();
-        let warm = svd_warm_in(edited.view(), &prior, &mut ws).unwrap();
+        let cold = cold_jacobi(&edited, &mut ws);
+        let (warm, _) = svd_warm_stats_budgeted_in(edited.view(), &prior, None, &mut ws).unwrap();
         assert_valid_svd(&edited, &warm, 1e-10);
         for (x, y) in warm.singular_values.iter().zip(&cold.singular_values) {
             assert!((x - y).abs() < 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
@@ -1115,9 +1062,9 @@ mod tests {
         let mut ws = Workspace::new();
         let a = Matrix::from_fn(5, 4, |i, j| 1.0 + (i * 4 + j) as f64);
         let other = Matrix::from_fn(6, 3, |i, j| 1.0 + (i * 3 + j) as f64);
-        let prior = svd_with_in(other.view(), SvdAlgorithm::Jacobi, &mut ws).unwrap();
+        let prior = cold_jacobi(&other, &mut ws);
         assert!(matches!(
-            svd_warm_in(a.view(), &prior, &mut ws),
+            svd_warm_stats_budgeted_in(a.view(), &prior, None, &mut ws),
             Err(LinAlgError::ShapeMismatch { .. })
         ));
     }
@@ -1127,12 +1074,12 @@ mod tests {
         use crate::budget::Budget;
         let mut ws = Workspace::new();
         let a = Matrix::from_fn(9, 6, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
-        let prior = svd_with_in(a.view(), SvdAlgorithm::Jacobi, &mut ws).unwrap();
+        let prior = cold_jacobi(&a, &mut ws);
         let mut edited = a.clone();
         edited[(1, 1)] *= 2.0;
         let expired = Budget::with_deadline(std::time::Duration::ZERO);
         assert!(matches!(
-            svd_warm_budgeted_in(edited.view(), &prior, Some(&expired), &mut ws),
+            svd_warm_stats_budgeted_in(edited.view(), &prior, Some(&expired), &mut ws),
             Err(LinAlgError::DeadlineExceeded { .. })
         ));
     }

@@ -2,10 +2,10 @@
 //!
 //! [`MatRef`] and [`MatMut`] are stride-aware windows over row-major `f64`
 //! storage — a whole [`Matrix`], a rectangular block of one, or any external
-//! buffer. The `_in` kernels across the workspace layer (`svd_with_in`,
-//! `balance_in`, `matmul_into`, …) take views instead of owned matrices, so
-//! callers can feed them pooled scratch, sub-blocks, or caller-owned data
-//! without cloning. Rows of a view are always contiguous; columns are walked
+//! buffer. The workspace kernels (`svd_with_stats_budgeted_in`,
+//! `bidiagonalize_in`, `hc_sinkhorn`'s `standardize_in`, `matmul_into`, …)
+//! take views instead of owned matrices, so callers can feed them pooled
+//! scratch, sub-blocks, or caller-owned data without cloning. Rows of a view are always contiguous; columns are walked
 //! through the row stride.
 
 use std::ops::{Index, IndexMut};

@@ -1,15 +1,15 @@
 //! Reusable scratch arena for allocation-free numeric hot paths.
 //!
 //! A [`Workspace`] owns a small pool of previously-allocated `f64` (and index)
-//! buffers. Kernels written against it — the `_in` variants of SVD,
-//! bidiagonalization, Sinkhorn balancing, and the measure pipeline — check
-//! buffers out with [`Workspace::take_vec`]/[`Workspace::take_matrix`] and
-//! return them with [`Workspace::recycle_vec`]/[`Workspace::recycle_matrix`].
-//! On the first call for a given shape everything is allocated fresh; once the
-//! buffers have been recycled, repeat calls on the same shapes reuse capacity
-//! and perform **zero** heap allocations. The pool is deliberately dumb: a
-//! best-fit scan over at most [`MAX_POOLED`] retained buffers, no
-//! synchronization, no shrinking. One workspace per thread (see the per-worker
+//! buffers. Kernels written against it — SVD, bidiagonalization, Sinkhorn
+//! standardization, and the measure pipeline — check buffers out with
+//! [`Workspace::take_vec`]/[`Workspace::take_matrix`] and return them with
+//! [`Workspace::recycle_vec`]/[`Workspace::recycle_matrix`]. On the first call
+//! for a given shape everything is allocated fresh; once the buffers have been
+//! recycled, repeat calls on the same shapes reuse capacity and perform
+//! **zero** heap allocations. The pool is deliberately dumb: a best-fit scan
+//! over at most 64 retained buffers per kind, no synchronization, no
+//! shrinking. One workspace per thread (see the per-worker
 //! `Analyzer` in `hc-serve`) is the intended usage.
 
 use crate::matrix::Matrix;

@@ -2,7 +2,7 @@
 //!
 //! Two independent facilities share this crate:
 //!
-//! 1. **Tracing** ([`span`], [`event`]): scoped timers with monotonic-clock
+//! 1. **Tracing** ([`span`](fn@span), [`event`]): scoped timers with monotonic-clock
 //!    durations, thread-local parent/child nesting, and structured fields.
 //!    Nothing is emitted (and almost nothing is paid — one relaxed atomic
 //!    load) until a sink is installed via [`install_json_sink`],

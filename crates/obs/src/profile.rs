@@ -14,7 +14,7 @@
 //! worker → sampler hand-off takes no locks on the worker side after
 //! registration:
 //!
-//! * Each thread owns one [`ThreadStack`]: a fixed `[AtomicU32; MAX_DEPTH]`
+//! * Each thread owns one `ThreadStack`: a fixed `[AtomicU32; MAX_DEPTH]`
 //!   frame array plus an atomic depth, guarded by a **seqlock** sequence
 //!   counter. Pushing or popping a frame is a handful of relaxed stores
 //!   bracketed by the sequence bump (odd = write in progress) with

@@ -19,7 +19,7 @@
 //! Recording is thread-local: [`FlightRecorder::begin`] installs an active
 //! record on the current thread, and every span or event that completes on
 //! that thread while it is active is appended (spans also arm automatically —
-//! see [`crate::span`]). Work fanned out to *other* threads attaches to their
+//! see [`crate::span()`]). Work fanned out to *other* threads attaches to their
 //! records, if any; work a request's own thread executes inline (including
 //! batch subtasks it helps drain) is captured. Kernels attach scalar
 //! telemetry with [`note_u64`] / [`note_f64`] without threading any handle

@@ -90,7 +90,7 @@ pub fn x1_regularized_tma() -> String {
 }
 
 /// X2: measure-targeted generation spanning the heterogeneity cube
-/// (application [2]).
+/// (application \[2\]).
 pub fn x2_targeted_sweep() -> String {
     let specs = measure_grid(8, 5, 3, 0.6);
     let mut t = Table::new(vec![
@@ -121,7 +121,7 @@ pub fn x2_targeted_sweep() -> String {
     )
 }
 
-/// X3: heuristic selection by heterogeneity (application [3]).
+/// X3: heuristic selection by heterogeneity (application \[3\]).
 pub fn x3_heuristic_selection() -> String {
     let mut out =
         String::from("== X3: mapping-heuristic performance vs task-machine affinity ==\n");

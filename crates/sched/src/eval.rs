@@ -1,5 +1,5 @@
 //! Ensemble evaluation: heuristic performance as a function of the heterogeneity
-//! measures (the paper's application [3] — "selecting appropriate heuristics to
+//! measures (the paper's application \[3\] — "selecting appropriate heuristics to
 //! use in an HC environment based on its heterogeneity").
 
 use crate::ga::{ga, GaParams};

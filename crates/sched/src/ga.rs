@@ -1,5 +1,5 @@
 //! A steady-state genetic algorithm for static mapping (the GA baseline of the
-//! Braun et al. comparison study the paper cites as reference [6]).
+//! Braun et al. comparison study the paper cites as reference \[6\]).
 //!
 //! Chromosome = assignment vector. Population seeded with Min-Min plus random
 //! valid assignments; tournament selection, uniform crossover, point mutation

@@ -1,10 +1,10 @@
 //! # hc-sched — independent-task mapping heuristics
 //!
 //! The paper motivates its measures partly by *"selecting appropriate heuristics
-//! to use in an HC environment based on its heterogeneity"* (reference [3]). This
+//! to use in an HC environment based on its heterogeneity"* (reference \[3\]). This
 //! crate supplies that substrate: the classic static mapping heuristics for
 //! independent tasks on heterogeneous machines (the Braun et al. 2001 suite the
-//! paper cites as reference [6]) plus a steady-state genetic algorithm, a makespan
+//! paper cites as reference \[6\]) plus a steady-state genetic algorithm, a makespan
 //! evaluator, and ensemble studies correlating heuristic performance with the
 //! (MPH, TDH, TMA) measures.
 //!

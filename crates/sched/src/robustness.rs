@@ -1,6 +1,6 @@
 //! Makespan robustness of a schedule against ETC estimation error.
 //!
-//! The authors' broader research program (the paper's references [1], [11] and
+//! The authors' broader research program (the paper's references \[1\], \[11\] and
 //! the "robust heterogeneous computing systems" interest noted in the
 //! biographies) quantifies how much the ETC estimates can be off before a
 //! schedule's makespan guarantee breaks. The standard FePIA-style result for

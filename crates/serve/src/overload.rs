@@ -401,9 +401,9 @@ impl OverloadController {
 
     /// The autoscale decision: `Some(new_target)` when the worker count
     /// should change, within `[min, max]`. Scales up one worker per
-    /// [`SCALE_UP_COOLDOWN`] while the smoothed delay crosses half the target
+    /// `SCALE_UP_COOLDOWN` while the smoothed delay crosses half the target
     /// (or the queue outgrows the workers); retires one worker per
-    /// [`SCALE_DOWN_IDLE`] of continuous idleness.
+    /// `SCALE_DOWN_IDLE` of continuous idleness.
     pub fn autoscale(
         &self,
         now: Instant,

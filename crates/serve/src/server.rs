@@ -4,7 +4,7 @@
 //! (nonblocking) listener and every connection, multiplexed over epoll with
 //! HTTP/1.1 keep-alive. This module owns everything around that loop — the
 //! [`Config`] / [`ServerState`] pair, [`start`] / [`ServerHandle`] lifecycle,
-//! and [`run_attempt`]: the worker-side execution of one parsed request
+//! and `run_attempt`: the worker-side execution of one parsed request
 //! (request id, trace context, flight recording, panic isolation, phase
 //! timings), returning either a response for the reactor to write or a park
 //! decision for a session watch long-poll.

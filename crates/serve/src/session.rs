@@ -191,11 +191,11 @@ pub fn delete(state: &ServerState, id: &str) -> Result<Response, HttpError> {
 ///
 /// Bounded by the request's deadline machinery: the effective budget (client
 /// `X-Timeout-Ms` clamped by `--request-timeout-ms`) caps the wait, falling
-/// back to [`WATCH_DEFAULT_MS`] when no deadline applies. Expiring quietly is
+/// back to `WATCH_DEFAULT_MS` when no deadline applies. Expiring quietly is
 /// a `200` with `"timed_out":true`, not an error — the client just re-polls.
 ///
 /// The wait itself never blocks a worker: when nothing is past the watermark
-/// yet, the handler leaves a [`ParkIntent`] in thread-local storage and the
+/// yet, the handler leaves a `ParkIntent` in thread-local storage and the
 /// attempt loop hands the connection back to the reactor, which re-runs the
 /// request when a store waker fires or the deadline passes (the `resumed`
 /// path here, which re-checks and renders the timeout body).

@@ -5,12 +5,11 @@
 //! the standard form. After an edit, [`SessionEngine::recompute`] seeds both
 //! solvers from that state:
 //!
-//! * Sinkhorn restarts from `diag(D₁)·A'·diag(D₂)` (see
-//!   [`hc_sinkhorn::balance::balance_warm_budgeted_in`]) — for a small
-//!   perturbation `A'` of the previously balanced matrix this is already near
-//!   the fixed point.
+//! * Sinkhorn restarts from `diag(D₁)·A'·diag(D₂)` (the `prior` argument of
+//!   [`hc_sinkhorn::balance::standardize_in`]) — for a small perturbation `A'`
+//!   of the previously balanced matrix this is already near the fixed point.
 //! * The SVD restarts one-sided Jacobi from the prior right singular vectors
-//!   (see [`hc_linalg::svd::svd_warm_budgeted_in`]) — the seeded working
+//!   (see [`hc_linalg::svd::svd_warm_stats_budgeted_in`]) — the seeded working
 //!   matrix has near-orthogonal columns, so one or two sweeps suffice where a
 //!   cold run needs a full Golub–Reinsch factorization.
 //!
@@ -41,14 +40,12 @@ use hc_core::error::MeasureError;
 use hc_core::measures::{
     adjacent_ratio_homogeneity_in, machine_performances_in, task_difficulties_in,
 };
-use hc_core::report::{characterize_budgeted_in, MeasureReport};
+use hc_core::report::{characterize_in, MeasureReport};
 use hc_core::standard::TmaOptions;
 use hc_core::weights::Weights;
 use hc_linalg::svd::{svd_warm_stats_budgeted_in, svd_with_stats_budgeted_in, Svd};
 use hc_linalg::{Budget, LinAlgError, Workspace};
-use hc_sinkhorn::balance::{
-    standardize_budgeted_in, standardize_warm_budgeted_in, BalanceOutcome, BalanceStatus,
-};
+use hc_sinkhorn::balance::{standardize_in, BalanceOutcome, BalanceStatus};
 
 /// Matrices with more cells than this run cold even when a warm prior exists.
 ///
@@ -221,10 +218,9 @@ impl SessionEngine {
     ) -> Result<Option<(MeasureReport, RecomputeStats)>, MeasureError> {
         let _phase = hc_obs::span("session.warm_solve");
         let prior = self.warm.as_ref().expect("warm_eligible checked");
-        let out = match standardize_warm_budgeted_in(
+        let out = match standardize_in(
             self.ecs.matrix().view(),
-            &prior.row_scale,
-            &prior.col_scale,
+            Some((&prior.row_scale, &prior.col_scale)),
             &self.opts.balance,
             budget,
             &mut self.ws,
@@ -290,21 +286,17 @@ impl SessionEngine {
         let _phase = hc_obs::span("session.cold_solve");
         if !self.ecs.is_positive() {
             self.clear_warm();
-            let report = characterize_budgeted_in(
-                &self.ecs,
-                &self.weights,
-                &self.opts,
-                budget,
-                &mut self.ws,
-            )?;
+            let report =
+                characterize_in(&self.ecs, &self.weights, &self.opts, budget, &mut self.ws)?;
             let stats = RecomputeStats {
                 sinkhorn_iterations: report.standardization_iterations,
                 ..RecomputeStats::default()
             };
             return Ok((report, stats));
         }
-        let out = standardize_budgeted_in(
+        let out = standardize_in(
             self.ecs.matrix().view(),
+            None,
             &self.opts.balance,
             budget,
             &mut self.ws,
@@ -340,7 +332,7 @@ impl SessionEngine {
     }
 
     /// MPH/TDH/TMA from a converged standard form and its SVD — the same
-    /// arithmetic as [`characterize_budgeted_in`], just with the solver outputs
+    /// arithmetic as [`characterize_in`], just with the solver outputs
     /// kept alive for the next warm start.
     fn assemble(
         &mut self,

@@ -6,7 +6,7 @@
 //! kernels from the previous solve instead of starting from scratch:
 //!
 //! * **Sinkhorn** restarts from the previous `D₁/D₂` scaling vectors
-//!   ([`hc_sinkhorn::balance::standardize_warm_budgeted_in`]) — a small edit
+//!   (the `prior` of [`hc_sinkhorn::balance::standardize_in`]) — a small edit
 //!   leaves the seeded matrix near the balanced fixed point, so convergence
 //!   takes a handful of sweeps instead of hundreds.
 //! * **SVD** restarts one-sided Jacobi from the previous right singular

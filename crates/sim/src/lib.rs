@@ -4,7 +4,7 @@
 //! from a **task** (one execution of it). The measure framework characterizes the
 //! *static* ETC matrix of task types × machines; this crate closes the loop to the
 //! *dynamic* setting its applications live in (performance prediction, reference
-//! [9]; heuristic selection, reference [3]): a stream of task instances arrives
+//! \[9\]; heuristic selection, reference \[3\]): a stream of task instances arrives
 //! over time and an online mapper assigns each to a machine.
 //!
 //! * [`workload`] — Poisson arrival streams over the task types, deterministic

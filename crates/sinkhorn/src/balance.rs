@@ -117,8 +117,8 @@ impl BalanceOutcome {
         self.status.is_converged()
     }
 
-    /// Returns the outcome's buffers to `ws` so a later [`balance_in`] call on
-    /// the same shapes runs without fresh allocations.
+    /// Returns the outcome's buffers to `ws` so a later [`standardize_in`] call
+    /// on the same shapes runs without fresh allocations.
     pub fn recycle(self, ws: &mut Workspace) {
         ws.recycle_matrix(self.matrix);
         ws.recycle_vec(self.row_scale);
@@ -244,75 +244,6 @@ pub fn estimate_rate(history: &[f64]) -> Option<f64> {
     Some(ratios[ratios.len() / 2])
 }
 
-/// Balances `m` to the given target marginals, drawing every buffer — the
-/// working copy, the scale vectors, and the per-sweep column-sum scratch —
-/// from `ws`. On a warm workspace (same shapes as a previous, recycled run)
-/// the whole iteration performs zero heap allocations; the returned outcome is
-/// bit-identical to [`balance_with`].
-pub fn balance_in(
-    m: MatRef<'_>,
-    row_targets: &[f64],
-    col_targets: &[f64],
-    opts: &BalanceOptions,
-    ws: &mut Workspace,
-) -> Result<BalanceOutcome, LinAlgError> {
-    balance_budgeted_in(m, row_targets, col_targets, opts, None, ws)
-}
-
-/// [`balance_in`] with a cooperative cancellation [`Budget`], polled once per
-/// iteration. Expiry returns [`LinAlgError::DeadlineExceeded`] carrying the
-/// iterations completed and the residual at the point of cancellation. `None`
-/// is exactly the unbudgeted path (bit-identical results).
-///
-/// Each iteration also hits the `sinkhorn.iteration` failpoint (see
-/// [`hc_obs::failpoints`]) so chaos tests can inject deterministic slowness.
-pub fn balance_budgeted_in(
-    m: MatRef<'_>,
-    row_targets: &[f64],
-    col_targets: &[f64],
-    opts: &BalanceOptions,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<BalanceOutcome, LinAlgError> {
-    balance_core(m, row_targets, col_targets, opts, budget, None, ws)
-}
-
-/// [`balance_budgeted_in`] warm-started from a previous run's scaling vectors.
-///
-/// The iteration is seeded at the point the prior run ended: the working copy
-/// starts as `diag(prior_row) · m · diag(prior_col)` and the accumulated scale
-/// vectors start as copies of the priors, so the invariant
-/// `matrix ≈ diag(row_scale) · input · diag(col_scale)` holds throughout and the
-/// converged result is a genuine balancing of `m` itself. When `m` is a small
-/// perturbation of the matrix the priors balanced, the seed is already near the
-/// fixed point and convergence takes a fraction of the cold iteration count;
-/// when it is not, the same tolerance applies and the caller can compare
-/// against a cold run (see `hc-session`'s fallback).
-///
-/// Priors must have matching lengths and strictly positive finite entries;
-/// otherwise the call fails with the same validation errors as targets.
-#[allow(clippy::too_many_arguments)]
-pub fn balance_warm_budgeted_in(
-    m: MatRef<'_>,
-    row_targets: &[f64],
-    col_targets: &[f64],
-    prior_row_scale: &[f64],
-    prior_col_scale: &[f64],
-    opts: &BalanceOptions,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<BalanceOutcome, LinAlgError> {
-    balance_core(
-        m,
-        row_targets,
-        col_targets,
-        opts,
-        budget,
-        Some((prior_row_scale, prior_col_scale)),
-        ws,
-    )
-}
-
 fn validate_prior(m: MatRef<'_>, prior_row: &[f64], prior_col: &[f64]) -> Result<(), LinAlgError> {
     if prior_row.len() != m.rows() || prior_col.len() != m.cols() {
         return Err(LinAlgError::ShapeMismatch {
@@ -331,13 +262,20 @@ fn validate_prior(m: MatRef<'_>, prior_row: &[f64], prior_col: &[f64]) -> Result
     Ok(())
 }
 
+/// The one balancing loop behind [`balance_with`] and [`standardize_in`].
+///
+/// Every buffer — the working copy, the scale vectors, and the per-sweep
+/// column-sum scratch — comes from `ws`, so on a warm workspace (same shapes as
+/// a previous, recycled run) the iteration performs zero heap allocations.
+/// `prior` seeds the iteration from a previous run's scaling vectors; `budget`
+/// is polled once per iteration.
 fn balance_core(
     m: MatRef<'_>,
     row_targets: &[f64],
     col_targets: &[f64],
+    prior: Option<(&[f64], &[f64])>,
     opts: &BalanceOptions,
     budget: Option<&Budget>,
-    prior: Option<(&[f64], &[f64])>,
     ws: &mut Workspace,
 ) -> Result<BalanceOutcome, LinAlgError> {
     validate(m, row_targets, col_targets)?;
@@ -513,7 +451,8 @@ fn balance_core(
     })
 }
 
-/// Balances `m` to the given target marginals with explicit options.
+/// Balances `m` to the given target marginals with explicit options, in a
+/// throwaway workspace.
 pub fn balance_with(
     m: &Matrix,
     row_targets: &[f64],
@@ -521,16 +460,15 @@ pub fn balance_with(
     opts: &BalanceOptions,
 ) -> Result<BalanceOutcome, LinAlgError> {
     let mut ws = Workspace::new();
-    balance_in(m.view(), row_targets, col_targets, opts, &mut ws)
-}
-
-/// Balances `m` to the given marginals with default options.
-pub fn balance(
-    m: &Matrix,
-    row_targets: &[f64],
-    col_targets: &[f64],
-) -> Result<BalanceOutcome, LinAlgError> {
-    balance_with(m, row_targets, col_targets, &BalanceOptions::default())
+    balance_core(
+        m.view(),
+        row_targets,
+        col_targets,
+        None,
+        opts,
+        None,
+        &mut ws,
+    )
 }
 
 /// The paper's standard-form targets for a `T × M` ECS matrix: every row sums to
@@ -558,24 +496,36 @@ pub fn standard_targets(t: usize, m: usize) -> (Vec<f64>, Vec<f64>) {
 /// ```
 pub fn standardize(m: &Matrix, opts: &BalanceOptions) -> Result<BalanceOutcome, LinAlgError> {
     let mut ws = Workspace::new();
-    standardize_in(m.view(), opts, &mut ws)
+    standardize_in(m.view(), None, opts, None, &mut ws)
 }
 
-/// [`standardize`] in a caller-supplied workspace: the target vectors, the
-/// working copy, and all iteration scratch come from `ws`, so repeated calls
-/// on the same shape allocate nothing.
+/// The standardization kernel: balances `m` to the paper's standard-form
+/// targets with the target vectors, the working copy, and all iteration
+/// scratch drawn from `ws`, so repeated calls on the same shape allocate
+/// nothing.
+///
+/// **Warm start.** `prior` is a previous run's `(row_scale, col_scale)`. The
+/// iteration then starts where that run ended: the working copy starts as
+/// `diag(prior_row) · m · diag(prior_col)` and the accumulated scale vectors
+/// start as copies of the priors, so the invariant
+/// `matrix ≈ diag(row_scale) · input · diag(col_scale)` holds throughout and
+/// the converged result is a genuine balancing of `m` itself. When `m` is a
+/// small perturbation of the matrix the priors balanced, the seed is already
+/// near the fixed point and convergence takes a fraction of the cold iteration
+/// count; when it is not, the same tolerance applies and the caller can
+/// compare against a cold run (see `hc-session`'s fallback). Priors must have
+/// matching lengths and strictly positive finite entries; otherwise the call
+/// fails with the same validation errors as targets.
+///
+/// **Budget.** `budget` is polled once per iteration; expiry returns
+/// [`LinAlgError::DeadlineExceeded`] carrying the iterations completed and the
+/// residual at the point of cancellation. `None` polls nothing and gives
+/// bit-identical results. Each iteration also hits the `sinkhorn.iteration`
+/// failpoint (see [`hc_obs::failpoints`]) so chaos tests can inject
+/// deterministic slowness.
 pub fn standardize_in(
     m: MatRef<'_>,
-    opts: &BalanceOptions,
-    ws: &mut Workspace,
-) -> Result<BalanceOutcome, LinAlgError> {
-    standardize_budgeted_in(m, opts, None, ws)
-}
-
-/// [`standardize_in`] with a cooperative cancellation [`Budget`] (see
-/// [`balance_budgeted_in`]).
-pub fn standardize_budgeted_in(
-    m: MatRef<'_>,
+    prior: Option<(&[f64], &[f64])>,
     opts: &BalanceOptions,
     budget: Option<&Budget>,
     ws: &mut Workspace,
@@ -585,37 +535,7 @@ pub fn standardize_budgeted_in(
     let c = (t as f64 / mm as f64).sqrt();
     let rt = ws.take_vec(t, r);
     let ct = ws.take_vec(mm, c);
-    let out = balance_budgeted_in(m, &rt, &ct, opts, budget, ws);
-    ws.recycle_vec(rt);
-    ws.recycle_vec(ct);
-    out
-}
-
-/// [`standardize_budgeted_in`] warm-started from a previous standardization's
-/// scaling vectors (see [`balance_warm_budgeted_in`]).
-pub fn standardize_warm_budgeted_in(
-    m: MatRef<'_>,
-    prior_row_scale: &[f64],
-    prior_col_scale: &[f64],
-    opts: &BalanceOptions,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<BalanceOutcome, LinAlgError> {
-    let (t, mm) = m.shape();
-    let r = (mm as f64 / t as f64).sqrt();
-    let c = (t as f64 / mm as f64).sqrt();
-    let rt = ws.take_vec(t, r);
-    let ct = ws.take_vec(mm, c);
-    let out = balance_warm_budgeted_in(
-        m,
-        &rt,
-        &ct,
-        prior_row_scale,
-        prior_col_scale,
-        opts,
-        budget,
-        ws,
-    );
+    let out = balance_core(m, &rt, &ct, prior, opts, budget, ws);
     ws.recycle_vec(rt);
     ws.recycle_vec(ct);
     out
@@ -624,6 +544,14 @@ pub fn standardize_warm_budgeted_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn balance_default(
+        m: &Matrix,
+        row_targets: &[f64],
+        col_targets: &[f64],
+    ) -> Result<BalanceOutcome, LinAlgError> {
+        balance_with(m, row_targets, col_targets, &BalanceOptions::default())
+    }
 
     fn assert_balanced(out: &BalanceOutcome, rt: &[f64], ct: &[f64], tol: f64) {
         assert!(out.is_converged(), "status: {:?}", out.status);
@@ -640,7 +568,7 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let rt = vec![1.0, 1.0];
         let ct = vec![1.0, 1.0];
-        let out = balance(&m, &rt, &ct).unwrap();
+        let out = balance_default(&m, &rt, &ct).unwrap();
         assert_balanced(&out, &rt, &ct, 1e-8);
         assert!(!out.entries_decayed);
     }
@@ -694,7 +622,7 @@ mod tests {
     #[test]
     fn already_balanced_zero_iterations() {
         let m = Matrix::identity(3);
-        let out = balance(&m, &[1.0; 3], &[1.0; 3]).unwrap();
+        let out = balance_default(&m, &[1.0; 3], &[1.0; 3]).unwrap();
         assert_eq!(out.iterations, 0);
         assert!(out.is_converged());
     }
@@ -704,7 +632,7 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
         let rt = vec![1.0, 3.0];
         let ct = vec![2.0, 2.0];
-        let out = balance(&m, &rt, &ct).unwrap();
+        let out = balance_default(&m, &rt, &ct).unwrap();
         assert_balanced(&out, &rt, &ct, 1e-8);
     }
 
@@ -780,7 +708,7 @@ mod tests {
     fn diagonal_matrix_balances_immediately_structure() {
         // Sec. VI: diagonal matrices are decomposable yet trivially balanceable.
         let m = Matrix::from_diag(&[2.0, 5.0, 0.1]);
-        let out = balance(&m, &[1.0; 3], &[1.0; 3]).unwrap();
+        let out = balance_default(&m, &[1.0; 3], &[1.0; 3]).unwrap();
         assert!(out.is_converged());
         assert!(out.matrix.max_abs_diff(&Matrix::identity(3)) < 1e-8);
         assert!(!out.entries_decayed);
@@ -790,26 +718,26 @@ mod tests {
     fn validation_errors() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         // Wrong target lengths.
-        assert!(balance(&m, &[1.0], &[1.0, 1.0]).is_err());
+        assert!(balance_default(&m, &[1.0], &[1.0, 1.0]).is_err());
         // Non-positive target.
-        assert!(balance(&m, &[1.0, 0.0], &[0.5, 0.5]).is_err());
+        assert!(balance_default(&m, &[1.0, 0.0], &[0.5, 0.5]).is_err());
         // Mismatched totals.
-        assert!(balance(&m, &[1.0, 1.0], &[5.0, 5.0]).is_err());
+        assert!(balance_default(&m, &[1.0, 1.0], &[5.0, 5.0]).is_err());
         // Negative entry.
         let neg = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]).unwrap();
-        assert!(balance(&neg, &[1.0, 1.0], &[1.0, 1.0]).is_err());
+        assert!(balance_default(&neg, &[1.0, 1.0], &[1.0, 1.0]).is_err());
         // All-zero row.
         let zr = Matrix::from_rows(&[&[0.0, 0.0], &[3.0, 4.0]]).unwrap();
-        assert!(balance(&zr, &[1.0, 1.0], &[1.0, 1.0]).is_err());
+        assert!(balance_default(&zr, &[1.0, 1.0], &[1.0, 1.0]).is_err());
         // All-zero column.
         let zc = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 4.0]]).unwrap();
-        assert!(balance(&zc, &[1.0, 1.0], &[1.0, 1.0]).is_err());
+        assert!(balance_default(&zc, &[1.0, 1.0], &[1.0, 1.0]).is_err());
         // Empty.
-        assert!(balance(&Matrix::zeros(0, 0), &[], &[]).is_err());
+        assert!(balance_default(&Matrix::zeros(0, 0), &[], &[]).is_err());
         // NaN.
         let mut nan = m.clone();
         nan[(0, 0)] = f64::NAN;
-        assert!(balance(&nan, &[1.0, 1.0], &[1.0, 1.0]).is_err());
+        assert!(balance_default(&nan, &[1.0, 1.0], &[1.0, 1.0]).is_err());
     }
 
     #[test]
@@ -896,7 +824,7 @@ mod tests {
                 },
             ] {
                 let owned = standardize(m, &opts).unwrap();
-                let pooled = standardize_in(m.view(), &opts, &mut ws).unwrap();
+                let pooled = standardize_in(m.view(), None, &opts, None, &mut ws).unwrap();
                 assert_eq!(pooled.matrix, owned.matrix);
                 assert_eq!(pooled.row_scale, owned.row_scale);
                 assert_eq!(pooled.col_scale, owned.col_scale);
@@ -911,13 +839,22 @@ mod tests {
     }
 
     #[test]
-    fn balance_in_matches_generalized_targets() {
+    fn pooled_balance_matches_generalized_targets() {
         let m = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
         let rt = [1.0, 3.0];
         let ct = [2.0, 2.0];
         let mut ws = Workspace::new();
-        let owned = balance(&m, &rt, &ct).unwrap();
-        let pooled = balance_in(m.view(), &rt, &ct, &BalanceOptions::default(), &mut ws).unwrap();
+        let owned = balance_default(&m, &rt, &ct).unwrap();
+        let pooled = balance_core(
+            m.view(),
+            &rt,
+            &ct,
+            None,
+            &BalanceOptions::default(),
+            None,
+            &mut ws,
+        )
+        .unwrap();
         assert_eq!(pooled.matrix, owned.matrix);
         assert_eq!(pooled.row_scale, owned.row_scale);
         assert_eq!(pooled.col_scale, owned.col_scale);
@@ -929,11 +866,13 @@ mod tests {
         let m = Matrix::from_fn(6, 4, |i, j| 0.1 + ((i * 7 + j * 3) % 13) as f64);
         let mut ws = Workspace::new();
         let owned = standardize(&m, &BalanceOptions::default()).unwrap();
-        let cold = standardize_in(m.view(), &BalanceOptions::default(), &mut ws).unwrap();
+        let cold =
+            standardize_in(m.view(), None, &BalanceOptions::default(), None, &mut ws).unwrap();
         assert_eq!(cold.matrix, owned.matrix);
         cold.recycle(&mut ws);
         ws.reset_stats();
-        let warm = standardize_in(m.view(), &BalanceOptions::default(), &mut ws).unwrap();
+        let warm =
+            standardize_in(m.view(), None, &BalanceOptions::default(), None, &mut ws).unwrap();
         assert_eq!(warm.matrix, owned.matrix);
         assert_eq!(
             ws.stats().fresh,
@@ -951,7 +890,9 @@ mod tests {
         for (t, m) in [(3usize, 5usize), (7, 2), (4, 4), (2, 9), (7, 2)] {
             let mat = Matrix::from_fn(t, m, |i, j| 0.3 + ((i * 5 + j * 13) % 11) as f64);
             let owned = standardize(&mat, &BalanceOptions::default()).unwrap();
-            let pooled = standardize_in(mat.view(), &BalanceOptions::default(), &mut ws).unwrap();
+            let pooled =
+                standardize_in(mat.view(), None, &BalanceOptions::default(), None, &mut ws)
+                    .unwrap();
             assert_eq!(pooled.matrix, owned.matrix, "shape {t}x{m}");
             assert_eq!(pooled.iterations, owned.iterations, "shape {t}x{m}");
             pooled.recycle(&mut ws);
@@ -963,11 +904,29 @@ mod tests {
         let mut ws = Workspace::new();
         let opts = BalanceOptions::default();
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert!(balance_in(m.view(), &[1.0], &[1.0, 1.0], &opts, &mut ws).is_err());
+        assert!(balance_core(m.view(), &[1.0], &[1.0, 1.0], None, &opts, None, &mut ws).is_err());
         let zr = Matrix::from_rows(&[&[0.0, 0.0], &[3.0, 4.0]]).unwrap();
-        assert!(balance_in(zr.view(), &[1.0, 1.0], &[1.0, 1.0], &opts, &mut ws).is_err());
+        assert!(balance_core(
+            zr.view(),
+            &[1.0, 1.0],
+            &[1.0, 1.0],
+            None,
+            &opts,
+            None,
+            &mut ws
+        )
+        .is_err());
         let zc = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 4.0]]).unwrap();
-        assert!(balance_in(zc.view(), &[1.0, 1.0], &[1.0, 1.0], &opts, &mut ws).is_err());
+        assert!(balance_core(
+            zc.view(),
+            &[1.0, 1.0],
+            &[1.0, 1.0],
+            None,
+            &opts,
+            None,
+            &mut ws
+        )
+        .is_err());
     }
 
     #[test]
@@ -975,15 +934,15 @@ mod tests {
         let m = Matrix::from_fn(6, 4, |i, j| 0.1 + ((i * 7 + j * 3) % 13) as f64);
         let mut ws = Workspace::new();
         let opts = BalanceOptions::default();
-        let plain = standardize_in(m.view(), &opts, &mut ws).unwrap();
+        let plain = standardize_in(m.view(), None, &opts, None, &mut ws).unwrap();
         let generous = Budget::with_deadline(std::time::Duration::from_secs(600));
-        let budgeted = standardize_budgeted_in(m.view(), &opts, Some(&generous), &mut ws).unwrap();
+        let budgeted = standardize_in(m.view(), None, &opts, Some(&generous), &mut ws).unwrap();
         assert_eq!(plain.matrix, budgeted.matrix);
         assert_eq!(plain.iterations, budgeted.iterations);
         assert_eq!(plain.residual.to_bits(), budgeted.residual.to_bits());
 
         let expired = Budget::with_deadline(std::time::Duration::ZERO);
-        match standardize_budgeted_in(m.view(), &opts, Some(&expired), &mut ws) {
+        match standardize_in(m.view(), None, &opts, Some(&expired), &mut ws) {
             Err(LinAlgError::DeadlineExceeded {
                 op,
                 iterations,
@@ -1005,9 +964,14 @@ mod tests {
         tok.cancel();
         let budget = Budget::unlimited().with_cancel(tok);
         let mut ws = Workspace::new();
-        let err =
-            standardize_budgeted_in(m.view(), &BalanceOptions::default(), Some(&budget), &mut ws)
-                .unwrap_err();
+        let err = standardize_in(
+            m.view(),
+            None,
+            &BalanceOptions::default(),
+            Some(&budget),
+            &mut ws,
+        )
+        .unwrap_err();
         assert!(matches!(err, LinAlgError::DeadlineExceeded { .. }));
     }
 
@@ -1016,12 +980,11 @@ mod tests {
         let m = Matrix::from_fn(6, 4, |i, j| 0.1 + ((i * 7 + j * 3) % 13) as f64);
         let mut ws = Workspace::new();
         let opts = BalanceOptions::default();
-        let cold = standardize_in(m.view(), &opts, &mut ws).unwrap();
+        let cold = standardize_in(m.view(), None, &opts, None, &mut ws).unwrap();
         assert!(cold.is_converged());
-        let warm = standardize_warm_budgeted_in(
+        let warm = standardize_in(
             m.view(),
-            &cold.row_scale,
-            &cold.col_scale,
+            Some((&cold.row_scale, &cold.col_scale)),
             &opts,
             None,
             &mut ws,
@@ -1039,15 +1002,14 @@ mod tests {
         let m = Matrix::from_fn(24, 16, |i, j| 0.2 + ((i * 7 + j * 3) % 13) as f64);
         let mut ws = Workspace::new();
         let opts = BalanceOptions::default();
-        let prior = standardize_in(m.view(), &opts, &mut ws).unwrap();
+        let prior = standardize_in(m.view(), None, &opts, None, &mut ws).unwrap();
 
         let mut edited = m.clone();
         edited[(3, 5)] *= 1.01;
-        let cold = standardize_in(edited.view(), &opts, &mut ws).unwrap();
-        let warm = standardize_warm_budgeted_in(
+        let cold = standardize_in(edited.view(), None, &opts, None, &mut ws).unwrap();
+        let warm = standardize_in(
             edited.view(),
-            &prior.row_scale,
-            &prior.col_scale,
+            Some((&prior.row_scale, &prior.col_scale)),
             &opts,
             None,
             &mut ws,
@@ -1082,24 +1044,21 @@ mod tests {
         let opts = BalanceOptions::default();
         // Wrong prior lengths.
         assert!(
-            standardize_warm_budgeted_in(m.view(), &[1.0], &[1.0, 1.0], &opts, None, &mut ws)
-                .is_err()
+            standardize_in(m.view(), Some((&[1.0], &[1.0, 1.0])), &opts, None, &mut ws).is_err()
         );
         // Non-positive prior entry.
-        assert!(standardize_warm_budgeted_in(
+        assert!(standardize_in(
             m.view(),
-            &[1.0, 0.0],
-            &[1.0, 1.0],
+            Some((&[1.0, 0.0], &[1.0, 1.0])),
             &opts,
             None,
             &mut ws
         )
         .is_err());
         // NaN prior entry.
-        assert!(standardize_warm_budgeted_in(
+        assert!(standardize_in(
             m.view(),
-            &[1.0, f64::NAN],
-            &[1.0, 1.0],
+            Some((&[1.0, f64::NAN], &[1.0, 1.0])),
             &opts,
             None,
             &mut ws
@@ -1114,11 +1073,10 @@ mod tests {
         let m = Matrix::from_fn(5, 5, |i, j| 0.5 + ((i * 3 + j * 7) % 11) as f64);
         let mut ws = Workspace::new();
         let opts = BalanceOptions::default();
-        let cold = standardize_in(m.view(), &opts, &mut ws).unwrap();
+        let cold = standardize_in(m.view(), None, &opts, None, &mut ws).unwrap();
         let bad_r: Vec<f64> = (0..5).map(|i| 10.0_f64.powi(i - 2)).collect();
         let bad_c: Vec<f64> = (0..5).map(|i| 3.0_f64.powi(2 - i)).collect();
-        let warm =
-            standardize_warm_budgeted_in(m.view(), &bad_r, &bad_c, &opts, None, &mut ws).unwrap();
+        let warm = standardize_in(m.view(), Some((&bad_r, &bad_c)), &opts, None, &mut ws).unwrap();
         assert!(warm.is_converged());
         assert!(warm.matrix.max_abs_diff(&cold.matrix) < 1e-6);
         warm.recycle(&mut ws);

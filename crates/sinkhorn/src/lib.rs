@@ -36,7 +36,7 @@ pub mod regularized;
 pub mod structure;
 
 pub use balance::{
-    balance, balance_in, balance_with, standard_targets, standardize, standardize_in,
-    BalanceOptions, BalanceOutcome, BalanceStatus, SweepOrder,
+    balance_with, standard_targets, standardize, standardize_in, BalanceOptions, BalanceOutcome,
+    BalanceStatus, SweepOrder,
 };
 pub use structure::{analyze_square, analyze_structure, Balanceability, StructureReport};

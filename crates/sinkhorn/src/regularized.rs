@@ -6,13 +6,13 @@
 //! to the matrix scale), balance the now-positive matrix exactly (Theorem 1 always
 //! applies), and study the limit `ε → 0⁺`.
 //!
-//! [`regularized_standard_form`] performs one such balance; [`epsilon_sweep`] runs a
-//! geometric sweep of ε values and reports how the balanced matrix and its residual
-//! behave, making the (non-)existence of a limit empirically visible: patterns with
-//! total support converge to the exact balanced form, patterns without it show
-//! entries collapsing toward zero at a rate proportional to ε.
+//! [`regularized_standard_form_in`] performs one such balance; [`epsilon_sweep`]
+//! runs a geometric sweep of ε values and reports how the balanced matrix and its
+//! residual behave, making the (non-)existence of a limit empirically visible:
+//! patterns with total support converge to the exact balanced form, patterns
+//! without it show entries collapsing toward zero at a rate proportional to ε.
 
-use crate::balance::{balance_budgeted_in, BalanceOptions, BalanceOutcome};
+use crate::balance::{standardize_in, BalanceOptions, BalanceOutcome};
 use hc_linalg::{Budget, LinAlgError, MatRef, Matrix, Workspace};
 
 /// Replaces zero entries with `epsilon × max_entry`.
@@ -23,31 +23,11 @@ pub fn regularize(m: &Matrix, epsilon: f64) -> Matrix {
 }
 
 /// Balances the ε-regularized matrix to the paper's standard-form targets.
-pub fn regularized_standard_form(
-    m: &Matrix,
-    epsilon: f64,
-    opts: &BalanceOptions,
-) -> Result<BalanceOutcome, LinAlgError> {
-    let mut ws = Workspace::new();
-    regularized_standard_form_in(m.view(), epsilon, opts, &mut ws)
-}
-
-/// [`regularized_standard_form`] in a caller-supplied workspace: the
-/// regularized copy, the target vectors, and all balancing scratch come from
-/// `ws`, so repeated calls on the same shape allocate nothing.
+///
+/// The regularized copy and all balancing scratch come from `ws`, so repeated
+/// calls on the same shape allocate nothing; `budget` is polled once per
+/// balancing iteration (see [`standardize_in`]).
 pub fn regularized_standard_form_in(
-    m: MatRef<'_>,
-    epsilon: f64,
-    opts: &BalanceOptions,
-    ws: &mut Workspace,
-) -> Result<BalanceOutcome, LinAlgError> {
-    regularized_standard_form_budgeted_in(m, epsilon, opts, None, ws)
-}
-
-/// [`regularized_standard_form_in`] with a cooperative cancellation [`Budget`]
-/// threaded into the balancing loop (see
-/// [`balance_budgeted_in`](crate::balance::balance_budgeted_in)).
-pub fn regularized_standard_form_budgeted_in(
     m: MatRef<'_>,
     epsilon: f64,
     opts: &BalanceOptions,
@@ -74,13 +54,8 @@ pub fn regularized_standard_form_budgeted_in(
             *d = if v == 0.0 { floor } else { v };
         }
     }
-    let (r, c) = ((mm as f64 / t as f64).sqrt(), (t as f64 / mm as f64).sqrt());
-    let rt = ws.take_vec(t, r);
-    let ct = ws.take_vec(mm, c);
-    let out = balance_budgeted_in(reg.view(), &rt, &ct, opts, budget, ws);
+    let out = standardize_in(reg.view(), None, opts, budget, ws);
     ws.recycle_matrix(reg);
-    ws.recycle_vec(rt);
-    ws.recycle_vec(ct);
     out
 }
 
@@ -118,8 +93,9 @@ pub fn epsilon_sweep(
     let mut out = Vec::with_capacity(steps);
     let mut prev: Option<Matrix> = None;
     let mut eps = eps0;
+    let mut ws = Workspace::new();
     for _ in 0..steps {
-        let bal = regularized_standard_form(m, eps, opts)?;
+        let bal = regularized_standard_form_in(m.view(), eps, opts, None, &mut ws)?;
         let mut max_zero = 0.0_f64;
         for i in 0..m.rows() {
             for j in 0..m.cols() {
@@ -150,6 +126,14 @@ mod tests {
     use super::*;
     use crate::structure::eq10_matrix;
 
+    fn standardize_regularized(
+        m: &Matrix,
+        epsilon: f64,
+        opts: &BalanceOptions,
+    ) -> Result<BalanceOutcome, LinAlgError> {
+        regularized_standard_form_in(m.view(), epsilon, opts, None, &mut Workspace::new())
+    }
+
     #[test]
     fn regularize_fills_only_zeros() {
         let m = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]).unwrap();
@@ -175,7 +159,7 @@ mod tests {
     #[test]
     fn regularized_balance_always_converges() {
         // Even the paper's non-balanceable Eq. 10 matrix balances once regularized.
-        let out = regularized_standard_form(&eq10_matrix(), 1e-3, &generous(1e-8)).unwrap();
+        let out = standardize_regularized(&eq10_matrix(), 1e-3, &generous(1e-8)).unwrap();
         assert!(out.is_converged(), "{:?}", out.status);
     }
 
@@ -207,16 +191,16 @@ mod tests {
     fn workspace_kernel_matches_owned_path_bitwise() {
         let m = eq10_matrix();
         let opts = generous(1e-8);
-        let owned = regularized_standard_form(&m, 1e-3, &opts).unwrap();
+        let owned = standardize_regularized(&m, 1e-3, &opts).unwrap();
         let mut ws = Workspace::new();
-        let pooled = regularized_standard_form_in(m.view(), 1e-3, &opts, &mut ws).unwrap();
+        let pooled = regularized_standard_form_in(m.view(), 1e-3, &opts, None, &mut ws).unwrap();
         assert_eq!(pooled.matrix, owned.matrix);
         assert_eq!(pooled.iterations, owned.iterations);
         assert_eq!(pooled.status, owned.status);
         // Warm repeat draws everything from the pool.
         pooled.recycle(&mut ws);
         ws.reset_stats();
-        let warm = regularized_standard_form_in(m.view(), 1e-3, &opts, &mut ws).unwrap();
+        let warm = regularized_standard_form_in(m.view(), 1e-3, &opts, None, &mut ws).unwrap();
         assert_eq!(warm.matrix, owned.matrix);
         assert_eq!(ws.stats().fresh, 0);
     }
@@ -224,8 +208,8 @@ mod tests {
     #[test]
     fn invalid_parameters_rejected() {
         let m = Matrix::identity(2);
-        assert!(regularized_standard_form(&m, 0.0, &BalanceOptions::default()).is_err());
-        assert!(regularized_standard_form(&m, -1.0, &BalanceOptions::default()).is_err());
+        assert!(standardize_regularized(&m, 0.0, &BalanceOptions::default()).is_err());
+        assert!(standardize_regularized(&m, -1.0, &BalanceOptions::default()).is_err());
         assert!(epsilon_sweep(&m, 1e-2, 0.5, 3, &BalanceOptions::default()).is_err());
     }
 }

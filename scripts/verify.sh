@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting and lint gates, offline release build, full
-# test suite, and a live smoke test of the `hcm serve` daemon (start, POST
-# /measure, GET /metrics, graceful shutdown). Exits non-zero on the first
-# failure.
+# Tier-1 verification: formatting, lint and doc-link gates, offline release
+# build, full test suite, and a live smoke test of the `hcm serve` daemon
+# (start, POST /measure, GET /metrics, graceful shutdown). Exits non-zero on
+# the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 
 echo "== clippy =="
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "== doc =="
+# Broken, ambiguous, or private intra-doc links fail here, so a doc link to a
+# deleted function cannot outlive it.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== build (release) =="
 cargo build --release --workspace

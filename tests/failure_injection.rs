@@ -9,7 +9,7 @@ use hetero_measures::gen::range_based::{range_based, RangeParams};
 use hetero_measures::linalg::svd::svd;
 use hetero_measures::prelude::*;
 use hetero_measures::sched::problem::MappingProblem;
-use hetero_measures::sinkhorn::balance::{balance, standardize, BalanceOptions};
+use hetero_measures::sinkhorn::balance::{balance_with, standardize, BalanceOptions};
 use hetero_measures::spec::csv::from_csv;
 
 fn nan_matrix() -> Matrix {
@@ -58,13 +58,14 @@ fn svd_rejects_poison_but_survives_extremes() {
 
 #[test]
 fn balance_rejects_poison() {
-    assert!(standardize(&nan_matrix(), &BalanceOptions::default()).is_err());
-    assert!(balance(&Matrix::filled(2, 2, -1.0), &[1.0; 2], &[1.0; 2]).is_err());
+    let opts = BalanceOptions::default();
+    assert!(standardize(&nan_matrix(), &opts).is_err());
+    assert!(balance_with(&Matrix::filled(2, 2, -1.0), &[1.0; 2], &[1.0; 2], &opts).is_err());
     // Marginal mismatch and non-positive targets.
     let ok = Matrix::filled(2, 2, 1.0);
-    assert!(balance(&ok, &[1.0, 1.0], &[3.0, 3.0]).is_err());
-    assert!(balance(&ok, &[1.0, -1.0], &[0.0, 0.0]).is_err());
-    assert!(balance(&ok, &[f64::NAN, 1.0], &[0.5, 0.5]).is_err());
+    assert!(balance_with(&ok, &[1.0, 1.0], &[3.0, 3.0], &opts).is_err());
+    assert!(balance_with(&ok, &[1.0, -1.0], &[0.0, 0.0], &opts).is_err());
+    assert!(balance_with(&ok, &[f64::NAN, 1.0], &[0.5, 0.5], &opts).is_err());
 }
 
 #[test]

@@ -93,7 +93,9 @@ fn golden_svd_spectrum() {
     // eigen/singular values {11, 2, 1} (the 2×2 block [[3,4],[4,9]] has
     // eigenvalues 11 and 1).
     let a = Matrix::from_rows(&[&[2.0, 0.0, 0.0], &[0.0, 3.0, 4.0], &[0.0, 4.0, 9.0]]).unwrap();
-    let s = hetero_measures::linalg::svd::singular_values(&a).unwrap();
+    let s = hetero_measures::linalg::svd::svd(&a)
+        .unwrap()
+        .singular_values;
     assert_close(s[0], 11.0, 1e-10, "sigma 1");
     assert_close(s[1], 2.0, 1e-10, "sigma 2");
     assert_close(s[2], 1.0, 1e-10, "sigma 3");
