@@ -72,7 +72,7 @@ fn bal_opts() -> BalanceOptions {
 
 /// TMA of an already-balanced matrix (mean of the non-maximum singular values).
 fn tma_of_balanced(m: &Matrix) -> Result<f64, MeasureError> {
-    let s = svd_with(m, SvdAlgorithm::Jacobi)?;
+    let s = svd_with(m, SvdAlgorithm::Auto)?;
     let k = s.singular_values.len();
     if k <= 1 {
         return Ok(0.0);

@@ -8,13 +8,11 @@
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual structural and
 //!   arithmetic operations.
 //! * Norms ([`norms`]) — Frobenius, induced 1/∞, max-abs.
-//! * Householder QR ([`qr`]) and Golub–Kahan bidiagonalization ([`bidiag`]).
-//! * Two independent SVD algorithms ([`svd`]): one-sided Jacobi (high relative
-//!   accuracy, the default for the small ECS matrices in the paper) and
-//!   Golub–Reinsch implicit-shift bidiagonal QR (for larger inputs), behind one
-//!   validated kernel.
-//! * Symmetric eigen-solver and power iteration ([`eigen`]) used to cross-check the
-//!   SVDs in tests.
+//! * Golub–Kahan Householder bidiagonalization ([`bidiag`]).
+//! * Two independent SVD algorithms ([`svd`]) behind one validated kernel:
+//!   Golub–Reinsch implicit-shift bidiagonal QR (the default at every size)
+//!   and one-sided Jacobi (high relative accuracy), the differential oracle
+//!   the tests check the default against.
 //! * Scoped data-parallel helpers ([`par`]) built on `std::thread::scope` — no detached
 //!   threads, deterministic reductions.
 //! * Zero-copy views ([`view`]) and a recycling scratch arena ([`workspace`]).
@@ -36,15 +34,11 @@
 
 pub mod bidiag;
 pub mod budget;
-pub mod eigen;
 pub mod error;
-pub mod lowrank;
-pub mod lu;
 pub mod matmul;
 pub mod matrix;
 pub mod norms;
 pub mod par;
-pub mod qr;
 pub mod svd;
 pub mod vecops;
 pub mod view;

@@ -3,27 +3,32 @@
 //! Two independent algorithms with identical output contracts, cross-validated
 //! against each other in the test suite:
 //!
+//! * **Golub–Reinsch** ([`SvdAlgorithm::GolubReinsch`], and the default
+//!   [`SvdAlgorithm::Auto`]) — Householder bidiagonalization followed by
+//!   implicit-shift QR on the bidiagonal (the classic LAPACK-style dense SVD).
+//!   Its singular values are accurate to a few ulps of σ₁, which is all TMA
+//!   needs: the standard form's spectrum lies in [0, 1] with σ₁ = 1
+//!   (Theorem 2).
 //! * **One-sided Jacobi** ([`SvdAlgorithm::Jacobi`]) — orthogonalizes the
-//!   columns of a working copy with plane rotations. Simple, unconditionally
-//!   convergent in practice, and computes small singular values to high
-//!   *relative* accuracy, which matters for the TMA measure where non-maximum
-//!   singular values are the signal. Default for the paper-scale matrices.
-//! * **Golub–Reinsch** ([`SvdAlgorithm::GolubReinsch`]) — Householder
-//!   bidiagonalization followed by implicit-shift QR on the bidiagonal (the
-//!   classic LAPACK-style dense SVD). Faster for large matrices.
+//!   columns of a working copy with plane rotations, and computes small
+//!   singular values to high *relative* accuracy. It shares no code with
+//!   Golub–Reinsch past input validation, which makes it the differential
+//!   oracle the tests check the default against.
 //!
 //! [`Svd`] holds `U`, `σ`, `V` with singular values sorted descending and the
 //! factors' columns permuted to match.
 //!
-//! Every cold SVD runs through one kernel, [`svd_with_stats_budgeted_in`]: it
-//! validates the input (non-empty, finite), picks the algorithm, transposes
-//! wide inputs, polls an optional [`Budget`], draws every scratch buffer —
-//! including the returned factors — from a caller-supplied [`Workspace`], and
-//! returns the iteration count beside the decomposition. [`svd`] and
-//! [`svd_with`] are owned-`Matrix` conveniences over it with a throwaway
-//! workspace. [`svd_warm_stats_budgeted_in`] is the same kernel seeded from a
-//! previous decomposition. The two algorithms themselves are private, so no
-//! public path skips the input checks.
+//! Every SVD runs through one kernel, [`svd_with_stats_budgeted_in`]: it
+//! validates the input (non-empty, finite), picks the algorithm, rescales
+//! inputs of extreme magnitude by a power of two, transposes wide inputs,
+//! polls an optional [`Budget`], draws every scratch buffer — including the
+//! returned factors — from a caller-supplied [`Workspace`], and returns the
+//! iteration count beside the decomposition. [`svd`] and [`svd_with`] are
+//! owned-`Matrix` conveniences over it with a throwaway workspace. The two
+//! algorithms themselves are private, so no public path skips the input
+//! checks.
+
+use std::cmp::Ordering;
 
 use crate::bidiag::{bidiagonalize_in, Bidiag};
 use crate::budget::Budget;
@@ -37,16 +42,24 @@ use crate::Result;
 /// Algorithm selector for [`svd_with`] and [`svd_with_stats_budgeted_in`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvdAlgorithm {
-    /// One-sided Jacobi (default for small matrices; high relative accuracy).
+    /// One-sided Jacobi: high relative accuracy on small σ; the differential
+    /// oracle for the default.
     Jacobi,
-    /// Golub–Reinsch bidiagonal QR (default for large matrices).
+    /// Golub–Reinsch bidiagonal QR.
     GolubReinsch,
-    /// Pick automatically by matrix size.
+    /// The default: Golub–Reinsch.
     Auto,
 }
 
-/// Size (in entries) above which [`SvdAlgorithm::Auto`] switches to Golub–Reinsch.
-const AUTO_GR_THRESHOLD: usize = 64 * 64;
+/// The range `[2⁻²⁰⁰, 2²⁰⁰]` of `max|aᵢⱼ|` both algorithms run on as given.
+/// Inside it, squared column norms and Jacobi's products of two of them
+/// (`‖w_p‖²‖w_q‖²`) stay in the normal floating-point range for any practical
+/// row count. Outside it the kernel runs on a copy scaled by a power of two
+/// and scales σ back, as LAPACK's xGESVD does; the scaling is exact, so only
+/// entries that underflow next to the largest one are lost.
+const SAFE_MIN: f64 = 6.223015277861142e-61;
+/// Upper end of the range documented at [`SAFE_MIN`].
+const SAFE_MAX: f64 = 1.6069380442589903e60;
 
 /// A full thin SVD `A = U · diag(σ) · Vᵀ`.
 ///
@@ -113,7 +126,7 @@ impl Svd {
     }
 }
 
-/// Computes the SVD with automatic algorithm choice.
+/// Computes the SVD with the default algorithm.
 pub fn svd(a: &Matrix) -> Result<Svd> {
     svd_with(a, SvdAlgorithm::Auto)
 }
@@ -132,7 +145,8 @@ pub fn svd_with(a: &Matrix, alg: SvdAlgorithm) -> Result<Svd> {
 /// pass the factors back through [`Svd::recycle`] to make repeat calls on the
 /// same shape allocation-free. The sweep/QR loops poll `budget` once per
 /// iteration and bail out with [`LinAlgError::DeadlineExceeded`] when it
-/// trips; `None` runs unpolled and gives bit-identical results.
+/// trips; `None` runs unpolled and gives bit-identical results. A singular
+/// value above `f64::MAX` comes back as `+∞`.
 pub fn svd_with_stats_budgeted_in(
     a: MatRef<'_>,
     alg: SvdAlgorithm,
@@ -140,50 +154,31 @@ pub fn svd_with_stats_budgeted_in(
     ws: &mut Workspace,
 ) -> Result<(Svd, usize)> {
     validate(a)?;
-    let jacobi = match alg {
-        SvdAlgorithm::Jacobi => true,
-        SvdAlgorithm::GolubReinsch => false,
-        SvdAlgorithm::Auto => a.len() <= AUTO_GR_THRESHOLD,
+    let run = |t: MatRef<'_>, ws: &mut Workspace| match alg {
+        SvdAlgorithm::Jacobi => jacobi_tall(t, budget, ws),
+        SvdAlgorithm::GolubReinsch | SvdAlgorithm::Auto => golub_reinsch_tall(t, budget, ws),
     };
-    on_tall(a, ws, |t, ws| {
-        if jacobi {
-            jacobi_cold(t, budget, ws)
-        } else {
-            golub_reinsch_tall(t, budget, ws)
+    let amax = a.row_iter().map(vecops::norm_inf).fold(0.0, f64::max);
+    if amax == 0.0 || (SAFE_MIN..=SAFE_MAX).contains(&amax) {
+        return on_tall(a, ws, run);
+    }
+    // 2^k brings max|aᵢⱼ| to [1, 2); the clamp keeps 2^±k finite and still
+    // lands every finite non-zero input inside the safe range.
+    let k = (-amax.log2().floor()).clamp(-1000.0, 1000.0) as i32;
+    let (up, down) = (2f64.powi(k), 2f64.powi(-k));
+    let mut scaled = ws.take_matrix(a.rows(), a.cols(), 0.0);
+    for (i, src) in a.row_iter().enumerate() {
+        for (d, &s) in scaled.row_mut(i).iter_mut().zip(src) {
+            *d = s * up;
         }
-    })
-}
-
-/// [`svd_with_stats_budgeted_in`] warm-started from a previous decomposition
-/// of a nearby matrix, returning the number of Jacobi sweeps it took.
-///
-/// Seeds the one-sided Jacobi iteration at the prior solution: the working
-/// matrix starts as `W₀ = A · V_prior` and rotations accumulate into a copy of
-/// `V_prior`, so the invariant `W = A · V` holds throughout and the converged
-/// result is a genuine SVD of `A` itself (sorted and sign-fixed exactly like
-/// the cold path). When `A` is a small perturbation of the matrix the prior
-/// decomposed, `W₀`'s columns are already near-orthogonal and convergence takes
-/// one or two sweeps instead of a full cold run; when it is not, the same
-/// sweep tolerance and sweep cap apply. Wide inputs transpose and seed from
-/// `prior.u`, mirroring the cold transposition path.
-///
-/// The prior must be a *full* thin SVD of a same-shaped matrix (its `V` must be
-/// `k × k` square for a tall input, as produced by every SVD entry point in
-/// this crate); anything else fails with [`LinAlgError::ShapeMismatch`].
-pub fn svd_warm_stats_budgeted_in(
-    a: MatRef<'_>,
-    prior: &Svd,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<(Svd, usize)> {
-    validate(a)?;
-    // Aᵀ = V Σ Uᵀ: the prior's U seeds the transposed problem.
-    let seed = if a.rows() < a.cols() {
-        &prior.u
-    } else {
-        &prior.v
-    };
-    on_tall(a, ws, |t, ws| jacobi_warm_seeded(t, seed, budget, ws))
+    }
+    let out = on_tall(scaled.view(), ws, run);
+    ws.recycle_matrix(scaled);
+    let (mut s, iters) = out?;
+    for sigma in &mut s.singular_values {
+        *sigma *= down;
+    }
+    Ok((s, iters))
 }
 
 /// The input checks every public SVD path runs first.
@@ -220,8 +215,28 @@ fn on_tall(
 
 /// Sorts the spectrum descending, permuting `u`/`v` columns to match, and fixes a
 /// deterministic sign convention (largest-magnitude entry of each `u` column is
-/// positive). Shared by both SVD algorithms.
-fn finalize_in(mut u: Matrix, mut sigma: Vec<f64>, mut v: Matrix, ws: &mut Workspace) -> Svd {
+/// positive). Shared by both SVD algorithms; a NaN singular value — a numeric
+/// breakdown of `algorithm` after `iterations` — is a
+/// [`LinAlgError::NoConvergence`] rather than a panic.
+fn finalize_in(
+    mut u: Matrix,
+    mut sigma: Vec<f64>,
+    mut v: Matrix,
+    algorithm: &'static str,
+    iterations: usize,
+    ws: &mut Workspace,
+) -> Result<Svd> {
+    if sigma.iter().any(|s| s.is_nan()) {
+        ws.recycle_matrix(u);
+        ws.recycle_matrix(v);
+        ws.recycle_vec(sigma);
+        hc_obs::obs_counter!("linalg_svd_noconvergence_total").inc();
+        return Err(LinAlgError::NoConvergence {
+            algorithm,
+            iterations,
+            residual: f64::NAN,
+        });
+    }
     let k = sigma.len();
     let mut order = ws.take_idx(k);
     for (i, o) in order.iter_mut().enumerate() {
@@ -229,7 +244,7 @@ fn finalize_in(mut u: Matrix, mut sigma: Vec<f64>, mut v: Matrix, ws: &mut Works
     }
     // Unstable sort: in-place, no merge buffer. Ties (equal σ) can land in
     // either order; every consumer treats equal-σ columns as interchangeable.
-    order.sort_unstable_by(|&a, &b| sigma[b].partial_cmp(&sigma[a]).expect("NaN singular value"));
+    order.sort_unstable_by(|&a, &b| sigma[b].partial_cmp(&sigma[a]).unwrap_or(Ordering::Equal));
     // Apply the permutation with one row-sized scratch buffer instead of
     // rebuilding each factor.
     let mut scratch = ws.take_vec(k, 0.0);
@@ -261,11 +276,11 @@ fn finalize_in(mut u: Matrix, mut sigma: Vec<f64>, mut v: Matrix, ws: &mut Works
     }
     ws.recycle_idx(order);
     ws.recycle_vec(scratch);
-    Svd {
+    Ok(Svd {
         u,
         singular_values: sigma,
         v,
-    }
+    })
 }
 
 /// Copies `aᵀ` into a pooled matrix (for [`on_tall`]).
@@ -287,58 +302,14 @@ fn transpose_pooled(a: MatRef<'_>, ws: &mut Workspace) -> Matrix {
 /// Maximum number of Jacobi sweeps before declaring non-convergence.
 const JACOBI_MAX_SWEEPS: usize = 60;
 
-/// Cold Jacobi on a tall (`m ≥ n`) input: `W₀ = a`, `V₀ = I`.
-fn jacobi_cold(a: MatRef<'_>, budget: Option<&Budget>, ws: &mut Workspace) -> Result<(Svd, usize)> {
+/// One-sided (Hestenes) Jacobi on a tall (`m ≥ n`) input: starts from
+/// `W = A`, `V = I` and orthogonalizes `W`'s columns with plane rotations,
+/// maintaining `W = A·V` throughout.
+fn jacobi_tall(a: MatRef<'_>, budget: Option<&Budget>, ws: &mut Workspace) -> Result<(Svd, usize)> {
     let (m, n) = a.shape();
     let mut w = ws.take_matrix(m, n, 0.0);
     w.view_mut().copy_from(a);
-    let v = ws.take_identity(n);
-    jacobi_sweep_core(w, v, false, budget, ws)
-}
-
-/// Warm Jacobi on a tall (`m ≥ n`) input: `W₀ = a · seed_v`, `V₀ = seed_v`.
-fn jacobi_warm_seeded(
-    a: MatRef<'_>,
-    seed_v: &Matrix,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<(Svd, usize)> {
-    let (m, n) = a.shape();
-    if seed_v.shape() != (n, n) {
-        return Err(LinAlgError::ShapeMismatch {
-            op: "svd (warm-start prior)",
-            lhs: (n, n),
-            rhs: seed_v.shape(),
-        });
-    }
-    seed_v.view().check_finite("svd (warm-start prior)")?;
-    let mut w = ws.take_matrix(m, n, 0.0);
-    for (i, src) in a.row_iter().enumerate() {
-        let dst = w.row_mut(i);
-        for (l, &ail) in src.iter().enumerate() {
-            if ail != 0.0 {
-                for (d, &vlj) in dst.iter_mut().zip(seed_v.row(l)) {
-                    *d += ail * vlj;
-                }
-            }
-        }
-    }
-    let v = ws.take_matrix_copy(seed_v);
-    jacobi_sweep_core(w, v, true, budget, ws)
-}
-
-/// The Hestenes sweep loop shared by the cold and warm Jacobi entries: takes
-/// ownership of a pre-initialized working matrix `w` and rotation accumulator
-/// `v` (cold: `w = A`, `v = I`; warm: `w = A·V₀`, `v = V₀`) and orthogonalizes
-/// `w`'s columns, maintaining `w = A·v` throughout.
-fn jacobi_sweep_core(
-    mut w: Matrix,
-    mut v: Matrix,
-    warm: bool,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<(Svd, usize)> {
-    let (m, n) = w.shape();
+    let mut v = ws.take_identity(n);
     let mut obs = hc_obs::span("linalg.svd.jacobi");
     let eps = f64::EPSILON;
     // Columns whose norm falls below eps·‖A‖_F are numerically zero (rank
@@ -438,7 +409,6 @@ fn jacobi_sweep_core(
         // The orthogonality residual that remains after the final sweep — the
         // "how converged is it really" number. Only recomputed for the sink.
         obs.field_f64("off_diag_worst", worst_column_correlation(&w, zero_guard));
-        obs.field_bool("warm_start", warm);
     }
 
     let mut sigma = ws.take_vec(n, 0.0);
@@ -460,7 +430,7 @@ fn jacobi_sweep_core(
     }
     ws.recycle_vec(col);
     ws.recycle_matrix(w);
-    Ok((finalize_in(u, sigma, v, ws), sweeps))
+    Ok((finalize_in(u, sigma, v, "jacobi-svd", sweeps, ws)?, sweeps))
 }
 
 /// Worst normalized off-diagonal Gram entry |wpᵀwq|/(‖wp‖‖wq‖) over all column
@@ -655,7 +625,10 @@ fn golub_reinsch_tall(
     }
     ws.recycle_vec(rv1);
 
-    Ok((finalize_in(u, d, v, ws), total_iters))
+    Ok((
+        finalize_in(u, d, v, "golub-reinsch-svd", total_iters, ws)?,
+        total_iters,
+    ))
 }
 
 #[inline]
@@ -712,12 +685,6 @@ mod tests {
                 assert!((vg[(j, j)] - 1.0).abs() < 1e-9);
             }
         }
-    }
-
-    fn cold_jacobi(a: &Matrix, ws: &mut Workspace) -> Svd {
-        svd_with_stats_budgeted_in(a.view(), SvdAlgorithm::Jacobi, None, ws)
-            .unwrap()
-            .0
     }
 
     fn det2_sigma(a: f64, b: f64, c: f64, d: f64) -> (f64, f64) {
@@ -816,6 +783,71 @@ mod tests {
     }
 
     #[test]
+    fn auto_runs_golub_reinsch_bitwise() {
+        let mut ws = Workspace::new();
+        for (m, n) in [(4, 4), (8, 4), (3, 8), (12, 5), (64, 64), (80, 70)] {
+            let a = Matrix::from_fn(m, n, |i, j| {
+                0.1 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
+            });
+            let (auto, auto_iters) =
+                svd_with_stats_budgeted_in(a.view(), SvdAlgorithm::Auto, None, &mut ws).unwrap();
+            let (gr, gr_iters) =
+                svd_with_stats_budgeted_in(a.view(), SvdAlgorithm::GolubReinsch, None, &mut ws)
+                    .unwrap();
+            assert_eq!(auto_iters, gr_iters, "{m}x{n}");
+            assert_eq!(auto.singular_values, gr.singular_values, "{m}x{n}");
+            assert_eq!(auto.u, gr.u);
+            assert_eq!(auto.v, gr.v);
+            auto.recycle(&mut ws);
+            gr.recycle(&mut ws);
+        }
+    }
+
+    #[test]
+    fn out_of_range_magnitudes_scale_exactly() {
+        // Scaling by a power of two commutes with every rounding in both
+        // algorithms, so a matrix pushed outside the safe range decomposes to
+        // exactly 2^k times the spectrum of the original, with the same
+        // factors.
+        let a = Matrix::from_fn(7, 5, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
+            let base = svd_with(&a, alg).unwrap();
+            for k in [-700, -230, 230, 700] {
+                let f = 2f64.powi(k);
+                let s = svd_with(&a.scaled(f), alg).unwrap();
+                let want: Vec<f64> = base.singular_values.iter().map(|x| x * f).collect();
+                assert_eq!(s.singular_values, want, "{alg:?} at 2^{k}");
+                assert_eq!(s.u, base.u, "{alg:?} at 2^{k}");
+                assert_eq!(s.v, base.v, "{alg:?} at 2^{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn nan_spectrum_is_a_typed_error() {
+        let mut ws = Workspace::new();
+        let got = finalize_in(
+            Matrix::identity(2),
+            vec![1.0, f64::NAN],
+            Matrix::identity(2),
+            "golub-reinsch-svd",
+            3,
+            &mut ws,
+        );
+        assert!(
+            matches!(
+                got,
+                Err(LinAlgError::NoConvergence {
+                    algorithm: "golub-reinsch-svd",
+                    iterations: 3,
+                    ..
+                })
+            ),
+            "{got:?}"
+        );
+    }
+
+    #[test]
     fn warm_workspace_svd_is_allocation_free() {
         let a = Matrix::from_fn(9, 6, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
         let mut ws = Workspace::new();
@@ -882,8 +914,8 @@ mod tests {
         assert!(matches!(svd(&a), Err(LinAlgError::NonFinite { .. })));
 
         // No public SVD path skips the input checks: every algorithm through
-        // the kernel, and the warm kernel, on an empty matrix and on a NaN
-        // inside a tall and inside a wide matrix.
+        // the kernel, on an empty matrix and on a NaN inside a tall and inside
+        // a wide matrix.
         let mut ws = Workspace::new();
         let empty = Matrix::zeros(0, 0);
         let clean_tall = Matrix::from_fn(4, 3, |i, j| 1.0 + (i * 3 + j) as f64 / 7.0);
@@ -914,25 +946,6 @@ mod tests {
                     bad.shape()
                 );
             }
-        }
-        for (bad, clean) in [
-            (&empty, &clean_tall),
-            (&tall, &clean_tall),
-            (&wide, &clean_wide),
-        ] {
-            let prior = cold_jacobi(clean, &mut ws);
-            let got = svd_warm_stats_budgeted_in(bad.view(), &prior, None, &mut ws);
-            let want_empty = bad.is_empty();
-            assert!(
-                matches!(
-                    (&got, want_empty),
-                    (Err(LinAlgError::Empty { .. }), true)
-                        | (Err(LinAlgError::NonFinite { .. }), false)
-                ),
-                "warm SVD of a {:?} input returned {got:?}",
-                bad.shape()
-            );
-            prior.recycle(&mut ws);
         }
     }
 
@@ -973,11 +986,11 @@ mod tests {
         });
         let s = svd(&a).unwrap();
         assert_valid_svd(&a, &s, 1e-8);
-        // Spot-check σ₁ against power iteration.
-        let p = crate::eigen::power_iteration_sigma_max(&a, 2000, 1e-12);
+        // Spot-check σ₁ against the Jacobi oracle.
+        let p = svd_with(&a, SvdAlgorithm::Jacobi).unwrap().singular_values[0];
         assert!(
-            (s.singular_values[0] - p).abs() < 1e-6 * p,
-            "σ₁ {} vs power {p}",
+            (s.singular_values[0] - p).abs() < 1e-12 * p,
+            "σ₁ {} vs Jacobi {p}",
             s.singular_values[0]
         );
     }
@@ -1012,76 +1025,6 @@ mod tests {
                 other => panic!("{alg:?}: expected DeadlineExceeded, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn warm_svd_matches_cold_on_unchanged_matrix() {
-        let mut ws = Workspace::new();
-        for (m, n) in [(6, 6), (9, 5), (4, 7)] {
-            let a = Matrix::from_fn(m, n, |i, j| {
-                0.1 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
-            });
-            let prior = cold_jacobi(&a, &mut ws);
-            let (warm, _) = svd_warm_stats_budgeted_in(a.view(), &prior, None, &mut ws).unwrap();
-            assert_valid_svd(&a, &warm, 1e-10);
-            for (x, y) in warm.singular_values.iter().zip(&prior.singular_values) {
-                assert!(
-                    (x - y).abs() < 1e-10 * (1.0 + x.abs()),
-                    "{m}x{n}: {x} vs {y}"
-                );
-            }
-            warm.recycle(&mut ws);
-            prior.recycle(&mut ws);
-        }
-    }
-
-    #[test]
-    fn warm_svd_after_small_edit_converges_faster_than_cold() {
-        let mut ws = Workspace::new();
-        let a = Matrix::from_fn(20, 20, |i, j| {
-            0.1 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
-        });
-        let prior = cold_jacobi(&a, &mut ws);
-        let mut edited = a.clone();
-        edited[(3, 5)] *= 1.001;
-
-        hc_obs::recorder::note_u64("svd_jacobi_sweeps", 0);
-        let cold = cold_jacobi(&edited, &mut ws);
-        let (warm, _) = svd_warm_stats_budgeted_in(edited.view(), &prior, None, &mut ws).unwrap();
-        assert_valid_svd(&edited, &warm, 1e-10);
-        for (x, y) in warm.singular_values.iter().zip(&cold.singular_values) {
-            assert!((x - y).abs() < 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
-        }
-        warm.recycle(&mut ws);
-        cold.recycle(&mut ws);
-        prior.recycle(&mut ws);
-    }
-
-    #[test]
-    fn warm_svd_rejects_mismatched_prior() {
-        let mut ws = Workspace::new();
-        let a = Matrix::from_fn(5, 4, |i, j| 1.0 + (i * 4 + j) as f64);
-        let other = Matrix::from_fn(6, 3, |i, j| 1.0 + (i * 3 + j) as f64);
-        let prior = cold_jacobi(&other, &mut ws);
-        assert!(matches!(
-            svd_warm_stats_budgeted_in(a.view(), &prior, None, &mut ws),
-            Err(LinAlgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn warm_svd_budget_expiry_trips() {
-        use crate::budget::Budget;
-        let mut ws = Workspace::new();
-        let a = Matrix::from_fn(9, 6, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
-        let prior = cold_jacobi(&a, &mut ws);
-        let mut edited = a.clone();
-        edited[(1, 1)] *= 2.0;
-        let expired = Budget::with_deadline(std::time::Duration::ZERO);
-        assert!(matches!(
-            svd_warm_stats_budgeted_in(edited.view(), &prior, Some(&expired), &mut ws),
-            Err(LinAlgError::DeadlineExceeded { .. })
-        ));
     }
 
     #[test]

@@ -80,27 +80,11 @@ pub fn hypot(a: f64, b: f64) -> f64 {
     hi * (1.0 + r * r).sqrt()
 }
 
-/// A Householder reflector `H = I − β v vᵀ` that annihilates `x[1..]`.
-#[derive(Debug, Clone)]
-pub struct Householder {
-    /// Reflector direction with `v[0] == 1` by convention.
-    pub v: Vec<f64>,
-    /// Scaling `β = 2 / (vᵀv)`; zero when no reflection is needed.
-    pub beta: f64,
-    /// The value that replaces `x[0]` after applying the reflector (±‖x‖).
-    pub alpha: f64,
-}
-
-/// Builds the Householder reflector mapping `x` to `(α, 0, …, 0)ᵀ`
-/// (Golub & Van Loan alg. 5.1.1, sign chosen to avoid cancellation).
-pub fn householder(x: &[f64]) -> Householder {
-    let mut v = x.to_vec();
-    let (beta, alpha) = householder_in_place(&mut v);
-    Householder { v, beta, alpha }
-}
-
-/// Allocation-free Householder construction: `v` holds `x` on entry and the
-/// reflector direction (`v[0] == 1`) on exit; returns `(β, α)`.
+/// Builds in place the Householder reflector `H = I − β v vᵀ` mapping `x` to
+/// `(α, 0, …, 0)ᵀ` (Golub & Van Loan alg. 5.1.1, sign chosen to avoid
+/// cancellation): `v` holds `x` on entry and the reflector direction
+/// (`v[0] == 1`) on exit; returns `(β, α)`, with `β = 0` when no reflection is
+/// needed.
 ///
 /// # Panics
 /// Panics when `v` is empty.
@@ -130,12 +114,7 @@ pub fn householder_in_place(v: &mut [f64]) -> (f64, f64) {
     (beta, mu)
 }
 
-/// Applies the reflector to a vector in place: `y ← (I − β v vᵀ) y`.
-pub fn apply_householder(h: &Householder, y: &mut [f64]) {
-    apply_reflector(&h.v, h.beta, y);
-}
-
-/// Applies a raw reflector `(v, β)` to a vector in place (no struct needed).
+/// Applies the reflector `(v, β)` to a vector in place: `y ← (I − β v vᵀ) y`.
 pub fn apply_reflector(v: &[f64], beta: f64, y: &mut [f64]) {
     if beta == 0.0 {
         return;
@@ -217,43 +196,49 @@ mod tests {
         assert!(hypot(1e300, 1e300).is_finite());
     }
 
+    /// The reflector built from `x`, as `(v, β, α)`.
+    fn householder(x: &[f64]) -> (Vec<f64>, f64, f64) {
+        let mut v = x.to_vec();
+        let (beta, alpha) = householder_in_place(&mut v);
+        (v, beta, alpha)
+    }
+
     #[test]
     fn householder_annihilates_tail() {
         let x = vec![2.0, -1.0, 2.0]; // norm 3
-        let h = householder(&x);
+        let (v, beta, alpha) = householder(&x);
         let mut y = x.clone();
-        apply_householder(&h, &mut y);
+        apply_reflector(&v, beta, &mut y);
         assert!((y[0].abs() - 3.0).abs() < TOL, "got {y:?}");
         assert!(y[1].abs() < TOL);
         assert!(y[2].abs() < TOL);
-        assert!((y[0] - h.alpha).abs() < 1e-10);
+        assert!((y[0] - alpha).abs() < 1e-10);
     }
 
     #[test]
     fn householder_identity_when_tail_zero() {
-        let h = householder(&[5.0, 0.0, 0.0]);
-        assert_eq!(h.beta, 0.0);
+        let (v, beta, _) = householder(&[5.0, 0.0, 0.0]);
+        assert_eq!(beta, 0.0);
         let mut y = vec![1.0, 2.0, 3.0];
-        apply_householder(&h, &mut y);
+        apply_reflector(&v, beta, &mut y);
         assert_eq!(y, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn householder_preserves_norm() {
-        let x = vec![-0.3, 0.7, 1.1, -2.0];
-        let h = householder(&x);
+        let (v, beta, _) = householder(&[-0.3, 0.7, 1.1, -2.0]);
         let mut y = vec![0.4, -0.2, 0.9, 1.3];
         let before = norm2(&y);
-        apply_householder(&h, &mut y);
+        apply_reflector(&v, beta, &mut y);
         assert!((norm2(&y) - before).abs() < 1e-12);
     }
 
     #[test]
     fn householder_negative_leading_entry() {
         let x = vec![-2.0, 1.0, 2.0];
-        let h = householder(&x);
+        let (v, beta, _) = householder(&x);
         let mut y = x.clone();
-        apply_householder(&h, &mut y);
+        apply_reflector(&v, beta, &mut y);
         assert!((y[0].abs() - 3.0).abs() < TOL);
         assert!(y[1].abs() < TOL && y[2].abs() < TOL);
     }

@@ -271,8 +271,6 @@ pub fn x5_consistency_vs_tma() -> String {
 /// X6: the relative rank-1 residual as an alternative affinity gauge, compared
 /// against TMA on measure-targeted environments.
 pub fn x6_rank1_residual_vs_tma() -> String {
-    use hc_linalg::lowrank::rank_residual;
-
     let mut t = Table::new(vec![
         "target TMA",
         "measured TMA",
@@ -286,7 +284,13 @@ pub fn x6_rank1_residual_vs_tma() -> String {
         let r = characterize(&e).expect("positive env");
         let sf =
             hc_core::standard::standard_form(&e, &TmaOptions::default()).expect("positive env");
-        let resid = rank_residual(&sf.matrix, 1).expect("valid matrix");
+        // ‖A − A₁‖_F / ‖A‖_F = √(Σ_{i≥2} σᵢ²) / √(Σ σᵢ²) (Eckart–Young).
+        let sigma = hc_linalg::svd::svd(&sf.matrix)
+            .expect("valid matrix")
+            .singular_values;
+        let total: f64 = sigma.iter().map(|s| s * s).sum();
+        let tail: f64 = sigma[1..].iter().map(|s| s * s).sum();
+        let resid = (tail / total).sqrt();
         if resid < prev_resid {
             monotone = false;
         }

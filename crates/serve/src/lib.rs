@@ -80,7 +80,7 @@
 //! Live sessions (DESIGN.md §12): `/session/*` endpoints keep per-client
 //! state in the sharded, TTL'd, LRU-bounded [`hc_session::SessionStore`]
 //! (`--max-sessions`, `--session-ttl-s`). Edits recompute incrementally with
-//! warm-started Sinkhorn/SVD solvers (silent cold fallback counted in
+//! a warm-started Sinkhorn standardization (silent cold fallback counted in
 //! `session_warm_fallback_total`), `If-Match` versions give optimistic
 //! concurrency (`409` on mismatch), and `GET /session/{id}/watch` long-polls
 //! for measure deltas under the same deadline machinery — graceful drain

@@ -279,9 +279,6 @@ pub struct SessionCounters {
     pub drains: u64,
     /// Warm recomputes that silently fell back to a cold solve.
     pub warm_fallbacks: u64,
-    /// Warm attempts skipped because the matrix exceeded the size cutover
-    /// (warm would win iterations but lose wall time).
-    pub warm_cutovers: u64,
     /// Total recomputes (cold creates included).
     pub recomputes: u64,
     /// Recomputes served by the warm path.
@@ -303,7 +300,6 @@ pub fn session_counters() -> SessionCounters {
         conflicts: c("session_conflict_total"),
         drains: c("session_drain_total"),
         warm_fallbacks: c("session_warm_fallback_total"),
-        warm_cutovers: c("session_warm_cutover_total"),
         recomputes: c("session_recompute_total"),
         recomputes_warm: c("session_recompute_warm_total"),
     }
@@ -343,7 +339,6 @@ pub fn sessions_json(s: &SessionCounters) -> String {
         .u64("conflicts_total", s.conflicts)
         .u64("drains_total", s.drains)
         .u64("warm_fallbacks_total", s.warm_fallbacks)
-        .u64("warm_cutovers_total", s.warm_cutovers)
         .u64("recomputes_total", s.recomputes)
         .u64("recomputes_warm_total", s.recomputes_warm)
         .finish()
@@ -626,11 +621,6 @@ pub fn prometheus_document(state: &crate::server::ServerState) -> String {
         &mut w,
         "hc_serve_sessions_warm_fallbacks_total",
         s.warm_fallbacks,
-    );
-    counter(
-        &mut w,
-        "hc_serve_sessions_warm_cutovers_total",
-        s.warm_cutovers,
     );
     counter(&mut w, "hc_serve_sessions_recomputes_total", s.recomputes);
     counter(

@@ -105,7 +105,6 @@ fn stats_json(stats: &hc_session::RecomputeStats) -> String {
     JsonObject::new()
         .bool("warm", stats.warm)
         .bool("fallback", stats.fallback)
-        .bool("cutover", stats.cutover)
         .u64("sinkhorn_iterations", stats.sinkhorn_iterations as u64)
         .u64("svd_iterations", stats.svd_iterations as u64)
         .finish()

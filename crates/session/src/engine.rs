@@ -1,39 +1,26 @@
 //! The incremental recompute engine behind a live session.
 //!
 //! A [`SessionEngine`] owns one ECS environment plus the *warm state* left by
-//! the previous analysis — the Sinkhorn scaling vectors `D₁/D₂` and the SVD of
-//! the standard form. After an edit, [`SessionEngine::recompute`] seeds both
-//! solvers from that state:
+//! the previous analysis: the Sinkhorn scaling vectors `D₁/D₂`. Every
+//! [`SessionEngine::recompute`] runs one path — optional prior →
+//! [`hc_sinkhorn::balance::standardize_in`] → the SVD kernel
+//! ([`hc_linalg::svd::svd_with_stats_budgeted_in`]) → measures. After an
+//! edit, Sinkhorn restarts from `diag(D₁)·A'·diag(D₂)` (the `prior`
+//! argument): for a small perturbation `A'` of the previously balanced matrix
+//! this is already near the fixed point. The SVD always runs cold; a cold
+//! Golub–Reinsch SVD beats any warm-started one at every session size.
 //!
-//! * Sinkhorn restarts from `diag(D₁)·A'·diag(D₂)` (the `prior` argument of
-//!   [`hc_sinkhorn::balance::standardize_in`]) — for a small perturbation `A'`
-//!   of the previously balanced matrix this is already near the fixed point.
-//! * The SVD restarts one-sided Jacobi from the prior right singular vectors
-//!   (see [`hc_linalg::svd::svd_warm_stats_budgeted_in`]) — the seeded working
-//!   matrix has near-orthogonal columns, so one or two sweeps suffice where a
-//!   cold run needs a full Golub–Reinsch factorization.
-//!
-//! **Fallback criterion:** the warm path must clear exactly the tolerances the
-//! cold path uses — the balance must report [`BalanceStatus::Converged`] under
-//! the same `tol`, and the warm SVD must pass the same orthogonality audit. If
-//! either fails, the engine silently recomputes cold and increments the
-//! `session_warm_fallback_total` counter, so a warm answer is never *less*
-//! converged than a cold one. The whole warm attempt is additionally
+//! **Fallback criterion:** the warm balance must clear exactly the tolerance
+//! the cold one uses: it must report
+//! [`Converged`](hc_sinkhorn::balance::BalanceStatus::Converged) under the
+//! same `tol`. If it does not, the engine silently rebalances cold and
+//! increments the `session_warm_fallback_total` counter, so a warm answer is
+//! never *less* converged than a cold one. The warm balance is additionally
 //! panic-isolated (`catch_unwind`): a panic inside it — chaos-injected via
 //! `HC_FAILPOINT=sinkhorn.iteration:panic:N`, or a real bug — is another
-//! fallback, never a failed request. Matrices with zeros always take the cold path
-//! (their standard form may only exist as a limit; warm seeding has no theory
-//! there).
-//!
-//! **Size cutover:** fewer iterations is not the same as less wall time. A
-//! warm Jacobi sweep is O(n³) against Golub–Reinsch's heavily-optimized
-//! bidiagonalization, so past a matrix size the warm path *loses* wall time
-//! despite saving 100×+ combined iterations (measured: ~1.8–2× slower at
-//! 256×256 and 512×512, `session_warm_vs_cold` in the bench snapshots).
-//! Matrices above [`DEFAULT_WARM_CUTOVER_CELLS`] therefore skip the warm
-//! attempt entirely and run cold; each skip is counted in
-//! `session_warm_cutover_total` (a sibling of `session_warm_fallback_total`)
-//! and flagged in [`RecomputeStats::cutover`].
+//! fallback, never a failed request. Matrices with zeros always take the cold
+//! path (their standard form may only exist as a limit; warm seeding has no
+//! theory there).
 
 use hc_core::ecs::Ecs;
 use hc_core::error::MeasureError;
@@ -43,48 +30,38 @@ use hc_core::measures::{
 use hc_core::report::{characterize_in, MeasureReport};
 use hc_core::standard::TmaOptions;
 use hc_core::weights::Weights;
-use hc_linalg::svd::{svd_warm_stats_budgeted_in, svd_with_stats_budgeted_in, Svd};
+use hc_linalg::svd::{svd_with_stats_budgeted_in, Svd};
 use hc_linalg::{Budget, LinAlgError, Workspace};
-use hc_sinkhorn::balance::{standardize_in, BalanceOutcome, BalanceStatus};
-
-/// Matrices with more cells than this run cold even when a warm prior exists.
-///
-/// Chosen from the `session_warm_vs_cold` bench lane: warm wins wall time at
-/// 64×64 (4 096 cells, ~2.7× faster) and loses it from 256×256 up (65 536
-/// cells, ~1.8× slower), so the cutover sits at 128×128. Override per engine
-/// with [`SessionEngine::with_warm_cutover`] (`usize::MAX` disables).
-pub const DEFAULT_WARM_CUTOVER_CELLS: usize = 16_384;
+use hc_sinkhorn::balance::{standardize_in, BalanceOutcome};
 
 /// How a [`SessionEngine::recompute`] call did its work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecomputeStats {
     /// Sinkhorn iterations the standardization took.
     pub sinkhorn_iterations: usize,
-    /// SVD iterations (Jacobi sweeps or Golub–Reinsch QR steps).
+    /// Golub–Reinsch QR iterations the SVD took.
     pub svd_iterations: usize,
-    /// `true` when the warm-started path produced the result.
+    /// `true` when the standardization started from the previous scalings.
     pub warm: bool,
-    /// `true` when the warm path was attempted but failed its convergence
+    /// `true` when the warm balance was attempted but failed its convergence
     /// check and the result came from a silent cold recompute.
     pub fallback: bool,
-    /// `true` when a warm prior existed but the matrix exceeded the size
-    /// cutover, so the warm attempt was skipped on wall-time grounds.
+    /// Always `false`: sessions no longer skip warm starts by size. Kept
+    /// for readers of the field.
     pub cutover: bool,
 }
 
 impl RecomputeStats {
-    /// Total solver iterations — the number the `session_warm_vs_cold` bench
-    /// lane compares across paths.
+    /// Total solver iterations (Sinkhorn plus SVD).
     pub fn total_iterations(&self) -> usize {
         self.sinkhorn_iterations + self.svd_iterations
     }
 }
 
-/// Warm state carried between recomputes.
+/// Warm state carried between recomputes: the Sinkhorn scalings.
 struct WarmState {
     row_scale: Vec<f64>,
     col_scale: Vec<f64>,
-    svd: Svd,
 }
 
 /// A stateful analysis engine for one live session.
@@ -95,7 +72,6 @@ pub struct SessionEngine {
     ws: Workspace,
     warm: Option<WarmState>,
     force_cold: bool,
-    warm_cutover_cells: usize,
 }
 
 impl SessionEngine {
@@ -110,7 +86,6 @@ impl SessionEngine {
             ws: Workspace::new(),
             warm: None,
             force_cold: false,
-            warm_cutover_cells: DEFAULT_WARM_CUTOVER_CELLS,
         }
     }
 
@@ -118,15 +93,6 @@ impl SessionEngine {
     /// control arm for benchmarks and A/B tests.
     pub fn with_force_cold(mut self, force_cold: bool) -> Self {
         self.force_cold = force_cold;
-        self
-    }
-
-    /// Overrides the warm/cold size cutover (in matrix cells,
-    /// tasks × machines). `usize::MAX` disables the cutover — the arm
-    /// benchmarks use to measure iteration savings at sizes where wall time
-    /// prefers cold.
-    pub fn with_warm_cutover(mut self, cells: usize) -> Self {
-        self.warm_cutover_cells = cells;
         self
     }
 
@@ -141,52 +107,28 @@ impl SessionEngine {
         self.ecs.set(task, machine, value)
     }
 
-    /// Recomputes MPH/TDH/TMA, warm-starting from the previous solve when
-    /// possible and falling back to a cold run when the warm path misses the
-    /// cold path's convergence tolerances.
+    /// Recomputes MPH/TDH/TMA, warm-starting the standardization from the
+    /// previous scalings when possible and falling back to a cold balance
+    /// when the warm one misses the cold tolerance.
     pub fn recompute(
         &mut self,
         budget: Option<&Budget>,
     ) -> Result<(MeasureReport, RecomputeStats), MeasureError> {
         let mut obs = hc_obs::span("session.recompute");
-        let cells = self.ecs.num_tasks() * self.ecs.num_machines();
-        let over_cutover = cells > self.warm_cutover_cells;
-        let warm_possible = !self.force_cold && self.warm.is_some() && self.ecs.is_positive();
-        let warm_eligible = warm_possible && !over_cutover;
-        // Only count a cutover when the cutover is what blocked an otherwise
-        // viable warm start — force_cold/zero/no-prior skips are not cutovers.
-        let cutover = warm_possible && over_cutover;
-        if cutover {
-            hc_obs::obs_counter!("session_warm_cutover_total").inc();
-        }
-        let mut fallback = false;
-        // The warm attempt is opportunistic, so it is panic-isolated like a
-        // handler (DESIGN.md §10): a panic inside it — a chaos failpoint such
-        // as `sinkhorn.iteration:panic:N`, or a genuine bug — is contained
-        // here and becomes a cold fallback, never a failed request. The prior
-        // warm state is read-only during the attempt and is only replaced
-        // after full success, so catching mid-solve leaves the engine valid.
-        let result = if warm_eligible {
-            let attempt =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.try_warm(budget)));
-            match attempt {
-                Ok(Ok(Some(ok))) => Some(ok),
-                Ok(Err(e)) => return Err(e),
-                Ok(Ok(None)) | Err(_) => {
-                    fallback = true;
-                    hc_obs::obs_counter!("session_warm_fallback_total").inc();
-                    None
-                }
-            }
+        let (report, stats) = if self.ecs.is_positive() {
+            self.solve(budget)?
         } else {
-            None
+            // Zeros: the standard characterize pipeline, and no warm state.
+            let _phase = hc_obs::span("session.cold_solve");
+            self.clear_warm();
+            let report =
+                characterize_in(&self.ecs, &self.weights, &self.opts, budget, &mut self.ws)?;
+            let stats = RecomputeStats {
+                sinkhorn_iterations: report.standardization_iterations,
+                ..RecomputeStats::default()
+            };
+            (report, stats)
         };
-        let (report, mut stats) = match result {
-            Some(ok) => ok,
-            None => self.cold(budget)?,
-        };
-        stats.fallback = fallback;
-        stats.cutover = cutover;
         hc_obs::obs_counter!("session_recompute_total").inc();
         if stats.warm {
             hc_obs::obs_counter!("session_recompute_warm_total").inc();
@@ -197,7 +139,6 @@ impl SessionEngine {
         );
         hc_obs::recorder::note_u64("session_svd_iterations", stats.svd_iterations as u64);
         hc_obs::recorder::note_u64("session_warm", u64::from(stats.warm));
-        hc_obs::recorder::note_u64("session_cutover", u64::from(stats.cutover));
         if obs.armed() {
             obs.field_u64("tasks", self.ecs.num_tasks() as u64);
             obs.field_u64("machines", self.ecs.num_machines() as u64);
@@ -209,106 +150,58 @@ impl SessionEngine {
         Ok((report, stats))
     }
 
-    /// Warm path. `Ok(None)` means "fell short of the cold tolerances — run
-    /// cold"; hard errors (deadline expiry, invalid input) propagate.
-    #[allow(clippy::type_complexity)]
-    fn try_warm(
-        &mut self,
-        budget: Option<&Budget>,
-    ) -> Result<Option<(MeasureReport, RecomputeStats)>, MeasureError> {
-        let _phase = hc_obs::span("session.warm_solve");
-        let prior = self.warm.as_ref().expect("warm_eligible checked");
-        let out = match standardize_in(
-            self.ecs.matrix().view(),
-            Some((&prior.row_scale, &prior.col_scale)),
-            &self.opts.balance,
-            budget,
-            &mut self.ws,
-        ) {
-            Ok(out) => out,
-            Err(LinAlgError::DeadlineExceeded {
-                op,
-                iterations,
-                residual,
-            }) => {
-                return Err(MeasureError::DeadlineExceeded {
-                    op,
-                    iterations,
-                    residual,
-                })
-            }
-            // Shape changes and the like: the prior no longer applies.
-            Err(_) => return Ok(None),
-        };
-        if !matches!(out.status, BalanceStatus::Converged) {
-            out.recycle(&mut self.ws);
-            return Ok(None);
-        }
-        let (svd, sweeps) =
-            match svd_warm_stats_budgeted_in(out.matrix.view(), &prior.svd, budget, &mut self.ws) {
-                Ok(r) => r,
-                Err(LinAlgError::DeadlineExceeded {
-                    op,
-                    iterations,
-                    residual,
-                }) => {
-                    out.recycle(&mut self.ws);
-                    return Err(MeasureError::DeadlineExceeded {
-                        op,
-                        iterations,
-                        residual,
-                    });
-                }
-                Err(_) => {
-                    out.recycle(&mut self.ws);
-                    return Ok(None);
-                }
-            };
-        let stats = RecomputeStats {
-            sinkhorn_iterations: out.iterations,
-            svd_iterations: sweeps,
-            warm: true,
-            ..RecomputeStats::default()
-        };
-        let report = self.assemble(&out, &svd, budget)?;
-        self.store_warm(out, svd);
-        Ok(Some((report, stats)))
-    }
-
-    /// Cold path: positive matrices drive the solvers directly (so the scaling
-    /// vectors and spectrum can be retained as the next warm seed); matrices
-    /// with zeros delegate to the standard characterize pipeline and leave no
-    /// warm state.
-    fn cold(
+    /// The recompute path for a positive matrix: standardize (warm when a
+    /// prior exists, cold otherwise or after a fallback), run the SVD kernel,
+    /// assemble the measures, and keep the new scalings as the next prior.
+    fn solve(
         &mut self,
         budget: Option<&Budget>,
     ) -> Result<(MeasureReport, RecomputeStats), MeasureError> {
-        let _phase = hc_obs::span("session.cold_solve");
-        if !self.ecs.is_positive() {
-            self.clear_warm();
-            let report =
-                characterize_in(&self.ecs, &self.weights, &self.opts, budget, &mut self.ws)?;
-            let stats = RecomputeStats {
-                sinkhorn_iterations: report.standardization_iterations,
-                ..RecomputeStats::default()
-            };
-            return Ok((report, stats));
+        let mut fallback = false;
+        let mut warm_out = None;
+        if !self.force_cold && self.warm.is_some() {
+            // The warm attempt is opportunistic, so it is panic-isolated like
+            // a handler (DESIGN.md §10): a panic inside it — a chaos failpoint
+            // such as `sinkhorn.iteration:panic:N`, or a genuine bug — is
+            // contained here and becomes a cold fallback, never a failed
+            // request. The prior is read-only during the attempt and is only
+            // replaced after full success, so catching mid-solve leaves the
+            // engine valid.
+            let _phase = hc_obs::span("session.warm_solve");
+            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.standardize(true, budget)
+            }));
+            match attempt {
+                Ok(Ok(out)) if out.is_converged() => warm_out = Some(out),
+                Ok(Ok(out)) => {
+                    out.recycle(&mut self.ws);
+                    fallback = true;
+                }
+                Ok(Err(e @ LinAlgError::DeadlineExceeded { .. })) => return Err(e.into()),
+                // Shape changes and the like: the prior no longer applies.
+                Ok(Err(_)) | Err(_) => fallback = true,
+            }
+            if fallback {
+                hc_obs::obs_counter!("session_warm_fallback_total").inc();
+            }
         }
-        let out = standardize_in(
-            self.ecs.matrix().view(),
-            None,
-            &self.opts.balance,
-            budget,
-            &mut self.ws,
-        )?;
-        if !out.is_converged() {
-            let err = MeasureError::BalanceDidNotConverge {
-                residual: out.residual,
-                iterations: out.iterations,
-            };
-            out.recycle(&mut self.ws);
-            return Err(err);
-        }
+        let warm = warm_out.is_some();
+        let out = match warm_out {
+            Some(out) => out,
+            None => {
+                let _phase = hc_obs::span("session.cold_solve");
+                let out = self.standardize(false, budget)?;
+                if !out.is_converged() {
+                    let err = MeasureError::BalanceDidNotConverge {
+                        residual: out.residual,
+                        iterations: out.iterations,
+                    };
+                    out.recycle(&mut self.ws);
+                    return Err(err);
+                }
+                out
+            }
+        };
         let (svd, svd_iterations) = match svd_with_stats_budgeted_in(
             out.matrix.view(),
             self.opts.svd,
@@ -324,16 +217,39 @@ impl SessionEngine {
         let stats = RecomputeStats {
             sinkhorn_iterations: out.iterations,
             svd_iterations,
-            ..RecomputeStats::default()
+            warm,
+            fallback,
+            cutover: false,
         };
-        let report = self.assemble(&out, &svd, budget)?;
-        self.store_warm(out, svd);
-        Ok((report, stats))
+        let report = self.assemble(&out, &svd, budget);
+        svd.recycle(&mut self.ws);
+        self.store_warm(out);
+        Ok((report?, stats))
+    }
+
+    /// One Sinkhorn standardization of the current matrix, seeded from the
+    /// stored scalings when `warm`.
+    fn standardize(
+        &mut self,
+        warm: bool,
+        budget: Option<&Budget>,
+    ) -> Result<BalanceOutcome, LinAlgError> {
+        let prior = match &self.warm {
+            Some(w) if warm => Some((w.row_scale.as_slice(), w.col_scale.as_slice())),
+            _ => None,
+        };
+        standardize_in(
+            self.ecs.matrix().view(),
+            prior,
+            &self.opts.balance,
+            budget,
+            &mut self.ws,
+        )
     }
 
     /// MPH/TDH/TMA from a converged standard form and its SVD — the same
-    /// arithmetic as [`characterize_in`], just with the solver outputs
-    /// kept alive for the next warm start.
+    /// arithmetic as [`characterize_in`], just with the balance outcome kept
+    /// alive for the next warm start.
     fn assemble(
         &mut self,
         out: &BalanceOutcome,
@@ -366,10 +282,9 @@ impl SessionEngine {
         })
     }
 
-    /// Replaces the warm state with a fresh solve's outputs, recycling the
-    /// displaced buffers and the balanced matrix (only the scalings and the
-    /// spectrum are needed for seeding).
-    fn store_warm(&mut self, out: BalanceOutcome, svd: Svd) {
+    /// Replaces the warm state with a fresh balance's scalings, recycling the
+    /// displaced buffers and the balanced matrix.
+    fn store_warm(&mut self, out: BalanceOutcome) {
         self.clear_warm();
         let BalanceOutcome {
             matrix,
@@ -383,7 +298,6 @@ impl SessionEngine {
         self.warm = Some(WarmState {
             row_scale,
             col_scale,
-            svd,
         });
     }
 
@@ -391,7 +305,6 @@ impl SessionEngine {
         if let Some(w) = self.warm.take() {
             self.ws.recycle_vec(w.row_scale);
             self.ws.recycle_vec(w.col_scale);
-            w.svd.recycle(&mut self.ws);
         }
     }
 
@@ -475,33 +388,6 @@ mod tests {
                 cs.total_iterations()
             );
         }
-    }
-
-    #[test]
-    fn size_cutover_skips_warm_and_counts_it() {
-        // 8×8 = 64 cells with a cutover at 32: a warm prior exists, but the
-        // second recompute must run cold on wall-time grounds and say why.
-        let mut eng = SessionEngine::new(fixture(8, 8)).with_warm_cutover(32);
-        let (_, s0) = eng.recompute(None).unwrap();
-        assert!(!s0.warm);
-        // First solve had no prior: big, but not a cutover.
-        assert!(!s0.cutover);
-        eng.set(1, 1, 3.0).unwrap();
-        let before = hc_obs::metrics::counter_value("session_warm_cutover_total").unwrap_or(0);
-        let (report, s1) = eng.recompute(None).unwrap();
-        assert!(s1.cutover, "prior + oversize must flag the cutover");
-        assert!(!s1.warm);
-        assert!(!s1.fallback, "a cutover is not a fallback");
-        let after = hc_obs::metrics::counter_value("session_warm_cutover_total").unwrap_or(0);
-        assert!(after > before, "cutover counter must tick");
-        // The cold result is still correct.
-        let expect = hc_core::report::characterize(eng.ecs()).unwrap();
-        assert!((report.tma - expect.tma).abs() < 1e-9);
-        // Raising the cutover re-enables warm starting on the stored prior.
-        let mut eng = eng.with_warm_cutover(usize::MAX);
-        eng.set(2, 2, 1.25).unwrap();
-        let (_, s2) = eng.recompute(None).unwrap();
-        assert!(s2.warm && !s2.cutover);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: formatting, lint and doc-link gates, offline release
-# build, full test suite, and a live smoke test of the `hcm serve` daemon
-# (start, POST /measure, GET /metrics, graceful shutdown). Exits non-zero on
-# the first failure.
+# build, full test suite, the benchmark's build and tests, and a live smoke
+# test of the `hcm serve` daemon (start, POST /measure, GET /metrics, graceful
+# shutdown). Exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +22,11 @@ cargo build --release --workspace
 
 echo "== tests =="
 cargo test -q --workspace
+
+echo "== benchmark build + tests =="
+# hcbench is a separate workspace with path dependencies on crates/*, so a
+# change to an API it pins breaks here rather than in a benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q --manifest-path hcbench/Cargo.toml
 
 echo "== steady-state allocation check =="
 # A warm Analyzer must serve repeated shapes with >= 90% fewer heap

@@ -6,7 +6,7 @@ use hetero_measures::core::report::characterize;
 use hetero_measures::core::whatif;
 use hetero_measures::gen::cvb::{cvb, CvbParams};
 use hetero_measures::gen::range_based::{range_based, RangeParams};
-use hetero_measures::linalg::svd::svd;
+use hetero_measures::linalg::svd::{svd, svd_with, SvdAlgorithm};
 use hetero_measures::prelude::*;
 use hetero_measures::sched::problem::MappingProblem;
 use hetero_measures::sinkhorn::balance::{balance_with, standardize, BalanceOptions};
@@ -50,10 +50,46 @@ fn etc_construction_rejects_poison() {
 fn svd_rejects_poison_but_survives_extremes() {
     assert!(svd(&nan_matrix()).is_err());
     assert!(svd(&Matrix::zeros(0, 3)).is_err());
-    // Extreme but legal values must not panic or produce NaN.
-    let extreme = Matrix::from_rows(&[&[1e-300, 1e300], &[1e300, 1e-300]]).unwrap();
-    let s = svd(&extreme).unwrap();
-    assert!(s.singular_values.iter().all(|v| v.is_finite()));
+    // Extreme but legal magnitudes must give their closed-form σ under every
+    // selector: no panic, no error, and no silently wrong spectrum.
+    let tiny = 1e-200;
+    let cases: [(Matrix, [f64; 2]); 3] = [
+        (
+            Matrix::from_rows(&[&[1e-300, 1e300], &[1e300, 1e-300]]).unwrap(),
+            // σ = 1e300 ± 1e-300.
+            [1e300, 1e300],
+        ),
+        (
+            Matrix::from_rows(&[&[1e200, 1e200, 1.0], &[1e200, 1.0, 1e200]]).unwrap(),
+            // AAᵀ ≈ 1e400·[[2, 1], [1, 2]].
+            [3f64.sqrt() * 1e200, 1e200],
+        ),
+        (
+            Matrix::from_rows(&[&[tiny, 2.0 * tiny], &[3.0 * tiny, 1e-100 * tiny]]).unwrap(),
+            // σ² of [[1, 2], [3, 0]] are 7 ± √13.
+            [
+                (7.0 + 13f64.sqrt()).sqrt() * tiny,
+                (7.0 - 13f64.sqrt()).sqrt() * tiny,
+            ],
+        ),
+    ];
+    for (a, want) in &cases {
+        for alg in [
+            SvdAlgorithm::Jacobi,
+            SvdAlgorithm::GolubReinsch,
+            SvdAlgorithm::Auto,
+        ] {
+            let got = svd_with(a, alg)
+                .unwrap_or_else(|e| panic!("{alg:?} on {a:?}: {e}"))
+                .singular_values;
+            for (g, w) in got.iter().zip(want) {
+                assert!(
+                    (g - w).abs() <= 1e-14 * w,
+                    "{alg:?} on {a:?}: σ {got:?}, want {want:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -11,10 +11,11 @@
 //! The two SVD algorithms are each other's differential oracle: one-sided
 //! Jacobi and Golub–Reinsch share no code past input validation.
 
+use hetero_measures::core::standard::{tma_with, TmaOptions};
 use hetero_measures::gen::rng::{Rng, StdRng};
+use hetero_measures::gen::{cvb, range_based, CvbParams, RangeParams};
 use hetero_measures::linalg::matmul::{gram, matmul_blocked, matmul_naive, matmul_parallel};
 use hetero_measures::linalg::norms;
-use hetero_measures::linalg::qr::qr;
 use hetero_measures::linalg::svd::{svd_with, SvdAlgorithm};
 use hetero_measures::linalg::vecops;
 use hetero_measures::linalg::Matrix;
@@ -135,21 +136,6 @@ fn gram_is_symmetric_psd_diag() {
 }
 
 #[test]
-fn qr_reconstructs() {
-    check("qr_reconstructs", |rng| {
-        let a = any_matrix(rng);
-        let f = qr(&a).map_err(|e| e.to_string())?;
-        let rec = matmul_naive(&f.q, &f.r).map_err(|e| e.to_string())?;
-        ensure(rec.max_abs_diff(&a) < 1e-8, || {
-            format!("QR reconstruction error {}", rec.max_abs_diff(&a))
-        })?;
-        let g = matmul_naive(&f.q.transpose(), &f.q).map_err(|e| e.to_string())?;
-        let err = g.max_abs_diff(&Matrix::identity(f.q.cols()));
-        ensure(err < 1e-8, || format!("QᵀQ off the identity by {err}"))
-    });
-}
-
-#[test]
 fn svd_reconstructs_and_sorted() {
     check("svd_reconstructs_and_sorted", |rng| {
         let a = any_matrix(rng);
@@ -234,18 +220,54 @@ fn scaling_scales_sigma() {
 }
 
 #[test]
+fn tma_default_matches_jacobi_oracle() {
+    // TMA (Eq. 8) through the default SVD against the Jacobi oracle, on the
+    // standard forms of seeded CVB and range-based environments from 4×4 to
+    // 64×64.
+    check("tma_default_matches_jacobi_oracle", |rng| {
+        let t = rng.gen_range(4..65);
+        let m = rng.gen_range(4..65);
+        let seed = rng.next_u64();
+        let etc = if rng.gen_range(0..2usize) == 0 {
+            let v = rng.gen_range(0.1..1.0);
+            cvb(&CvbParams::new(t, m, v, v), seed)
+        } else {
+            let params = RangeParams {
+                tasks: t,
+                machines: m,
+                r_task: rng.gen_range(2.0..3000.0),
+                r_mach: rng.gen_range(2.0..1000.0),
+            };
+            range_based(&params, seed)
+        }
+        .map_err(|e| e.to_string())?;
+        let ecs = etc.to_ecs();
+        let oracle = TmaOptions {
+            svd: SvdAlgorithm::Jacobi,
+            ..TmaOptions::default()
+        };
+        let want = tma_with(&ecs, &oracle).map_err(|e| e.to_string())?;
+        let got = tma_with(&ecs, &TmaOptions::default()).map_err(|e| e.to_string())?;
+        ensure((got - want).abs() <= 1e-12, || {
+            format!("{t}x{m}: TMA {got} (default) vs {want} (Jacobi)")
+        })
+    });
+}
+
+#[test]
 fn householder_annihilates() {
     check("householder_annihilates", |rng| {
         let len: usize = rng.gen_range(1..10);
         let x: Vec<f64> = (0..len).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let h = vecops::householder(&x);
+        let mut v = x.clone();
+        let (beta, alpha) = vecops::householder_in_place(&mut v);
         let mut y = x.clone();
-        vecops::apply_householder(&h, &mut y);
+        vecops::apply_reflector(&v, beta, &mut y);
         let norm = vecops::norm2(&x);
         let tol = 1e-9 * (1.0 + norm);
         ensure(
-            (y[0] - h.alpha).abs() < tol && (y[0].abs() - norm).abs() < tol,
-            || format!("Hx[0] = {}, α = {}, ‖x‖ = {norm}", y[0], h.alpha),
+            (y[0] - alpha).abs() < tol && (y[0].abs() - norm).abs() < tol,
+            || format!("Hx[0] = {}, α = {alpha}, ‖x‖ = {norm}", y[0]),
         )?;
         ensure(y[1..].iter().all(|v| v.abs() < tol), || {
             format!("tail not annihilated: {:?}", &y[1..])
