@@ -17,7 +17,7 @@
 use crate::ecs::Ecs;
 use crate::error::MeasureError;
 use crate::weights::Weights;
-use hc_linalg::svd::{svd_with, svd_with_stats_budgeted_in, SvdAlgorithm};
+use hc_linalg::svd::{spectrum_in, SvdAlgorithm};
 use hc_linalg::{Budget, Matrix, Workspace};
 use hc_sinkhorn::balance::{standardize_in, BalanceOptions, BalanceOutcome};
 use hc_sinkhorn::regularized::regularized_standard_form_in;
@@ -239,12 +239,13 @@ fn standard_form_of(
     // Theorem 2 invariant: σ₁ of the standard form is 1. Checked in debug builds.
     #[cfg(debug_assertions)]
     {
-        if let Ok(s) = svd_with(&out.matrix, SvdAlgorithm::Auto) {
+        if let Ok((sigma, _)) = spectrum_in(out.matrix.view(), SvdAlgorithm::Auto, None, ws) {
             debug_assert!(
-                (s.singular_values[0] - 1.0).abs() < 1e-4,
+                (sigma[0] - 1.0).abs() < 1e-4,
                 "Theorem 2 violated: sigma_1 = {}",
-                s.singular_values[0]
+                sigma[0]
             );
+            ws.recycle_vec(sigma);
         }
     }
     Ok(finish(out, false, reduced_to_core, ws))
@@ -286,24 +287,37 @@ impl StandardForm {
     }
 }
 
-/// TMA from an already-computed standard form (Eq. 8), with the SVD run in
-/// `ws` under `budget`.
+/// Eq. 8 on the spectrum of a standard form (descending, σ₁ = 1 by
+/// Theorem 2): the mean of σ₂…σₖ, clamped to `[0, 1]`. A 1×M or T×1
+/// environment (`k ≤ 1`) has no affinity structure and scores 0.
+///
+/// ```
+/// use hc_core::standard::tma_of_spectrum;
+///
+/// assert_eq!(tma_of_spectrum(&[1.0, 0.5, 0.25]), 0.375);
+/// assert_eq!(tma_of_spectrum(&[1.0]), 0.0);
+/// ```
+pub fn tma_of_spectrum(sigma: &[f64]) -> f64 {
+    let k = sigma.len();
+    if k <= 1 {
+        return 0.0;
+    }
+    let sum: f64 = sigma[1..].iter().sum();
+    (sum / (k - 1) as f64).clamp(0.0, 1.0)
+}
+
+/// TMA from an already-computed standard form (Eq. 8), with the values-only
+/// SVD run in `ws` under `budget`.
 pub(crate) fn tma_from_standard_form(
     sf: &StandardForm,
     alg: SvdAlgorithm,
     budget: Option<&Budget>,
     ws: &mut Workspace,
 ) -> Result<f64, MeasureError> {
-    let (s, _) = svd_with_stats_budgeted_in(sf.matrix.view(), alg, budget, ws)?;
-    let k = s.singular_values.len();
-    if k <= 1 {
-        // A 1×M or T×1 environment has no affinity structure.
-        s.recycle(ws);
-        return Ok(0.0);
-    }
-    let sum: f64 = s.singular_values[1..].iter().sum();
-    s.recycle(ws);
-    Ok((sum / (k - 1) as f64).clamp(0.0, 1.0))
+    let (sigma, _) = spectrum_in(sf.matrix.view(), alg, budget, ws)?;
+    let tma = tma_of_spectrum(&sigma);
+    ws.recycle_vec(sigma);
+    Ok(tma)
 }
 
 /// Task-machine affinity (Eq. 8 on the standard form) with explicit options.
@@ -341,22 +355,23 @@ pub fn tma_eq5_column_normalized(ecs: &Ecs) -> Result<f64, MeasureError> {
         // Ecs validation guarantees s > 0.
         w.scale_col(j, 1.0 / s);
     }
-    let s = svd_with(&w, SvdAlgorithm::Auto)?;
-    let k = s.singular_values.len();
+    let (sigma, _) = spectrum_in(w.view(), SvdAlgorithm::Auto, None, &mut Workspace::new())?;
+    let k = sigma.len();
     if k <= 1 {
         return Ok(0.0);
     }
-    let s1 = s.singular_values[0];
+    let s1 = sigma[0];
     if s1 == 0.0 {
         return Ok(0.0);
     }
-    let sum: f64 = s.singular_values[1..].iter().sum();
+    let sum: f64 = sigma[1..].iter().sum();
     Ok((sum / ((k - 1) as f64 * s1)).clamp(0.0, 1.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc_linalg::svd::svd_with;
     use hc_sinkhorn::balance::standard_targets;
 
     fn ecs(rows: &[&[f64]]) -> Ecs {

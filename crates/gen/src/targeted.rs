@@ -20,8 +20,9 @@
 
 use hc_core::ecs::Ecs;
 use hc_core::error::MeasureError;
-use hc_linalg::svd::{svd_with, SvdAlgorithm};
-use hc_linalg::Matrix;
+use hc_core::standard::tma_of_spectrum;
+use hc_linalg::svd::{spectrum_in, SvdAlgorithm};
+use hc_linalg::{Matrix, Workspace};
 use hc_sinkhorn::balance::{balance_with, standardize, BalanceOptions};
 
 use crate::rng::{Rng, StdRng};
@@ -72,13 +73,8 @@ fn bal_opts() -> BalanceOptions {
 
 /// TMA of an already-balanced matrix (mean of the non-maximum singular values).
 fn tma_of_balanced(m: &Matrix) -> Result<f64, MeasureError> {
-    let s = svd_with(m, SvdAlgorithm::Auto)?;
-    let k = s.singular_values.len();
-    if k <= 1 {
-        return Ok(0.0);
-    }
-    let sum: f64 = s.singular_values[1..].iter().sum();
-    Ok(sum / (k - 1) as f64)
+    let (sigma, _) = spectrum_in(m.view(), SvdAlgorithm::Auto, None, &mut Workspace::new())?;
+    Ok(tma_of_spectrum(&sigma))
 }
 
 /// The uniform balanced matrix (TMA = 0 anchor): every entry `1/√(TM)`.
@@ -329,6 +325,7 @@ mod tests {
     use super::*;
     use hc_core::measures::{mph, tdh};
     use hc_core::standard::tma;
+    use hc_linalg::svd::svd_with;
 
     fn assert_targets(e: &Ecs, want_mph: f64, want_tdh: f64, want_tma: f64, tol: f64) {
         let got_mph = mph(e).unwrap();

@@ -5,11 +5,15 @@
 //! orthogonal, and `B` is upper bidiagonal (diagonal `d`, superdiagonal `e`). This is
 //! stage one of the Golub–Reinsch SVD in [`crate::svd`].
 //!
-//! [`bidiagonalize_in`] is the one entry point: every reflector lives in a
-//! pooled flat buffer and Householder applications run directly on strided
-//! column data, so a warm [`Workspace`] makes the whole factorization
-//! allocation-free.
+//! One reduction serves every caller. It applies each left reflector row by
+//! row (`w = β·vᵀA` as one axpy per row, then `A −= v·wᵀ`), so no step
+//! strides down a column of the row-major matrix, and it accumulates `U` and
+//! `V` only when asked: [`bidiagonalize_in`] returns them, while the SVD's
+//! values-only path ([`crate::svd::spectrum_in`]) keeps just `d` and `e`.
+//! Every reflector lives in a pooled flat buffer, so a warm [`Workspace`]
+//! makes the whole factorization allocation-free.
 
+use crate::budget::Budget;
 use crate::error::LinAlgError;
 use crate::matrix::Matrix;
 use crate::vecops;
@@ -51,22 +55,28 @@ impl Bidiag {
     }
 }
 
+/// `U` and `V` of a reduction or an SVD run, present only when the caller
+/// asked for them.
+pub(crate) type Factors = Option<(Matrix, Matrix)>;
+
 /// Applies a left reflector `(v, β)` spanning rows `row0..row0 + v.len()` to
-/// columns `col0..cols` of `a`, walking each column through the row stride.
-fn apply_left_cols(a: &mut Matrix, v: &[f64], beta: f64, row0: usize, col0: usize) {
+/// columns `col0..` of `a`, one contiguous row at a time: `w = β·vᵀA`
+/// accumulates as an axpy per row, then each row takes `−v_k·w`. Each
+/// column's dot product still sums its rows in order, so the result is
+/// bit-identical to walking the columns. `w` is scratch of at least
+/// `a.cols() − col0` entries.
+fn apply_left_rows(a: &mut Matrix, v: &[f64], beta: f64, row0: usize, col0: usize, w: &mut [f64]) {
     if beta == 0.0 {
         return;
     }
-    let n = a.cols();
-    for j in col0..n {
-        let mut d = 0.0;
-        for (off, &vk) in v.iter().enumerate() {
-            d += vk * a[(row0 + off, j)];
-        }
-        let w = beta * d;
-        for (off, &vk) in v.iter().enumerate() {
-            a[(row0 + off, j)] -= w * vk;
-        }
+    let w = &mut w[..a.cols() - col0];
+    w.fill(0.0);
+    for (off, &vk) in v.iter().enumerate() {
+        vecops::axpy(vk, &a.row(row0 + off)[col0..], w);
+    }
+    vecops::scale(beta, w);
+    for (off, &vk) in v.iter().enumerate() {
+        vecops::axpy(-vk, w, &mut a.row_mut(row0 + off)[col0..]);
     }
 }
 
@@ -87,6 +97,21 @@ fn apply_right_rows(a: &mut Matrix, v: &[f64], beta: f64, row0: usize, col0: usi
 /// `ws`, and the returned factors are built from pooled buffers the caller may
 /// hand back with [`Workspace::recycle_matrix`]/[`Workspace::recycle_vec`].
 pub fn bidiagonalize_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Bidiag> {
+    let (d, e, factors) = reduce_in(a, true, None, ws)?;
+    let (u, v) = factors.expect("factors were requested");
+    Ok(Bidiag { u, v, d, e })
+}
+
+/// The one Householder reduction behind [`bidiagonalize_in`] and the SVD:
+/// returns `B`'s diagonal and superdiagonal, plus `(U, V)` when `factors` is
+/// set. Polls `budget` once per column (op `golub-reinsch-bidiag`, with the
+/// columns reduced so far as the iteration count); `None` polls nothing.
+pub(crate) fn reduce_in(
+    a: MatRef<'_>,
+    factors: bool,
+    budget: Option<&Budget>,
+    ws: &mut Workspace,
+) -> Result<(Vec<f64>, Vec<f64>, Factors)> {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return Err(LinAlgError::Empty {
@@ -116,10 +141,14 @@ pub fn bidiagonalize_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Bidiag> {
     let mut rbeta = ws.take_vec(n, 0.0);
     let mut loffs = ws.take_idx(n);
     let mut roffs = ws.take_idx(n);
+    let mut w = ws.take_vec(n, 0.0);
 
     let mut loff = 0usize;
     let mut roff = 0usize;
     for j in 0..n {
+        if let Some(b) = budget {
+            b.check("golub-reinsch-bidiag", j, f64::NAN)?;
+        }
         // Left reflector: annihilate work[j+1.., j].
         let llen = m - j;
         loffs[j] = loff;
@@ -137,7 +166,7 @@ pub fn bidiagonalize_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Bidiag> {
         // untouched column, so apply to the columns right of it, then zero the
         // annihilated tail. (Applying to column j itself and overwriting with α
         // — what the owned path historically did — produces the same matrix.)
-        apply_left_cols(&mut work, &lv[loff..loff + llen], beta, j, j + 1);
+        apply_left_rows(&mut work, &lv[loff..loff + llen], beta, j, j + 1, &mut w);
         for i in (j + 1)..m {
             work[(i, j)] = 0.0;
         }
@@ -163,28 +192,27 @@ pub fn bidiagonalize_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Bidiag> {
         }
     }
 
-    // Accumulate thin U: apply left reflectors in reverse to I(m×n).
-    let mut u = ws.take_matrix(m, n, 0.0);
-    for j in 0..n {
-        u[(j, j)] = 1.0;
-    }
-    for j in (0..n).rev() {
-        apply_left_cols(&mut u, &lv[loffs[j]..loffs[j] + (m - j)], lbeta[j], j, 0);
-    }
+    let factors = factors.then(|| {
+        // Accumulate thin U: apply left reflectors in reverse to I(m×n).
+        let mut u = ws.take_matrix(m, n, 0.0);
+        for j in 0..n {
+            u[(j, j)] = 1.0;
+        }
+        for j in (0..n).rev() {
+            let v = &lv[loffs[j]..loffs[j] + (m - j)];
+            apply_left_rows(&mut u, v, lbeta[j], j, 0, &mut w);
+        }
 
-    // Accumulate V: apply right reflectors in reverse to I(n×n).
-    // Right reflector j acts on rows/cols (j+1)..n of the V space; applying
-    // from the left accumulates V = H_r0 · H_r1 · … (each H is symmetric).
-    let mut v = ws.take_identity(n);
-    for j in (0..n.saturating_sub(2)).rev() {
-        apply_left_cols(
-            &mut v,
-            &rv[roffs[j]..roffs[j] + (n - j - 1)],
-            rbeta[j],
-            j + 1,
-            0,
-        );
-    }
+        // Accumulate V: apply right reflectors in reverse to I(n×n).
+        // Right reflector j acts on rows/cols (j+1)..n of the V space; applying
+        // from the left accumulates V = H_r0 · H_r1 · … (each H is symmetric).
+        let mut v = ws.take_identity(n);
+        for j in (0..n.saturating_sub(2)).rev() {
+            let r = &rv[roffs[j]..roffs[j] + (n - j - 1)];
+            apply_left_rows(&mut v, r, rbeta[j], j + 1, 0, &mut w);
+        }
+        (u, v)
+    });
 
     let mut d = ws.take_vec(n, 0.0);
     for (j, dj) in d.iter_mut().enumerate() {
@@ -200,9 +228,10 @@ pub fn bidiagonalize_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Bidiag> {
     ws.recycle_vec(rv);
     ws.recycle_vec(lbeta);
     ws.recycle_vec(rbeta);
+    ws.recycle_vec(w);
     ws.recycle_idx(loffs);
     ws.recycle_idx(roffs);
-    Ok(Bidiag { u, v, d, e })
+    Ok((d, e, factors))
 }
 
 #[cfg(test)]

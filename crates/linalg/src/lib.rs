@@ -9,10 +9,12 @@
 //!   arithmetic operations.
 //! * Norms ([`norms`]) — Frobenius, induced 1/∞, max-abs.
 //! * Golub–Kahan Householder bidiagonalization ([`bidiag`]).
-//! * Two independent SVD algorithms ([`svd`]) behind one validated kernel:
+//! * Two independent SVD algorithms ([`svd`]) behind one validated dispatch:
 //!   Golub–Reinsch implicit-shift bidiagonal QR (the default at every size)
 //!   and one-sided Jacobi (high relative accuracy), the differential oracle
-//!   the tests check the default against.
+//!   the tests check the default against. The dispatch has two entry points:
+//!   the full decomposition and a values-only spectrum
+//!   ([`svd::spectrum_in`]) that never builds `U` or `V`.
 //! * Scoped data-parallel helpers ([`par`]) built on `std::thread::scope` — no detached
 //!   threads, deterministic reductions.
 //! * Zero-copy views ([`view`]) and a recycling scratch arena ([`workspace`]).

@@ -18,19 +18,26 @@
 //! [`Svd`] holds `U`, `σ`, `V` with singular values sorted descending and the
 //! factors' columns permuted to match.
 //!
-//! Every SVD runs through one kernel, [`svd_with_stats_budgeted_in`]: it
-//! validates the input (non-empty, finite), picks the algorithm, rescales
-//! inputs of extreme magnitude by a power of two, transposes wide inputs,
-//! polls an optional [`Budget`], draws every scratch buffer — including the
-//! returned factors — from a caller-supplied [`Workspace`], and returns the
-//! iteration count beside the decomposition. [`svd`] and [`svd_with`] are
-//! owned-`Matrix` conveniences over it with a throwaway workspace. The two
-//! algorithms themselves are private, so no public path skips the input
-//! checks.
+//! Two entry points share one dispatch:
+//!
+//! * [`svd_with_stats_budgeted_in`] returns the full decomposition;
+//! * [`spectrum_in`] returns only σ, for readers such as TMA (Eq. 8) that
+//!   never look at a singular vector. Under Golub–Reinsch it skips building
+//!   `U` and `V` altogether; its σ and iteration count are bit-identical to
+//!   the full kernel's, because the QR arithmetic never reads the factors.
+//!
+//! The dispatch validates the input (non-empty, finite), picks the
+//! algorithm, rescales inputs of extreme magnitude by a power of two,
+//! transposes wide inputs, polls an optional [`Budget`], draws every scratch
+//! buffer — including the returned factors — from a caller-supplied
+//! [`Workspace`], and returns the iteration count beside the result. [`svd`]
+//! and [`svd_with`] are owned-`Matrix` conveniences over the full kernel with
+//! a throwaway workspace. The two algorithms themselves are private, so no
+//! public path skips the input checks.
 
 use std::cmp::Ordering;
 
-use crate::bidiag::{bidiagonalize_in, Bidiag};
+use crate::bidiag::{reduce_in, Factors};
 use crate::budget::Budget;
 use crate::error::LinAlgError;
 use crate::matrix::Matrix;
@@ -39,7 +46,8 @@ use crate::view::MatRef;
 use crate::workspace::Workspace;
 use crate::Result;
 
-/// Algorithm selector for [`svd_with`] and [`svd_with_stats_budgeted_in`].
+/// Algorithm selector for [`svd_with`], [`svd_with_stats_budgeted_in`] and
+/// [`spectrum_in`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvdAlgorithm {
     /// One-sided Jacobi: high relative accuracy on small σ; the differential
@@ -143,24 +151,80 @@ pub fn svd_with(a: &Matrix, alg: SvdAlgorithm) -> Result<Svd> {
 ///
 /// All scratch — including the returned factors — is checked out of `ws`;
 /// pass the factors back through [`Svd::recycle`] to make repeat calls on the
-/// same shape allocation-free. The sweep/QR loops poll `budget` once per
-/// iteration and bail out with [`LinAlgError::DeadlineExceeded`] when it
-/// trips; `None` runs unpolled and gives bit-identical results. A singular
-/// value above `f64::MAX` comes back as `+∞`.
+/// same shape allocation-free. The reduction and the sweep/QR loops poll
+/// `budget` once per column or iteration and bail out with
+/// [`LinAlgError::DeadlineExceeded`] when it trips; `None` runs unpolled and
+/// gives bit-identical results. A singular value above `f64::MAX` comes back
+/// as `+∞`.
 pub fn svd_with_stats_budgeted_in(
     a: MatRef<'_>,
     alg: SvdAlgorithm,
     budget: Option<&Budget>,
     ws: &mut Workspace,
 ) -> Result<(Svd, usize)> {
+    let run = run_in(a, alg, true, budget, ws)?;
+    let (u, v) = run.factors.expect("factors were requested");
+    Ok((
+        Svd {
+            u,
+            singular_values: run.sigma,
+            v,
+        },
+        run.iterations,
+    ))
+}
+
+/// The values-only kernel: the singular values of `a`, descending, and the
+/// iteration count — bit for bit what [`svd_with_stats_budgeted_in`] returns
+/// for the same `alg`, with the same validation, scaling, budget polling and
+/// errors.
+///
+/// Golub–Reinsch (`Auto`) runs without `U` or `V`. `Jacobi` runs the full
+/// oracle and hands its factors back to `ws`. Return the σ buffer with
+/// [`Workspace::recycle_vec`] to keep repeat calls allocation-free.
+pub fn spectrum_in(
+    a: MatRef<'_>,
+    alg: SvdAlgorithm,
+    budget: Option<&Budget>,
+    ws: &mut Workspace,
+) -> Result<(Vec<f64>, usize)> {
+    let run = run_in(a, alg, false, budget, ws)?;
+    // Only Jacobi builds factors nobody asked for.
+    if let Some((u, v)) = run.factors {
+        ws.recycle_matrix(u);
+        ws.recycle_matrix(v);
+    }
+    Ok((run.sigma, run.iterations))
+}
+
+/// What the dispatch returns: σ descending, the factors when asked for, and
+/// the iteration count.
+struct Run {
+    sigma: Vec<f64>,
+    factors: Factors,
+    iterations: usize,
+}
+
+/// The dispatch behind both entry points: validates `a`, rescales extreme
+/// magnitudes, and runs `alg` on a tall copy, asking Golub–Reinsch for `U`
+/// and `V` only when `factors` is set.
+fn run_in(
+    a: MatRef<'_>,
+    alg: SvdAlgorithm,
+    factors: bool,
+    budget: Option<&Budget>,
+    ws: &mut Workspace,
+) -> Result<Run> {
     validate(a)?;
-    let run = |t: MatRef<'_>, ws: &mut Workspace| match alg {
+    let tall = |t: MatRef<'_>, ws: &mut Workspace| match alg {
         SvdAlgorithm::Jacobi => jacobi_tall(t, budget, ws),
-        SvdAlgorithm::GolubReinsch | SvdAlgorithm::Auto => golub_reinsch_tall(t, budget, ws),
+        SvdAlgorithm::GolubReinsch | SvdAlgorithm::Auto => {
+            golub_reinsch_tall(t, factors, budget, ws)
+        }
     };
     let amax = a.row_iter().map(vecops::norm_inf).fold(0.0, f64::max);
     if amax == 0.0 || (SAFE_MIN..=SAFE_MAX).contains(&amax) {
-        return on_tall(a, ws, run);
+        return on_tall(a, ws, tall);
     }
     // 2^k brings max|aᵢⱼ| to [1, 2); the clamp keeps 2^±k finite and still
     // lands every finite non-zero input inside the safe range.
@@ -172,13 +236,13 @@ pub fn svd_with_stats_budgeted_in(
             *d = s * up;
         }
     }
-    let out = on_tall(scaled.view(), ws, run);
+    let out = on_tall(scaled.view(), ws, tall);
     ws.recycle_matrix(scaled);
-    let (mut s, iters) = out?;
-    for sigma in &mut s.singular_values {
+    let mut run = out?;
+    for sigma in &mut run.sigma {
         *sigma *= down;
     }
-    Ok((s, iters))
+    Ok(run)
 }
 
 /// The input checks every public SVD path runs first.
@@ -194,41 +258,38 @@ fn validate(a: MatRef<'_>) -> Result<()> {
 fn on_tall(
     a: MatRef<'_>,
     ws: &mut Workspace,
-    tall: impl FnOnce(MatRef<'_>, &mut Workspace) -> Result<(Svd, usize)>,
-) -> Result<(Svd, usize)> {
+    tall: impl FnOnce(MatRef<'_>, &mut Workspace) -> Result<Run>,
+) -> Result<Run> {
     if a.rows() >= a.cols() {
         return tall(a, ws);
     }
     let at = transpose_pooled(a, ws);
     let t = tall(at.view(), ws);
     ws.recycle_matrix(at);
-    let (t, iters) = t?;
-    Ok((
-        Svd {
-            u: t.v,
-            singular_values: t.singular_values,
-            v: t.u,
-        },
-        iters,
-    ))
+    let mut run = t?;
+    run.factors = run.factors.map(|(u, v)| (v, u));
+    Ok(run)
 }
 
-/// Sorts the spectrum descending, permuting `u`/`v` columns to match, and fixes a
-/// deterministic sign convention (largest-magnitude entry of each `u` column is
-/// positive). Shared by both SVD algorithms; a NaN singular value — a numeric
-/// breakdown of `algorithm` after `iterations` — is a
-/// [`LinAlgError::NoConvergence`] rather than a panic.
+/// Sorts the spectrum descending and, when the factors are present, permutes
+/// their columns to match and fixes a deterministic sign convention
+/// (largest-magnitude entry of each `u` column is positive). Shared by both
+/// SVD algorithms and both entry points, so σ comes out in the same order
+/// with or without factors; a NaN singular value — a numeric breakdown of
+/// `algorithm` after `iterations` — is a [`LinAlgError::NoConvergence`]
+/// rather than a panic.
 fn finalize_in(
-    mut u: Matrix,
     mut sigma: Vec<f64>,
-    mut v: Matrix,
+    mut factors: Factors,
     algorithm: &'static str,
     iterations: usize,
     ws: &mut Workspace,
-) -> Result<Svd> {
+) -> Result<Run> {
     if sigma.iter().any(|s| s.is_nan()) {
-        ws.recycle_matrix(u);
-        ws.recycle_matrix(v);
+        if let Some((u, v)) = factors {
+            ws.recycle_matrix(u);
+            ws.recycle_matrix(v);
+        }
         ws.recycle_vec(sigma);
         hc_obs::obs_counter!("linalg_svd_noconvergence_total").inc();
         return Err(LinAlgError::NoConvergence {
@@ -252,34 +313,36 @@ fn finalize_in(
         *dst = sigma[src];
     }
     sigma.copy_from_slice(&scratch);
-    for mat in [&mut u, &mut v] {
-        for i in 0..mat.rows() {
-            let row = mat.row_mut(i);
-            for (dst, &src) in scratch.iter_mut().zip(order.iter()) {
-                *dst = row[src];
-            }
-            row.copy_from_slice(&scratch);
-        }
-    }
-    // Sign convention.
-    for j in 0..k {
-        let mut best = 0usize;
-        for i in 0..u.rows() {
-            if u[(i, j)].abs() > u[(best, j)].abs() {
-                best = i;
+    if let Some((u, v)) = &mut factors {
+        for mat in [&mut *u, &mut *v] {
+            for i in 0..mat.rows() {
+                let row = mat.row_mut(i);
+                for (dst, &src) in scratch.iter_mut().zip(order.iter()) {
+                    *dst = row[src];
+                }
+                row.copy_from_slice(&scratch);
             }
         }
-        if u[(best, j)] < 0.0 {
-            u.scale_col(j, -1.0);
-            v.scale_col(j, -1.0);
+        // Sign convention.
+        for j in 0..k {
+            let mut best = 0usize;
+            for i in 0..u.rows() {
+                if u[(i, j)].abs() > u[(best, j)].abs() {
+                    best = i;
+                }
+            }
+            if u[(best, j)] < 0.0 {
+                u.scale_col(j, -1.0);
+                v.scale_col(j, -1.0);
+            }
         }
     }
     ws.recycle_idx(order);
     ws.recycle_vec(scratch);
-    Ok(Svd {
-        u,
-        singular_values: sigma,
-        v,
+    Ok(Run {
+        sigma,
+        factors,
+        iterations,
     })
 }
 
@@ -305,7 +368,7 @@ const JACOBI_MAX_SWEEPS: usize = 60;
 /// One-sided (Hestenes) Jacobi on a tall (`m ≥ n`) input: starts from
 /// `W = A`, `V = I` and orthogonalizes `W`'s columns with plane rotations,
 /// maintaining `W = A·V` throughout.
-fn jacobi_tall(a: MatRef<'_>, budget: Option<&Budget>, ws: &mut Workspace) -> Result<(Svd, usize)> {
+fn jacobi_tall(a: MatRef<'_>, budget: Option<&Budget>, ws: &mut Workspace) -> Result<Run> {
     let (m, n) = a.shape();
     let mut w = ws.take_matrix(m, n, 0.0);
     w.view_mut().copy_from(a);
@@ -430,7 +493,7 @@ fn jacobi_tall(a: MatRef<'_>, budget: Option<&Budget>, ws: &mut Workspace) -> Re
     }
     ws.recycle_vec(col);
     ws.recycle_matrix(w);
-    Ok((finalize_in(u, sigma, v, "jacobi-svd", sweeps, ws)?, sweeps))
+    finalize_in(sigma, Some((u, v)), "jacobi-svd", sweeps, ws)
 }
 
 /// Worst normalized off-diagonal Gram entry |wpᵀwq|/(‖wp‖‖wq‖) over all column
@@ -464,27 +527,28 @@ fn worst_column_correlation(w: &Matrix, zero_guard: f64) -> f64 {
 const GR_MAX_ITERS: usize = 75;
 
 /// Golub–Reinsch on a tall (`m ≥ n`) input: bidiagonalize, then
-/// implicit-shift QR on the bidiagonal. Returns the total QR iteration count.
+/// implicit-shift QR on the bidiagonal, accumulating `U` and `V` only when
+/// `factors` is set. The `d`/`rv1` arithmetic never reads the factors, so σ
+/// and the QR iteration count are the same bits either way.
 fn golub_reinsch_tall(
     a: MatRef<'_>,
+    factors: bool,
     budget: Option<&Budget>,
     ws: &mut Workspace,
-) -> Result<(Svd, usize)> {
+) -> Result<Run> {
     let mut obs = hc_obs::span("linalg.svd.golub_reinsch");
     let mut total_iters = 0usize;
-    let Bidiag { u, v, d, e } = {
+    let (mut d, e, uv) = {
         let _phase = hc_obs::span("linalg.svd.bidiag");
-        bidiagonalize_in(a, ws)?
+        reduce_in(a, factors, budget, ws)?
     };
     let n = d.len();
-    let mut d = d;
     // rv1[i] is the superdiagonal entry coupling d[i-1] and d[i]; rv1[0] is unused
     // and kept at zero (mirrors the classic svdcmp layout).
     let mut rv1 = ws.take_vec(n, 0.0);
     rv1[1..n].copy_from_slice(&e);
     ws.recycle_vec(e);
-    let mut u = u;
-    let mut v = v;
+    let (mut u, mut v) = uv.unzip();
 
     let anorm = d
         .iter()
@@ -538,7 +602,7 @@ fn golub_reinsch_tall(
                     let inv = 1.0 / h;
                     c = g * inv;
                     s = -f * inv;
-                    rotate_cols(&mut u, l - 1, i, c, s);
+                    rotate_cols(u.as_mut(), l - 1, i, c, s);
                 }
             }
 
@@ -547,7 +611,9 @@ fn golub_reinsch_tall(
                 // Converged for this singular value.
                 if z < 0.0 {
                     d[k] = -z;
-                    scale_col_neg(&mut v, k);
+                    if let Some(v) = v.as_mut() {
+                        v.scale_col(k, -1.0);
+                    }
                 }
                 break;
             }
@@ -589,7 +655,7 @@ fn golub_reinsch_tall(
                 g = gy * c - x * s;
                 h = yy * s;
                 yy *= c;
-                rotate_cols(&mut v, j, i, c, s);
+                rotate_cols(v.as_mut(), j, i, c, s);
                 zz = hypot(f, h);
                 d[j] = zz;
                 if zz != 0.0 {
@@ -599,7 +665,7 @@ fn golub_reinsch_tall(
                 }
                 f = c * g + s * yy;
                 x = c * yy - s * g;
-                rotate_cols(&mut u, j, i, c, s);
+                rotate_cols(u.as_mut(), j, i, c, s);
             }
             rv1[l] = 0.0;
             rv1[k] = f;
@@ -625,10 +691,7 @@ fn golub_reinsch_tall(
     }
     ws.recycle_vec(rv1);
 
-    Ok((
-        finalize_in(u, d, v, "golub-reinsch-svd", total_iters, ws)?,
-        total_iters,
-    ))
+    finalize_in(d, u.zip(v), "golub-reinsch-svd", total_iters, ws)
 }
 
 #[inline]
@@ -640,19 +703,18 @@ fn sign(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Rotates columns `p` and `q` of `m` by `(c, s)`; a no-op without a factor.
 #[inline]
-fn rotate_cols(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
+fn rotate_cols(m: Option<&mut Matrix>, p: usize, q: usize, c: f64, s: f64) {
+    let Some(m) = m else {
+        return;
+    };
     for i in 0..m.rows() {
         let mp = m[(i, p)];
         let mq = m[(i, q)];
         m[(i, p)] = mp * c + mq * s;
         m[(i, q)] = mq * c - mp * s;
     }
-}
-
-#[inline]
-fn scale_col_neg(m: &mut Matrix, j: usize) {
-    m.scale_col(j, -1.0);
 }
 
 #[cfg(test)]
@@ -798,6 +860,11 @@ mod tests {
             assert_eq!(auto.singular_values, gr.singular_values, "{m}x{n}");
             assert_eq!(auto.u, gr.u);
             assert_eq!(auto.v, gr.v);
+            // The values-only kernel runs the same reduction and QR loop.
+            let (sigma, iters) = spectrum_in(a.view(), SvdAlgorithm::Auto, None, &mut ws).unwrap();
+            assert_eq!(iters, auto_iters, "{m}x{n}");
+            assert_eq!(sigma, auto.singular_values, "{m}x{n}");
+            ws.recycle_vec(sigma);
             auto.recycle(&mut ws);
             gr.recycle(&mut ws);
         }
@@ -819,6 +886,9 @@ mod tests {
                 assert_eq!(s.singular_values, want, "{alg:?} at 2^{k}");
                 assert_eq!(s.u, base.u, "{alg:?} at 2^{k}");
                 assert_eq!(s.v, base.v, "{alg:?} at 2^{k}");
+                let (sigma, _) =
+                    spectrum_in(a.scaled(f).view(), alg, None, &mut Workspace::new()).unwrap();
+                assert_eq!(sigma, want, "{alg:?} values only at 2^{k}");
             }
         }
     }
@@ -826,25 +896,27 @@ mod tests {
     #[test]
     fn nan_spectrum_is_a_typed_error() {
         let mut ws = Workspace::new();
-        let got = finalize_in(
-            Matrix::identity(2),
-            vec![1.0, f64::NAN],
-            Matrix::identity(2),
-            "golub-reinsch-svd",
-            3,
-            &mut ws,
-        );
-        assert!(
-            matches!(
-                got,
-                Err(LinAlgError::NoConvergence {
-                    algorithm: "golub-reinsch-svd",
-                    iterations: 3,
-                    ..
-                })
-            ),
-            "{got:?}"
-        );
+        for factors in [Some((Matrix::identity(2), Matrix::identity(2))), None] {
+            let got = finalize_in(
+                vec![1.0, f64::NAN],
+                factors,
+                "golub-reinsch-svd",
+                3,
+                &mut ws,
+            );
+            assert!(
+                matches!(
+                    got,
+                    Err(LinAlgError::NoConvergence {
+                        algorithm: "golub-reinsch-svd",
+                        iterations: 3,
+                        ..
+                    })
+                ),
+                "{:?}",
+                got.map(|r| r.sigma)
+            );
+        }
     }
 
     #[test]
@@ -860,6 +932,13 @@ mod tests {
             let (s, _) = svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws).unwrap();
             assert_eq!(ws.stats().fresh, 0, "{alg:?} warm run allocated");
             s.recycle(&mut ws);
+            let (sigma, _) = spectrum_in(a.view(), alg, None, &mut ws).unwrap();
+            assert_eq!(
+                ws.stats().fresh,
+                0,
+                "{alg:?} warm values-only run allocated"
+            );
+            ws.recycle_vec(sigma);
         }
     }
 
@@ -936,6 +1015,13 @@ mod tests {
                 ),
                 "{alg:?} accepted an empty matrix"
             );
+            assert!(
+                matches!(
+                    spectrum_in(empty.view(), alg, None, &mut ws),
+                    Err(LinAlgError::Empty { .. })
+                ),
+                "{alg:?} values only accepted an empty matrix"
+            );
             for bad in [&tall, &wide] {
                 assert!(
                     matches!(
@@ -943,6 +1029,14 @@ mod tests {
                         Err(LinAlgError::NonFinite { .. })
                     ),
                     "{alg:?} accepted a NaN in a {:?} matrix",
+                    bad.shape()
+                );
+                assert!(
+                    matches!(
+                        spectrum_in(bad.view(), alg, None, &mut ws),
+                        Err(LinAlgError::NonFinite { .. })
+                    ),
+                    "{alg:?} values only accepted a NaN in a {:?} matrix",
                     bad.shape()
                 );
             }
@@ -1008,6 +1102,9 @@ mod tests {
             assert_eq!(plain.singular_values, budgeted.singular_values, "{alg:?}");
             assert_eq!(plain.u, budgeted.u);
             assert_eq!(plain.v, budgeted.v);
+            let (sigma, _) = spectrum_in(a.view(), alg, Some(&generous), &mut ws).unwrap();
+            assert_eq!(sigma, plain.singular_values, "{alg:?} values only");
+            ws.recycle_vec(sigma);
             plain.recycle(&mut ws);
             budgeted.recycle(&mut ws);
         }
@@ -1016,13 +1113,27 @@ mod tests {
     #[test]
     fn expired_budget_returns_deadline_exceeded() {
         use crate::budget::Budget;
-        let a = Matrix::from_fn(9, 6, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
+        // Golub–Reinsch polls before reducing its first column, so an expired
+        // budget stops it before any O(n³) work.
+        let a = Matrix::from_fn(64, 64, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
         let mut ws = Workspace::new();
         let expired = Budget::with_deadline(std::time::Duration::ZERO);
-        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
-            match svd_with_stats_budgeted_in(a.view(), alg, Some(&expired), &mut ws) {
-                Err(LinAlgError::DeadlineExceeded { .. }) => {}
-                other => panic!("{alg:?}: expected DeadlineExceeded, got {other:?}"),
+        for (alg, want) in [
+            (SvdAlgorithm::Jacobi, "jacobi-svd"),
+            (SvdAlgorithm::GolubReinsch, "golub-reinsch-bidiag"),
+            (SvdAlgorithm::Auto, "golub-reinsch-bidiag"),
+        ] {
+            let full = svd_with_stats_budgeted_in(a.view(), alg, Some(&expired), &mut ws);
+            let values = spectrum_in(a.view(), alg, Some(&expired), &mut ws);
+            for got in [full.map(|(s, _)| s.singular_values), values.map(|(s, _)| s)] {
+                match got {
+                    Err(LinAlgError::DeadlineExceeded {
+                        op, iterations: 0, ..
+                    }) if op == want => {}
+                    other => {
+                        panic!("{alg:?}: expected DeadlineExceeded from {want}, got {other:?}")
+                    }
+                }
             }
         }
     }

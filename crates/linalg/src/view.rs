@@ -3,7 +3,7 @@
 //! [`MatRef`] and [`MatMut`] are stride-aware windows over row-major `f64`
 //! storage — a whole [`Matrix`], a rectangular block of one, or any external
 //! buffer. The workspace kernels (`svd_with_stats_budgeted_in`,
-//! `bidiagonalize_in`, `hc_sinkhorn`'s `standardize_in`, `matmul_into`, …)
+//! `spectrum_in`, `bidiagonalize_in`, `hc_sinkhorn`'s `standardize_in`, `matmul_into`, …)
 //! take views instead of owned matrices, so callers can feed them pooled
 //! scratch, sub-blocks, or caller-owned data without cloning. Rows of a view are always contiguous; columns are walked
 //! through the row stride.

@@ -8,6 +8,8 @@ use hc_core::standard::{tma_with, TmaOptions, ZeroPolicy};
 use hc_core::whatif;
 use hc_gen::ensemble::measure_grid;
 use hc_gen::targeted::{targeted, TargetSpec};
+use hc_linalg::svd::{spectrum_in, SvdAlgorithm};
+use hc_linalg::Workspace;
 use hc_sched::eval::{study_ensemble, win_table, InstanceStudy};
 use hc_sched::heuristics::all_heuristics;
 use hc_sinkhorn::balance::BalanceOptions;
@@ -285,9 +287,13 @@ pub fn x6_rank1_residual_vs_tma() -> String {
         let sf =
             hc_core::standard::standard_form(&e, &TmaOptions::default()).expect("positive env");
         // ‖A − A₁‖_F / ‖A‖_F = √(Σ_{i≥2} σᵢ²) / √(Σ σᵢ²) (Eckart–Young).
-        let sigma = hc_linalg::svd::svd(&sf.matrix)
-            .expect("valid matrix")
-            .singular_values;
+        let (sigma, _) = spectrum_in(
+            sf.matrix.view(),
+            SvdAlgorithm::Auto,
+            None,
+            &mut Workspace::new(),
+        )
+        .expect("valid matrix");
         let total: f64 = sigma.iter().map(|s| s * s).sum();
         let tail: f64 = sigma[1..].iter().map(|s| s * s).sum();
         let resid = (tail / total).sqrt();

@@ -80,8 +80,13 @@ fn matrix(i: usize) -> String {
     )
 }
 
-/// A well-formed `n`×`n` CSV matrix, large enough that characterizing it
-/// cannot finish inside a short deadline (debug or release).
+/// Side of the matrix the deadline tests send: characterizing it cannot
+/// finish inside their 300–400 ms deadlines. A release build characterizes
+/// 512×512 in ~0.13 s, so it needs ~1200×1200 (~1.5 s; a 7 MB body, under
+/// the 8 MiB default cap); a debug build takes seconds at 512.
+const BIG: usize = if cfg!(debug_assertions) { 512 } else { 1200 };
+
+/// A well-formed `n`×`n` CSV matrix.
 fn big_matrix(n: usize) -> String {
     let mut csv = String::with_capacity(n * n * 8);
     csv.push_str("task");
@@ -210,7 +215,7 @@ fn cache_insert_panic_poisons_lock_then_recovers() {
     handle.join();
 }
 
-/// `X-Timeout-Ms: 1` on a 512×512 matrix: the deadline expires while the
+/// `X-Timeout-Ms: 1` on a `BIG`-sided matrix: the deadline expires while the
 /// request is in flight, and the typed 504 must come back quickly — bounded
 /// independently of matrix size — with partial-progress diagnostics.
 #[test]
@@ -218,7 +223,7 @@ fn expired_deadline_answers_typed_504_quickly() {
     let _serial = hc_serve::sync::lock_recover(&SERIAL);
     let handle = start(test_config()).expect("start server");
     let addr = handle.local_addr();
-    let big = big_matrix(512);
+    let big = big_matrix(BIG);
 
     let started = Instant::now();
     let (status, _head, body) =
@@ -264,7 +269,7 @@ fn batch_isolates_partial_failures_and_keeps_cache_clean() {
     let handle = start(test_config()).expect("start server");
     let addr = handle.local_addr();
     let good = matrix(30);
-    let big = big_matrix(512);
+    let big = big_matrix(BIG);
     let body = format!("broken,csv\nnope\n---\n{good}---\n{big}");
 
     let (status, _head, resp) =

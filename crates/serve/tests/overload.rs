@@ -29,8 +29,14 @@ fn matrix(i: usize) -> String {
     )
 }
 
-/// A matrix big enough that one worker chews on it for a long time (debug or
-/// release), keeping the single-worker pool busy while other requests queue.
+/// Side of a matrix big enough that one worker chews on it for a long time,
+/// keeping the single-worker pool busy while other requests queue. A release
+/// build characterizes 512×512 in ~0.13 s, so it needs ~1200×1200 (~1.5 s; a
+/// 7 MB body, under the 8 MiB default cap); a debug build takes seconds at
+/// 512.
+const BIG: usize = if cfg!(debug_assertions) { 512 } else { 1200 };
+
+/// A well-formed `n`×`n` CSV matrix.
 fn big_matrix(n: usize) -> String {
     let mut csv = String::with_capacity(n * n * 8);
     csv.push_str("task");
@@ -101,7 +107,7 @@ fn shed_on_pipelined_connection_closes_and_discards_remaining_bytes() {
     };
     let handle = start(cfg).expect("start server");
     let addr = handle.local_addr();
-    let big = big_matrix(512);
+    let big = big_matrix(BIG);
 
     // Occupy the only worker, then fill the depth-1 queue.
     let mut busy = connect(addr);

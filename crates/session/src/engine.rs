@@ -3,12 +3,12 @@
 //! A [`SessionEngine`] owns one ECS environment plus the *warm state* left by
 //! the previous analysis: the Sinkhorn scaling vectors `D₁/D₂`. Every
 //! [`SessionEngine::recompute`] runs one path — optional prior →
-//! [`hc_sinkhorn::balance::standardize_in`] → the SVD kernel
-//! ([`hc_linalg::svd::svd_with_stats_budgeted_in`]) → measures. After an
+//! [`hc_sinkhorn::balance::standardize_in`] → the values-only SVD kernel
+//! ([`hc_linalg::svd::spectrum_in`]) → measures. After an
 //! edit, Sinkhorn restarts from `diag(D₁)·A'·diag(D₂)` (the `prior`
 //! argument): for a small perturbation `A'` of the previously balanced matrix
-//! this is already near the fixed point. The SVD always runs cold; a cold
-//! Golub–Reinsch SVD beats any warm-started one at every session size.
+//! this is already near the fixed point. The spectrum always runs cold; a
+//! cold Golub–Reinsch pass beats any warm-started SVD at every session size.
 //!
 //! **Fallback criterion:** the warm balance must clear exactly the tolerance
 //! the cold one uses: it must report
@@ -28,9 +28,9 @@ use hc_core::measures::{
     adjacent_ratio_homogeneity_in, machine_performances_in, task_difficulties_in,
 };
 use hc_core::report::{characterize_in, MeasureReport};
-use hc_core::standard::TmaOptions;
+use hc_core::standard::{tma_of_spectrum, TmaOptions};
 use hc_core::weights::Weights;
-use hc_linalg::svd::{svd_with_stats_budgeted_in, Svd};
+use hc_linalg::svd::spectrum_in;
 use hc_linalg::{Budget, LinAlgError, Workspace};
 use hc_sinkhorn::balance::{standardize_in, BalanceOutcome};
 
@@ -39,7 +39,7 @@ use hc_sinkhorn::balance::{standardize_in, BalanceOutcome};
 pub struct RecomputeStats {
     /// Sinkhorn iterations the standardization took.
     pub sinkhorn_iterations: usize,
-    /// Golub–Reinsch QR iterations the SVD took.
+    /// Golub–Reinsch QR iterations the spectrum took.
     pub svd_iterations: usize,
     /// `true` when the standardization started from the previous scalings.
     pub warm: bool,
@@ -151,8 +151,9 @@ impl SessionEngine {
     }
 
     /// The recompute path for a positive matrix: standardize (warm when a
-    /// prior exists, cold otherwise or after a fallback), run the SVD kernel,
-    /// assemble the measures, and keep the new scalings as the next prior.
+    /// prior exists, cold otherwise or after a fallback), compute the
+    /// spectrum, assemble the measures, and keep the new scalings as the next
+    /// prior.
     fn solve(
         &mut self,
         budget: Option<&Budget>,
@@ -202,18 +203,14 @@ impl SessionEngine {
                 out
             }
         };
-        let (svd, svd_iterations) = match svd_with_stats_budgeted_in(
-            out.matrix.view(),
-            self.opts.svd,
-            budget,
-            &mut self.ws,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                out.recycle(&mut self.ws);
-                return Err(e.into());
-            }
-        };
+        let (sigma, svd_iterations) =
+            match spectrum_in(out.matrix.view(), self.opts.svd, budget, &mut self.ws) {
+                Ok(r) => r,
+                Err(e) => {
+                    out.recycle(&mut self.ws);
+                    return Err(e.into());
+                }
+            };
         let stats = RecomputeStats {
             sinkhorn_iterations: out.iterations,
             svd_iterations,
@@ -221,8 +218,8 @@ impl SessionEngine {
             fallback,
             cutover: false,
         };
-        let report = self.assemble(&out, &svd, budget);
-        svd.recycle(&mut self.ws);
+        let report = self.assemble(&out, &sigma, budget);
+        self.ws.recycle_vec(sigma);
         self.store_warm(out);
         Ok((report?, stats))
     }
@@ -247,13 +244,13 @@ impl SessionEngine {
         )
     }
 
-    /// MPH/TDH/TMA from a converged standard form and its SVD — the same
-    /// arithmetic as [`characterize_in`], just with the balance outcome kept
-    /// alive for the next warm start.
+    /// MPH/TDH/TMA from a converged standard form and its spectrum — the
+    /// same arithmetic as [`characterize_in`], just with the balance outcome
+    /// kept alive for the next warm start.
     fn assemble(
         &mut self,
         out: &BalanceOutcome,
-        svd: &Svd,
+        sigma: &[f64],
         budget: Option<&Budget>,
     ) -> Result<MeasureReport, MeasureError> {
         if let Some(b) = budget {
@@ -263,17 +260,10 @@ impl SessionEngine {
         let td = task_difficulties_in(&self.ecs, &self.weights, &mut self.ws)?;
         let mph = adjacent_ratio_homogeneity_in(&mp, &mut self.ws)?;
         let tdh = adjacent_ratio_homogeneity_in(&td, &mut self.ws)?;
-        let k = svd.singular_values.len();
-        let tma = if k <= 1 {
-            0.0
-        } else {
-            let sum: f64 = svd.singular_values[1..].iter().sum();
-            (sum / (k - 1) as f64).clamp(0.0, 1.0)
-        };
         Ok(MeasureReport {
             mph,
             tdh,
-            tma,
+            tma: tma_of_spectrum(sigma),
             machine_performances: mp,
             task_difficulties: td,
             standardization_iterations: out.iterations,

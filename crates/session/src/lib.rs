@@ -7,8 +7,8 @@
 //! [`hc_sinkhorn::balance::standardize_in`]) instead of starting from
 //! scratch: a small edit leaves the seeded matrix near the balanced fixed
 //! point, so convergence takes a handful of sweeps instead of hundreds (or
-//! thousands, on high-affinity inputs). The SVD of the standard form runs
-//! cold through the one SVD kernel every analysis uses.
+//! thousands, on high-affinity inputs). The spectrum of the standard form
+//! runs cold through the values-only SVD kernel every analysis uses.
 //!
 //! Correctness is never traded for speed: the warm balance must satisfy
 //! exactly the cold balance's convergence tolerance, and any miss falls back

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: formatting, lint and doc-link gates, offline release
-# build, full test suite, the benchmark's build and tests, and a live smoke
-# test of the `hcm serve` daemon (start, POST /measure, GET /metrics, graceful
-# shutdown). Exits non-zero on the first failure.
+# build, full test suite, the benchmark's build, tests and a 1-second run of
+# each gated workload, and a live smoke test of the `hcm serve` daemon (start,
+# POST /measure, GET /metrics, graceful shutdown). Exits non-zero on the first
+# failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +28,18 @@ echo "== benchmark build + tests =="
 # hcbench is a separate workspace with path dependencies on crates/*, so a
 # change to an API it pins breaks here rather than in a benchmark run.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q --manifest-path hcbench/Cargo.toml
+
+echo "== benchmark smoke runs =="
+# One short run of each gated workload, so a benchmark that builds but no
+# longer runs end to end (a panic, a failed correctness check, a failed
+# operation) fails here. The last stdout line is the result JSON.
+for WORKLOAD in ensemble_large session_edits; do
+    LAST=$(bash hcbench/run.sh --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0 | tail -n1) \
+        || { echo "hcbench $WORKLOAD exited non-zero"; exit 1; }
+    printf '%s' "$LAST" | grep -q '"failed":0' \
+        || { echo "hcbench $WORKLOAD reported failures: $LAST"; exit 1; }
+    echo "hcbench $WORKLOAD OK: $LAST"
+done
 
 echo "== steady-state allocation check =="
 # A warm Analyzer must serve repeated shapes with >= 90% fewer heap

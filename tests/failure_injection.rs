@@ -6,7 +6,8 @@ use hetero_measures::core::report::characterize;
 use hetero_measures::core::whatif;
 use hetero_measures::gen::cvb::{cvb, CvbParams};
 use hetero_measures::gen::range_based::{range_based, RangeParams};
-use hetero_measures::linalg::svd::{svd, svd_with, SvdAlgorithm};
+use hetero_measures::linalg::svd::{spectrum_in, svd, svd_with, SvdAlgorithm};
+use hetero_measures::linalg::Workspace;
 use hetero_measures::prelude::*;
 use hetero_measures::sched::problem::MappingProblem;
 use hetero_measures::sinkhorn::balance::{balance_with, standardize, BalanceOptions};
@@ -51,7 +52,8 @@ fn svd_rejects_poison_but_survives_extremes() {
     assert!(svd(&nan_matrix()).is_err());
     assert!(svd(&Matrix::zeros(0, 3)).is_err());
     // Extreme but legal magnitudes must give their closed-form σ under every
-    // selector: no panic, no error, and no silently wrong spectrum.
+    // selector, with or without singular vectors: no panic, no error, and no
+    // silently wrong spectrum.
     let tiny = 1e-200;
     let cases: [(Matrix, [f64; 2]); 3] = [
         (
@@ -79,14 +81,18 @@ fn svd_rejects_poison_but_survives_extremes() {
             SvdAlgorithm::GolubReinsch,
             SvdAlgorithm::Auto,
         ] {
-            let got = svd_with(a, alg)
+            let full = svd_with(a, alg)
                 .unwrap_or_else(|e| panic!("{alg:?} on {a:?}: {e}"))
                 .singular_values;
-            for (g, w) in got.iter().zip(want) {
-                assert!(
-                    (g - w).abs() <= 1e-14 * w,
-                    "{alg:?} on {a:?}: σ {got:?}, want {want:?}"
-                );
+            let (values, _) = spectrum_in(a.view(), alg, None, &mut Workspace::new())
+                .unwrap_or_else(|e| panic!("{alg:?} values only on {a:?}: {e}"));
+            for got in [&full, &values] {
+                for (g, w) in got.iter().zip(want) {
+                    assert!(
+                        (g - w).abs() <= 1e-14 * w,
+                        "{alg:?} on {a:?}: σ {got:?}, want {want:?}"
+                    );
+                }
             }
         }
     }

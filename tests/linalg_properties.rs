@@ -9,16 +9,19 @@
 //! ```
 //!
 //! The two SVD algorithms are each other's differential oracle: one-sided
-//! Jacobi and Golub–Reinsch share no code past input validation.
+//! Jacobi and Golub–Reinsch share no code past input validation. The
+//! values-only kernel is checked bit for bit against the full one.
 
-use hetero_measures::core::standard::{tma_with, TmaOptions};
+use hetero_measures::core::standard::{standard_form, tma_with, TmaOptions};
 use hetero_measures::gen::rng::{Rng, StdRng};
 use hetero_measures::gen::{cvb, range_based, CvbParams, RangeParams};
 use hetero_measures::linalg::matmul::{gram, matmul_blocked, matmul_naive, matmul_parallel};
 use hetero_measures::linalg::norms;
-use hetero_measures::linalg::svd::{svd_with, SvdAlgorithm};
+use hetero_measures::linalg::svd::{
+    spectrum_in, svd_with, svd_with_stats_budgeted_in, SvdAlgorithm,
+};
 use hetero_measures::linalg::vecops;
-use hetero_measures::linalg::Matrix;
+use hetero_measures::linalg::{Matrix, Workspace};
 
 /// Inputs per property.
 const CASES: u64 = 300;
@@ -54,6 +57,11 @@ fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
 fn matrix(rng: &mut StdRng, max: usize, lo: f64, hi: f64) -> Matrix {
     let m = rng.gen_range(1..max + 1);
     let n = rng.gen_range(1..max + 1);
+    matrix_of(rng, m, n, lo, hi)
+}
+
+/// An `m × n` matrix with entries uniform in `lo..hi`.
+fn matrix_of(rng: &mut StdRng, m: usize, n: usize, lo: f64, hi: f64) -> Matrix {
     let data = (0..m * n).map(|_| rng.gen_range(lo..hi)).collect();
     Matrix::from_vec(m, n, data).expect("shape matches data")
 }
@@ -251,6 +259,78 @@ fn tma_default_matches_jacobi_oracle() {
         ensure((got - want).abs() <= 1e-12, || {
             format!("{t}x{m}: TMA {got} (default) vs {want} (Jacobi)")
         })
+    });
+}
+
+#[test]
+fn spectrum_matches_full_kernel_bitwise() {
+    // The values-only kernel runs the full kernel's reduction and QR loop
+    // without U and V, so σ and the iteration count must be the same bits.
+    // Inputs: CVB and range-based standard forms, rank-1 matrices, and
+    // matrices with duplicated rows, tall and wide, up to 128×128.
+    check("spectrum_matches_full_kernel_bitwise", |rng| {
+        // One case in three may reach 128 on a side; the rest stay small so
+        // the debug-build suite stays quick.
+        let max = [8, 32, 128][rng.gen_range(0..3usize)];
+        let t = rng.gen_range(1..max + 1);
+        let m = rng.gen_range(1..max + 1);
+        let seed = rng.next_u64();
+        let a = match rng.gen_range(0..4usize) {
+            0 => {
+                let v = rng.gen_range(0.1..1.0);
+                let ecs = cvb(&CvbParams::new(t, m, v, v), seed)
+                    .map_err(|e| e.to_string())?
+                    .to_ecs();
+                standard_form(&ecs, &TmaOptions::default())
+                    .map_err(|e| e.to_string())?
+                    .matrix
+            }
+            1 => {
+                let params = RangeParams {
+                    tasks: t,
+                    machines: m,
+                    r_task: rng.gen_range(2.0..3000.0),
+                    r_mach: rng.gen_range(2.0..1000.0),
+                };
+                let ecs = range_based(&params, seed)
+                    .map_err(|e| e.to_string())?
+                    .to_ecs();
+                standard_form(&ecs, &TmaOptions::default())
+                    .map_err(|e| e.to_string())?
+                    .matrix
+            }
+            2 => {
+                let x: Vec<f64> = (0..t).map(|_| rng.gen_range(0.01..10.0)).collect();
+                let y: Vec<f64> = (0..m).map(|_| rng.gen_range(0.01..10.0)).collect();
+                Matrix::from_fn(t, m, |i, j| x[i] * y[j])
+            }
+            _ => {
+                let mut a = matrix_of(rng, t, m, 0.01, 100.0);
+                for i in 1..t {
+                    if rng.gen_range(0..2usize) == 0 {
+                        let src = a.row(rng.gen_range(0..i)).to_vec();
+                        a.row_mut(i).copy_from_slice(&src);
+                    }
+                }
+                a
+            }
+        };
+        let mut ws = Workspace::new();
+        let (full, full_iters) =
+            svd_with_stats_budgeted_in(a.view(), SvdAlgorithm::Auto, None, &mut ws)
+                .map_err(|e| e.to_string())?;
+        let (sigma, iters) =
+            spectrum_in(a.view(), SvdAlgorithm::Auto, None, &mut ws).map_err(|e| e.to_string())?;
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        ensure(
+            iters == full_iters && bits(&sigma) == bits(&full.singular_values),
+            || {
+                format!(
+                    "{t}x{m}: {iters} vs {full_iters} iterations, σ {sigma:?} vs {:?}",
+                    full.singular_values
+                )
+            },
+        )
     });
 }
 
