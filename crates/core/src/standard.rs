@@ -66,7 +66,8 @@ impl ZeroPolicy {
 /// Options for standard-form and TMA computation.
 #[derive(Debug, Clone)]
 pub struct TmaOptions {
-    /// Balancing controls (tolerance, iteration budget, sweep order).
+    /// Balancing controls (tolerance, iteration budget, stall detection,
+    /// residual history).
     pub balance: BalanceOptions,
     /// Zero-pattern handling.
     pub zero_policy: ZeroPolicy,

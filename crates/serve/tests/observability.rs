@@ -11,8 +11,9 @@ use std::time::Duration;
 
 use hc_serve::{failpoints, start, Config};
 
-/// Failpoints and sinks are process-global; tests that touch either
-/// serialize on this (recovering) lock.
+/// Failpoints and sinks are process-global, so an armed failpoint or sink in
+/// one test reaches every server the other tests start; every test holds
+/// this (recovering) lock for its whole run.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// One HTTP/1.1 exchange with arbitrary extra headers.
@@ -103,6 +104,7 @@ fn assert_valid_traceparent(tp: &str) -> (&str, &str) {
 
 #[test]
 fn traceparent_is_generated_when_absent() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let handle = start(test_config()).expect("start server");
     let addr = handle.local_addr();
 
@@ -120,6 +122,7 @@ fn traceparent_is_generated_when_absent() {
 
 #[test]
 fn valid_traceparent_joins_the_callers_trace() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let handle = start(test_config()).expect("start server");
     let addr = handle.local_addr();
 
@@ -225,6 +228,7 @@ fn malformed_headers_warn_once_with_request_id() {
 
 #[test]
 fn server_timing_lists_phases_in_wire_order() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let handle = start(test_config()).expect("start server");
     let addr = handle.local_addr();
     let (status, head, _body) = post(addr, "/measure", &matrix(1));
@@ -364,6 +368,7 @@ fn panicked_request_survives_a_healthy_flood() {
 
 #[test]
 fn prometheus_exposition_and_cache_control() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let handle = start(test_config()).expect("start server");
     let addr = handle.local_addr();
     let (s, _h, _b) = post(addr, "/measure", &matrix(4));

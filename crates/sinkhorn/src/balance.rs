@@ -1,34 +1,40 @@
 //! Iterative row/column balancing (the paper's Eq. 9, generalized).
 //!
-//! Given a nonnegative `T × M` matrix and positive target marginals `r` (row sums)
-//! and `c` (column sums) with `Σr = Σc`, the iteration alternates
+//! Given a nonnegative `T × M` matrix `A` and positive target marginals `r`
+//! (row sums) and `c` (column sums) with `Σr = Σc`, the iteration alternates
 //!
 //! ```text
-//! A ← diag(r ./ rowsums(A)) · A        (row sweep)
-//! A ← A · diag(c ./ colsums(A))        (column sweep)
+//! A ← A · diag(c ./ colsums(A))        (column normalization)
+//! A ← diag(r ./ rowsums(A)) · A        (row normalization)
 //! ```
 //!
-//! until every row and column sum is within tolerance of its target. For strictly
-//! positive matrices this converges to the unique (up to scalar) `D₁·A·D₂` of the
-//! paper's Theorem 1. For matrices with zeros, convergence depends on the zero
-//! pattern (Sec. VI; see [`crate::structure`]) and the outcome reports what happened
-//! instead of failing silently.
+//! until every row and column sum is within tolerance of its target. One
+//! column normalization followed by one row normalization is one iteration,
+//! as the paper's Sec. V counts them. For strictly positive matrices this
+//! converges to the unique (up to scalar) `D₁·A·D₂` of the paper's Theorem 1.
+//! For matrices with zeros, convergence depends on the zero pattern (Sec. VI;
+//! see [`crate::structure`]) and the outcome reports what happened instead of
+//! failing silently.
+//!
+//! **One pass per iteration.** The loop never rewrites the matrix. It keeps
+//! the iterate as `diag(u)·A·diag(v)` and moves only the scaling vectors. An
+//! iteration sets `vⱼ = cⱼ / yⱼ` from the column sums `y = Aᵀu` of the
+//! previous pass, then makes one row-major pass that, for row `i`, computes
+//! `xᵢ = Aᵢ·v`, sets `uᵢ = rᵢ / xᵢ` and adds `uᵢ·Aᵢ` into the next `y`. After
+//! it every row sum is on target and column `j` sums to `vⱼ·yⱼ`, so the
+//! residual needs no further pass. Input validation and the first residual
+//! share one more pass, and `diag(u)·A·diag(v)` is written once, at the end.
+//!
+//! **Absorption.** On patterns without total support the scalings diverge
+//! geometrically. When a scaling leaves `[2⁻²⁵⁶, 2²⁵⁶]`, the iterate is
+//! written into a working copy that takes `A`'s place, and `u` and `v`
+//! restart at one (the stabilization of Schmitzer, arXiv 1610.06519). The
+//! products `Aᵢⱼ·vⱼ` and `uᵢ·Aᵢⱼ` then stay finite however long the run.
+//!
+//! **NaN.** The residual is a maximum that propagates NaN, which `f64::max`
+//! drops, so an iterate that went bad never reads as converged.
 
-use hc_linalg::{Budget, LinAlgError, MatRef, Matrix, Workspace};
-
-/// Which normalization runs first inside each iteration.
-///
-/// The paper's Sec. V counts "one column normalization followed by one row
-/// normalization" as one iteration; [`SweepOrder::ColumnFirst`] reproduces that and
-/// is the default. Row-first is provided for the sweep-order ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepOrder {
-    /// Column sweep, then row sweep (paper order).
-    #[default]
-    ColumnFirst,
-    /// Row sweep, then column sweep.
-    RowFirst,
-}
+use hc_linalg::{vecops, Budget, LinAlgError, MatRef, Matrix, Workspace};
 
 /// Options controlling the balancing iteration.
 #[derive(Debug, Clone)]
@@ -36,10 +42,8 @@ pub struct BalanceOptions {
     /// Convergence tolerance on the maximum relative marginal deviation
     /// `max(|sum − target| / target)`. The paper uses `1e-8`.
     pub tol: f64,
-    /// Iteration budget (one iteration = one column + one row sweep).
+    /// Iteration budget (one iteration = one column + one row normalization).
     pub max_iters: usize,
-    /// Sweep order within an iteration.
-    pub order: SweepOrder,
     /// Record the residual after every iteration in [`BalanceOutcome::history`].
     pub track_history: bool,
     /// Declare a stall when the residual improves by less than this relative factor
@@ -54,7 +58,6 @@ impl Default for BalanceOptions {
         BalanceOptions {
             tol: 1e-8,
             max_iters: 10_000,
-            order: SweepOrder::ColumnFirst,
             track_history: false,
             stall_improvement: 1e-3,
             stall_window: 250,
@@ -96,7 +99,7 @@ pub struct BalanceOutcome {
     pub row_scale: Vec<f64>,
     /// Accumulated column scalings.
     pub col_scale: Vec<f64>,
-    /// Iterations performed (paper counting: column + row sweep = 1).
+    /// Iterations performed (paper counting: column + row normalization = 1).
     pub iterations: usize,
     /// Why the iteration stopped.
     pub status: BalanceStatus,
@@ -127,17 +130,63 @@ impl BalanceOutcome {
     }
 }
 
-fn validate(m: MatRef<'_>, row_targets: &[f64], col_targets: &[f64]) -> Result<(), LinAlgError> {
-    if m.is_empty() {
-        return Err(LinAlgError::Empty { op: "balance" });
+/// What the first pass finds besides the marginals.
+#[derive(Default)]
+struct Scan {
+    /// First NaN or infinite entry, row-major.
+    non_finite: Option<(usize, usize)>,
+    /// First negative entry, row-major.
+    negative: Option<(usize, usize)>,
+    /// Largest entry.
+    max_entry: f64,
+}
+
+/// The pass before the loop, over the input `m` under the starting scalings
+/// `u`, `v`: scans the entries for validation, stores the row sums
+/// `uᵢ·(mᵢ·v)` in `x` and the column sums `mᵀu` (before `v`) in `y`.
+fn first_pass(m: MatRef<'_>, u: &[f64], v: &[f64], x: &mut [f64], y: &mut [f64]) -> Scan {
+    let mut scan = Scan::default();
+    y.fill(0.0);
+    for (i, row) in m.row_iter().enumerate() {
+        let mut dot = 0.0;
+        for (j, ((&e, &vj), yj)) in row.iter().zip(v).zip(y.iter_mut()).enumerate() {
+            if !e.is_finite() {
+                scan.non_finite.get_or_insert((i, j));
+            } else if e < 0.0 {
+                scan.negative.get_or_insert((i, j));
+            }
+            dot += e * vj;
+            *yj += u[i] * e;
+            scan.max_entry = scan.max_entry.max(e);
+        }
+        x[i] = u[i] * dot;
     }
-    m.check_finite("balance")?;
-    // Finiteness already checked, so `< 0` is the exact complement of `>= 0`.
-    if m.row_iter().any(|r| r.iter().any(|&v| v < 0.0)) {
+    scan
+}
+
+/// Input checks in their reporting order: non-finite entries, negative
+/// entries, the targets, then all-zero rows and columns. `x` and `y` hold the
+/// row and column sums of the first pass.
+fn validate(
+    m: MatRef<'_>,
+    scan: &Scan,
+    x: &[f64],
+    y: &[f64],
+    row_targets: &[f64],
+    col_targets: &[f64],
+) -> Result<(), LinAlgError> {
+    if let Some((row, col)) = scan.non_finite {
+        return Err(LinAlgError::NonFinite {
+            op: "balance",
+            row,
+            col,
+        });
+    }
+    if let Some((row, col)) = scan.negative {
         return Err(LinAlgError::NonFinite {
             op: "balance (negative entry)",
-            row: 0,
-            col: 0,
+            row,
+            col,
         });
     }
     if row_targets.len() != m.rows() || col_targets.len() != m.cols() {
@@ -164,57 +213,111 @@ fn validate(m: MatRef<'_>, row_targets: &[f64], col_targets: &[f64]) -> Result<(
         });
     }
     // No all-zero row or column (the paper excludes these: a machine that can run
-    // nothing / a task that runs nowhere).
-    for (i, r) in m.row_iter().enumerate() {
-        if r.iter().sum::<f64>() == 0.0 {
-            return Err(LinAlgError::IndexOutOfBounds {
-                op: "balance (all-zero row)",
-                index: i,
-                bound: m.rows(),
-            });
-        }
+    // nothing / a task that runs nowhere). Under positive scalings a zero sum
+    // means an all-zero line, or an underflow, which the walk along it rules out.
+    if let Some(index) = (0..x.len()).find(|&i| x[i] == 0.0 && m.row(i).iter().all(|&e| e == 0.0)) {
+        return Err(LinAlgError::IndexOutOfBounds {
+            op: "balance (all-zero row)",
+            index,
+            bound: m.rows(),
+        });
     }
-    for j in 0..m.cols() {
-        if m.col_iter(j).sum::<f64>() == 0.0 {
-            return Err(LinAlgError::IndexOutOfBounds {
-                op: "balance (all-zero column)",
-                index: j,
-                bound: m.cols(),
-            });
-        }
+    if let Some(index) = (0..y.len()).find(|&j| y[j] == 0.0 && m.row_iter().all(|r| r[j] == 0.0)) {
+        return Err(LinAlgError::IndexOutOfBounds {
+            op: "balance (all-zero column)",
+            index,
+            bound: m.cols(),
+        });
     }
     Ok(())
 }
 
-/// Column sums of `a` accumulated into `buf`, walking the matrix row-major —
-/// the exact accumulation order of [`Matrix::col_sums`], so the results are
-/// bit-identical without the allocation.
-fn col_sums_into(a: &Matrix, buf: &mut [f64]) {
-    buf.fill(0.0);
-    for r in a.row_iter() {
-        for (s, &v) in buf.iter_mut().zip(r) {
-            *s += v;
+/// The largest relative deviation `|sum − target| / target` over the pairs,
+/// NaN when any deviation is NaN.
+fn max_deviation<'a>(pairs: impl Iterator<Item = (f64, &'a f64)>) -> f64 {
+    pairs.map(|(s, t)| (s - t).abs() / t).fold(0.0, |worst, d| {
+        if worst.is_nan() || d <= worst {
+            worst
+        } else {
+            d
+        }
+    })
+}
+
+/// The column sums `vⱼ·yⱼ` of the iterate, paired with their targets.
+fn col_sums<'a>(
+    v: &'a [f64],
+    y: &'a [f64],
+    col_targets: &'a [f64],
+) -> impl Iterator<Item = (f64, &'a f64)> + 'a {
+    v.iter().zip(y).map(|(vj, yj)| vj * yj).zip(col_targets)
+}
+
+/// `true` while a scaling lies in `[2⁻²⁵⁶, 2²⁵⁶]`; see the module doc.
+fn tame(s: f64) -> bool {
+    const LO: f64 = f64::from_bits(767 << 52);
+    const HI: f64 = f64::from_bits(1279 << 52);
+    (LO..=HI).contains(&s)
+}
+
+/// One iteration's row-major pass over `a` under the new column scalings
+/// `v`: sets `uᵢ = rᵢ / (aᵢ·v)` and accumulates `y = aᵀu`. Returns `false`
+/// when some `uᵢ` left the absorption range.
+fn row_pass(a: MatRef<'_>, row_targets: &[f64], v: &[f64], u: &mut [f64], y: &mut [f64]) -> bool {
+    y.fill(0.0);
+    let mut all_tame = true;
+    for ((row, ui), &rt) in a.row_iter().zip(u.iter_mut()).zip(row_targets) {
+        *ui = rt / vecops::dot(row, v);
+        all_tame &= tame(*ui);
+        vecops::axpy(*ui, row, y);
+    }
+    all_tame
+}
+
+/// Writes `diag(u)·src·diag(v)` into `a` row by row, where `src` is `a`
+/// itself when `in_place` and the input `m` otherwise, and hands `visit` each
+/// new entry's column, input entry and value.
+fn write_scaled(
+    a: &mut Matrix,
+    m: MatRef<'_>,
+    in_place: bool,
+    u: &[f64],
+    v: &[f64],
+    mut visit: impl FnMut(usize, f64, f64),
+) {
+    for (i, (orig, &ui)) in m.row_iter().zip(u).enumerate() {
+        for (j, ((out, &e), &vj)) in a.row_mut(i).iter_mut().zip(orig).zip(v).enumerate() {
+            *out = ui * if in_place { *out } else { e } * vj;
+            visit(j, e, *out);
         }
     }
 }
 
-/// Maximum relative deviation of the marginals from their targets, using
-/// `col_buf` as scratch for the column sums.
-fn marginal_residual_in(
-    a: &Matrix,
-    row_targets: &[f64],
-    col_targets: &[f64],
-    col_buf: &mut [f64],
-) -> f64 {
-    let mut worst: f64 = 0.0;
-    for (i, t) in row_targets.iter().enumerate() {
-        worst = worst.max((a.row_sum(i) - t).abs() / t);
+/// Folds the scalings into the working copy `a`, which takes the input's
+/// place from the first absorption on: `a ← diag(u)·src·diag(v)`, the folded
+/// scalings multiply into `absorbed`, `u` and `v` restart at one, and `y`
+/// gets the new column sums.
+fn absorb(
+    a: &mut Matrix,
+    m: MatRef<'_>,
+    absorbed: &mut Option<(Vec<f64>, Vec<f64>)>,
+    u: &mut [f64],
+    v: &mut [f64],
+    y: &mut [f64],
+    ws: &mut Workspace,
+) {
+    y.fill(0.0);
+    write_scaled(a, m, absorbed.is_some(), u, v, |j, _, e| y[j] += e);
+    let (bu, bv) =
+        absorbed.get_or_insert_with(|| (ws.take_vec(u.len(), 1.0), ws.take_vec(v.len(), 1.0)));
+    for (b, s) in bu
+        .iter_mut()
+        .zip(u.iter_mut())
+        .chain(bv.iter_mut().zip(v.iter_mut()))
+    {
+        *b *= *s;
+        *s = 1.0;
     }
-    col_sums_into(a, col_buf);
-    for (s, t) in col_buf.iter().zip(col_targets) {
-        worst = worst.max((s - t).abs() / t);
-    }
-    worst
 }
 
 /// Estimates the geometric convergence rate from a residual history: the median
@@ -264,9 +367,9 @@ fn validate_prior(m: MatRef<'_>, prior_row: &[f64], prior_col: &[f64]) -> Result
 
 /// The one balancing loop behind [`balance_with`] and [`standardize_in`].
 ///
-/// Every buffer — the working copy, the scale vectors, and the per-sweep
-/// column-sum scratch — comes from `ws`, so on a warm workspace (same shapes as
-/// a previous, recycled run) the iteration performs zero heap allocations.
+/// Every buffer — the output matrix, the scaling vectors and the pass
+/// scratch — comes from `ws`, so on a warm workspace (same shapes as a
+/// previous, recycled run) the iteration performs zero heap allocations.
 /// `prior` seeds the iteration from a previous run's scaling vectors; `budget`
 /// is polled once per iteration.
 fn balance_core(
@@ -278,56 +381,35 @@ fn balance_core(
     budget: Option<&Budget>,
     ws: &mut Workspace,
 ) -> Result<BalanceOutcome, LinAlgError> {
-    validate(m, row_targets, col_targets)?;
-    if let Some((pr, pc)) = prior {
-        validate_prior(m, pr, pc)?;
+    if m.is_empty() {
+        return Err(LinAlgError::Empty { op: "balance" });
+    }
+    let (t, mm) = m.shape();
+    // A bad prior is reported after the matrix's own errors; until then the
+    // scalings start at one.
+    let prior_check = prior.map_or(Ok(()), |(pr, pc)| validate_prior(m, pr, pc));
+    let (mut u, mut v) = match prior {
+        Some((pr, pc)) if prior_check.is_ok() => (ws.take_vec_copy(pr), ws.take_vec_copy(pc)),
+        _ => (ws.take_vec(t, 1.0), ws.take_vec(mm, 1.0)),
+    };
+    let mut x = ws.take_vec(t, 0.0);
+    let mut y = ws.take_vec(mm, 0.0);
+    let scan = first_pass(m, &u, &v, &mut x, &mut y);
+    if let Err(e) = validate(m, &scan, &x, &y, row_targets, col_targets).and(prior_check) {
+        for buf in [u, v, x, y] {
+            ws.recycle_vec(buf);
+        }
+        return Err(e);
     }
     let mut obs = hc_obs::span("sinkhorn.balance");
-    let (t, mm) = m.shape();
+    let row_sums = x.iter().copied().zip(row_targets);
+    let mut residual = max_deviation(row_sums.chain(col_sums(&v, &y, col_targets)));
+    ws.recycle_vec(x);
     let mut a = ws.take_matrix(t, mm, 0.0);
-    let (mut row_scale, mut col_scale) = match prior {
-        None => {
-            a.view_mut().copy_from(m);
-            (ws.take_vec(t, 1.0), ws.take_vec(mm, 1.0))
-        }
-        Some((pr, pc)) => {
-            for (i, src) in m.row_iter().enumerate() {
-                for (j, (d, &v)) in a.row_mut(i).iter_mut().zip(src).enumerate() {
-                    *d = pr[i] * v * pc[j];
-                }
-            }
-            (ws.take_vec_copy(pr), ws.take_vec_copy(pc))
-        }
-    };
-    let mut col_buf = ws.take_vec(mm, 0.0);
+    // The scalings folded into `a`, which replaces `m` as the iteration's
+    // source from the first absorption on.
+    let mut absorbed: Option<(Vec<f64>, Vec<f64>)> = None;
     let mut history = Vec::new();
-    let max_entry_initial = m
-        .row_iter()
-        .flatten()
-        .copied()
-        .reduce(f64::max)
-        .unwrap_or(0.0);
-
-    let row_sweep = |a: &mut Matrix, row_scale: &mut [f64]| {
-        for i in 0..t {
-            let s = a.row_sum(i);
-            // s > 0 is guaranteed: validation rejects all-zero rows and sweeps
-            // multiply by positive factors only.
-            let f = row_targets[i] / s;
-            a.scale_row(i, f);
-            row_scale[i] *= f;
-        }
-    };
-    let col_sweep = |a: &mut Matrix, col_scale: &mut [f64], col_buf: &mut [f64]| {
-        col_sums_into(a, col_buf);
-        for (j, &s) in col_buf.iter().enumerate() {
-            let f = col_targets[j] / s;
-            a.scale_col(j, f);
-            col_scale[j] *= f;
-        }
-    };
-
-    let mut residual = marginal_residual_in(&a, row_targets, col_targets, &mut col_buf);
     let mut status = BalanceStatus::MaxIterations { residual };
     let mut iterations = 0;
     let mut best_in_window = residual;
@@ -351,18 +433,18 @@ fn balance_core(
             if let Some(b) = budget {
                 b.check("sinkhorn-balance", iterations, residual)?;
             }
-            match opts.order {
-                SweepOrder::ColumnFirst => {
-                    col_sweep(&mut a, &mut col_scale, &mut col_buf);
-                    row_sweep(&mut a, &mut row_scale);
-                }
-                SweepOrder::RowFirst => {
-                    row_sweep(&mut a, &mut row_scale);
-                    col_sweep(&mut a, &mut col_scale, &mut col_buf);
-                }
+            let mut all_tame = true;
+            for ((vj, &yj), &ct) in v.iter_mut().zip(&y).zip(col_targets) {
+                *vj = ct / yj;
+                all_tame &= tame(*vj);
             }
+            let src = if absorbed.is_some() { a.view() } else { m };
+            all_tame &= row_pass(src, row_targets, &v, &mut u, &mut y);
             iterations = it;
-            residual = marginal_residual_in(&a, row_targets, col_targets, &mut col_buf);
+            residual = max_deviation(col_sums(&v, &y, col_targets));
+            if !all_tame {
+                absorb(&mut a, m, &mut absorbed, &mut u, &mut v, &mut y, ws);
+            }
             if opts.track_history {
                 history.push(residual);
             }
@@ -383,18 +465,18 @@ fn balance_core(
         }
     }
 
-    let entries_decayed = {
-        let threshold = 1e-12 * max_entry_initial.max(f64::MIN_POSITIVE);
-        let mut decayed = false;
-        for i in 0..t {
-            for j in 0..mm {
-                if m.at(i, j) > 0.0 && a[(i, j)].abs() < threshold {
-                    decayed = true;
-                }
-            }
+    let threshold = 1e-12 * scan.max_entry.max(f64::MIN_POSITIVE);
+    let mut entries_decayed = false;
+    write_scaled(&mut a, m, absorbed.is_some(), &u, &v, |_, e, s| {
+        entries_decayed |= e > 0.0 && s.abs() < threshold;
+    });
+    if let Some((bu, bv)) = absorbed {
+        for (s, b) in u.iter_mut().zip(&bu).chain(v.iter_mut().zip(&bv)) {
+            *s *= b;
         }
-        decayed
-    };
+        ws.recycle_vec(bu);
+        ws.recycle_vec(bv);
+    }
 
     let status_name = match &status {
         BalanceStatus::Converged => "converged",
@@ -416,17 +498,18 @@ fn balance_core(
     hc_obs::recorder::note_u64("sinkhorn_iterations", iterations as u64);
     hc_obs::recorder::note_f64("sinkhorn_residual", residual);
     if obs.armed() {
-        // Final per-side residuals are only worth recomputing when a sink
-        // will actually see them.
-        let row_residual = (0..t)
-            .map(|i| (a.row_sum(i) - row_targets[i]).abs() / row_targets[i])
-            .fold(0.0f64, f64::max);
-        col_sums_into(&a, &mut col_buf);
-        let col_residual = col_buf
-            .iter()
-            .zip(col_targets)
-            .map(|(s, tgt)| (s - tgt).abs() / tgt)
-            .fold(0.0f64, f64::max);
+        // Final per-side residuals of the written matrix are only worth
+        // computing when a sink will actually see them.
+        y.fill(0.0);
+        let row_residual = max_deviation(
+            a.row_iter()
+                .map(|row| {
+                    vecops::axpy(1.0, row, &mut y);
+                    row.iter().sum::<f64>()
+                })
+                .zip(row_targets),
+        );
+        let col_residual = max_deviation(y.iter().copied().zip(col_targets));
         obs.field_u64("rows", t as u64);
         obs.field_u64("cols", mm as u64);
         obs.field_u64("iterations", iterations as u64);
@@ -437,12 +520,12 @@ fn balance_core(
         obs.field_bool("entries_decayed", entries_decayed);
         obs.field_bool("warm_start", prior.is_some());
     }
-    ws.recycle_vec(col_buf);
+    ws.recycle_vec(y);
 
     Ok(BalanceOutcome {
         matrix: a,
-        row_scale,
-        col_scale,
+        row_scale: u,
+        col_scale: v,
         iterations,
         status,
         residual,
@@ -651,32 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_orders_converge_to_same_matrix() {
-        let m = Matrix::from_fn(4, 4, |i, j| 0.5 + ((i * 5 + j * 11) % 7) as f64);
-        let a = balance_with(
-            &m,
-            &[1.0; 4],
-            &[1.0; 4],
-            &BalanceOptions {
-                order: SweepOrder::ColumnFirst,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let b = balance_with(
-            &m,
-            &[1.0; 4],
-            &[1.0; 4],
-            &BalanceOptions {
-                order: SweepOrder::RowFirst,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(a.matrix.max_abs_diff(&b.matrix) < 1e-6);
-    }
-
-    #[test]
     fn triangular_pattern_decays_entries() {
         // [[1,0],[1,1]]: no exact scaling exists (no total support). The iterates
         // converge toward the identity, but only sublinearly (the (2,1) entry
@@ -723,9 +780,39 @@ mod tests {
         assert!(balance_default(&m, &[1.0, 0.0], &[0.5, 0.5]).is_err());
         // Mismatched totals.
         assert!(balance_default(&m, &[1.0, 1.0], &[5.0, 5.0]).is_err());
-        // Negative entry.
-        let neg = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]).unwrap();
-        assert!(balance_default(&neg, &[1.0, 1.0], &[1.0, 1.0]).is_err());
+        // Negative entries, reported at their cell.
+        for (row, col) in [(0, 1), (1, 0)] {
+            let mut neg = m.clone();
+            neg[(row, col)] = -2.0;
+            match balance_default(&neg, &[1.0, 1.0], &[1.0, 1.0]) {
+                Err(LinAlgError::NonFinite {
+                    op: "balance (negative entry)",
+                    row: r,
+                    col: c,
+                }) => assert_eq!((r, c), (row, col)),
+                other => panic!("negative entry at ({row}, {col}): got {other:?}"),
+            }
+        }
+        // Error order: non-finite before negative, negative before the targets.
+        let mut both = m.clone();
+        both[(0, 0)] = -1.0;
+        both[(1, 1)] = f64::INFINITY;
+        assert!(matches!(
+            balance_default(&both, &[1.0, 1.0], &[1.0, 1.0]),
+            Err(LinAlgError::NonFinite {
+                op: "balance",
+                row: 1,
+                col: 1
+            })
+        ));
+        both[(1, 1)] = 4.0;
+        assert!(matches!(
+            balance_default(&both, &[1.0], &[1.0, 1.0]),
+            Err(LinAlgError::NonFinite {
+                op: "balance (negative entry)",
+                ..
+            })
+        ));
         // All-zero row.
         let zr = Matrix::from_rows(&[&[0.0, 0.0], &[3.0, 4.0]]).unwrap();
         assert!(balance_default(&zr, &[1.0, 1.0], &[1.0, 1.0]).is_err());
@@ -759,6 +846,55 @@ mod tests {
             "Eq. 10 matrix must not admit a genuine balanced form: {:?}",
             out.status
         );
+    }
+
+    #[test]
+    fn no_support_pattern_stays_finite_over_long_runs() {
+        // Rows 2 and 3 each need their one entry, in column 1, to be 1, so
+        // column 1 sums to at least 2: no balancing exists, and the scalings
+        // of that column and those rows diverge geometrically. Absorbing them
+        // into the working copy keeps every entry finite for the whole run.
+        let m = Matrix::from_rows(&[&[1.0, 1.0, 1.0], &[1.0, 0.0, 0.0], &[1.0, 0.0, 0.0]]).unwrap();
+        let opts = BalanceOptions {
+            max_iters: 100_000,
+            stall_window: usize::MAX,
+            ..Default::default()
+        };
+        let out = balance_with(&m, &[1.0; 3], &[1.0; 3], &opts).unwrap();
+        match out.status {
+            BalanceStatus::MaxIterations { residual } => assert!(residual >= 0.5, "{residual}"),
+            ref other => panic!("expected MaxIterations, got {other:?}"),
+        }
+        assert_eq!(out.iterations, 100_000);
+        assert!(out.residual >= 0.5);
+        assert!(out.matrix.as_slice().iter().all(|e| e.is_finite()));
+    }
+
+    #[test]
+    fn extreme_prescaling_is_absorbed() {
+        // Pre-scalings of 2^±300 push the iteration's scalings out of
+        // [2^-256, 2^256] on the first iteration, so it continues on the
+        // absorbed working copy and still lands on the standard form of `m`.
+        let m = Matrix::from_rows(&[&[2.0, 0.7, 0.3], &[0.5, 1.8, 0.6], &[0.4, 0.9, 2.2]]).unwrap();
+        let (du, dv) = ([300, 0, -300], [-280, 0, 250]);
+        let pre = Matrix::from_fn(3, 3, |i, j| {
+            2.0_f64.powi(du[i]) * m[(i, j)] * 2.0_f64.powi(dv[j])
+        });
+        let opts = BalanceOptions::default();
+        let plain = standardize(&m, &opts).unwrap();
+        let out = standardize(&pre, &opts).unwrap();
+        let (rt, ct) = standard_targets(3, 3);
+        assert_balanced(&out, &rt, &ct, 1e-8);
+        assert!(out.matrix.max_abs_diff(&plain.matrix) < 1e-6);
+        for i in 0..3 {
+            for j in 0..3 {
+                let expect = out.row_scale[i] * pre[(i, j)] * out.col_scale[j];
+                assert!(
+                    (out.matrix[(i, j)] - expect).abs() <= 1e-12 * expect,
+                    "scaling invariant broken at ({i},{j})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,6 @@ pub mod structure;
 
 pub use balance::{
     balance_with, standard_targets, standardize, standardize_in, BalanceOptions, BalanceOutcome,
-    BalanceStatus, SweepOrder,
+    BalanceStatus,
 };
 pub use structure::{analyze_square, analyze_structure, Balanceability, StructureReport};

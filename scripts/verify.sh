@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: formatting, lint and doc-link gates, offline release
-# build, full test suite, the benchmark's build, tests and a 1-second run of
-# each gated workload, and a live smoke test of the `hcm serve` daemon (start,
-# POST /measure, GET /metrics, graceful shutdown). Exits non-zero on the first
-# failure.
+# build, release-mode tests of the numeric crates, full test suite, the
+# benchmark's build, tests and a 1-second run of each gated workload, and a
+# live smoke test of the `hcm serve` daemon (start, POST /measure, GET
+# /metrics, graceful shutdown). Exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +20,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== build (release) =="
 cargo build --release --workspace
+
+echo "== release-mode tests of the numeric crates =="
+# Optimized code runs the same arithmetic without the debug_assert!s (such as
+# the Theorem 2 check in standard_form_of), so the numeric crates' tests run
+# in release too.
+cargo test --release -q -p hc-linalg -p hc-sinkhorn -p hc-core -p hc-session
 
 echo "== tests =="
 cargo test -q --workspace

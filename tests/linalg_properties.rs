@@ -10,9 +10,11 @@
 //!
 //! The two SVD algorithms are each other's differential oracle: one-sided
 //! Jacobi and Golub–Reinsch share no code past input validation. The
-//! values-only kernel is checked bit for bit against the full one.
+//! values-only kernel is checked bit for bit against the full one, and the
+//! vector-only Sinkhorn loop against a copy of the in-place sweeps it
+//! replaced.
 
-use hetero_measures::core::standard::{standard_form, tma_with, TmaOptions};
+use hetero_measures::core::standard::{standard_form, tma_of_spectrum, tma_with, TmaOptions};
 use hetero_measures::gen::rng::{Rng, StdRng};
 use hetero_measures::gen::{cvb, range_based, CvbParams, RangeParams};
 use hetero_measures::linalg::matmul::{gram, matmul_blocked, matmul_naive, matmul_parallel};
@@ -22,6 +24,7 @@ use hetero_measures::linalg::svd::{
 };
 use hetero_measures::linalg::vecops;
 use hetero_measures::linalg::{Matrix, Workspace};
+use hetero_measures::sinkhorn::balance::{standard_targets, standardize_in, BalanceOptions};
 
 /// Inputs per property.
 const CASES: u64 = 300;
@@ -258,6 +261,161 @@ fn tma_default_matches_jacobi_oracle() {
         let got = tma_with(&ecs, &TmaOptions::default()).map_err(|e| e.to_string())?;
         ensure((got - want).abs() <= 1e-12, || {
             format!("{t}x{m}: TMA {got} (default) vs {want} (Jacobi)")
+        })
+    });
+}
+
+/// The largest relative deviation of `a`'s row and column sums from the
+/// standard-form targets.
+fn standard_residual(a: &Matrix) -> f64 {
+    let (rt, ct) = standard_targets(a.rows(), a.cols());
+    let rows = a.row_sums().into_iter().zip(rt);
+    let cols = a.col_sums().into_iter().zip(ct);
+    rows.chain(cols)
+        .map(|(s, t)| (s - t).abs() / t)
+        .fold(0.0, f64::max)
+}
+
+/// The balancing loop before the vector-only rewrite, as a test oracle: the
+/// working copy is rescaled in place, column sweep then row sweep, and the
+/// residual takes a second pass. Runs `iters` iterations when given, else
+/// until the residual is within `tol`. Returns the matrix and the iterations.
+fn in_place_sweeps(
+    m: &Matrix,
+    prior: Option<(&[f64], &[f64])>,
+    tol: f64,
+    iters: Option<usize>,
+) -> (Matrix, usize) {
+    let (t, n) = m.shape();
+    let (rt, ct) = standard_targets(t, n);
+    let mut a = match prior {
+        Some((pr, pc)) => Matrix::from_fn(t, n, |i, j| pr[i] * m[(i, j)] * pc[j]),
+        None => m.clone(),
+    };
+    let mut k = 0;
+    while iters.map_or(standard_residual(&a) > tol, |n| k < n) {
+        let cs = a.col_sums();
+        for (j, s) in cs.iter().enumerate() {
+            a.scale_col(j, ct[j] / s);
+        }
+        for (i, r) in rt.iter().enumerate() {
+            let s = a.row_sum(i);
+            a.scale_row(i, r / s);
+        }
+        k += 1;
+    }
+    (a, k)
+}
+
+/// A seeded input for the Sinkhorn differential: a CVB (V ≤ 1) or
+/// range-based ECS matrix up to 64×64, square or rectangular, or a square
+/// zero pattern with total support.
+fn balance_input(rng: &mut StdRng) -> Result<Matrix, String> {
+    let max = [8, 64][rng.gen_range(0..2usize)];
+    let t = rng.gen_range(1..max + 1);
+    let m = if rng.gen_bool(0.5) {
+        t
+    } else {
+        rng.gen_range(1..max + 1)
+    };
+    let seed = rng.next_u64();
+    let etc = match rng.gen_range(0..3usize) {
+        0 => {
+            let v = rng.gen_range(0.1..1.0);
+            cvb(&CvbParams::new(t, m, v, v), seed)
+        }
+        1 => range_based(
+            &RangeParams {
+                tasks: t,
+                machines: m,
+                r_task: rng.gen_range(2.0..3000.0),
+                r_mach: rng.gen_range(2.0..1000.0),
+            },
+            seed,
+        ),
+        _ => {
+            // The union of 1–3 random permutation patterns: every positive
+            // entry lies on a positive diagonal, so the pattern has total
+            // support and an exact balancing exists.
+            let mut a = Matrix::zeros(t, t);
+            for _ in 0..rng.gen_range(1..4usize) {
+                let mut perm: Vec<usize> = (0..t).collect();
+                for i in (1..t).rev() {
+                    perm.swap(i, rng.gen_range(0..i + 1));
+                }
+                for (i, &j) in perm.iter().enumerate() {
+                    a[(i, j)] = rng.gen_range(0.01..100.0);
+                }
+            }
+            return Ok(a);
+        }
+    };
+    Ok(etc.map_err(|e| e.to_string())?.to_ecs().matrix().clone())
+}
+
+#[test]
+fn vector_only_balance_matches_in_place_sweeps() {
+    // The vector-only loop against the in-place sweeps it replaced, cold and
+    // from warm priors taken off a perturbed copy of the input: the stopping
+    // iteration moves by at most one; at equal iteration counts the entries
+    // agree to 1e-12 relative; the marginals are within tolerance; and TMA
+    // agrees to 1e-12.
+    let opts = BalanceOptions {
+        stall_window: usize::MAX,
+        ..BalanceOptions::default()
+    };
+    check("vector_only_balance_matches_in_place_sweeps", |rng| {
+        let a = balance_input(rng)?;
+        let mut ws = Workspace::new();
+        let prior = if rng.gen_bool(0.5) {
+            let mut edited = a.clone();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let (i, j) = (rng.gen_range(0..a.rows()), rng.gen_range(0..a.cols()));
+                edited[(i, j)] *= rng.gen_range(0.9..1.1);
+            }
+            let out = standardize_in(edited.view(), None, &opts, None, &mut ws)
+                .map_err(|e| e.to_string())?;
+            Some((out.row_scale, out.col_scale))
+        } else {
+            None
+        };
+        let prior = prior.as_ref().map(|(r, c)| (r.as_slice(), c.as_slice()));
+        let got =
+            standardize_in(a.view(), prior, &opts, None, &mut ws).map_err(|e| e.to_string())?;
+        let shape = a.shape();
+        ensure(got.is_converged(), || {
+            format!("{shape:?}: {:?} after {}", got.status, got.iterations)
+        })?;
+        let (mut want, want_iters) = in_place_sweeps(&a, prior, opts.tol, None);
+        ensure(got.iterations.abs_diff(want_iters) <= 1, || {
+            format!("{shape:?}: {} iterations vs {want_iters}", got.iterations)
+        })?;
+        if want_iters != got.iterations {
+            want = in_place_sweeps(&a, prior, opts.tol, Some(got.iterations)).0;
+        }
+        let worst = got
+            .matrix
+            .as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .filter(|(_, w)| **w != 0.0)
+            .map(|(g, w)| ((g - w) / w).abs())
+            .fold(0.0, f64::max);
+        ensure(worst <= 1e-12, || {
+            format!("{shape:?}: entries differ by {worst:e} relative")
+        })?;
+        let off = standard_residual(&got.matrix);
+        ensure(off <= opts.tol, || {
+            format!("{shape:?}: marginals off by {off:e}")
+        })?;
+        let tma = |m: &Matrix, ws: &mut Workspace| {
+            spectrum_in(m.view(), SvdAlgorithm::Auto, None, ws)
+                .map(|(sigma, _)| tma_of_spectrum(&sigma))
+                .map_err(|e| e.to_string())
+        };
+        let (tg, tw) = (tma(&got.matrix, &mut ws)?, tma(&want, &mut ws)?);
+        ensure((tg - tw).abs() <= 1e-12, || {
+            format!("{shape:?}: TMA {tg} vs {tw}")
         })
     });
 }
