@@ -653,7 +653,7 @@ fn main() {
 
     if let Some(handle) = handle {
         let state = handle.state().clone();
-        let overload = state.overload.snapshot().to_json();
+        let overload = hc_serve::metrics::json_group(&state, "overload").expect("overload group");
         println!(
             "{{\"server\":true,\"overload\":{overload},\
              \"worker_scale_up_total\":{},\"worker_scale_down_total\":{},\

@@ -62,21 +62,16 @@ impl MeasureReport {
     /// per-machine/per-task vectors could in degenerate inputs) serialize as
     /// `null` so the output is always valid JSON.
     pub fn to_json(&self, task_names: &[String], machine_names: &[String]) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
+        use hc_obs::json::{escape_into, fmt_f64};
         fn named_map(names: &[String], values: &[f64]) -> String {
             let mut out = String::from("{");
             for (k, v) in values.iter().enumerate() {
                 if k > 0 {
                     out.push(',');
                 }
-                let name = names.get(k).map(String::as_str).unwrap_or("?");
-                out.push_str(&format!("{}:{}", json_string(name), num(*v)));
+                escape_into(&mut out, names.get(k).map(String::as_str).unwrap_or("?"));
+                out.push(':');
+                out.push_str(&fmt_f64(*v));
             }
             out.push('}');
             out
@@ -85,9 +80,9 @@ impl MeasureReport {
             "{{\"mph\":{},\"tdh\":{},\"tma\":{},\
              \"machine_performances\":{},\"task_difficulties\":{},\
              \"standardization_iterations\":{},\"regularized\":{},\"reduced_to_core\":{}}}",
-            num(self.mph),
-            num(self.tdh),
-            num(self.tma),
+            fmt_f64(self.mph),
+            fmt_f64(self.tdh),
+            fmt_f64(self.tma),
             named_map(machine_names, &self.machine_performances),
             named_map(task_names, &self.task_difficulties),
             self.standardization_iterations,
@@ -110,28 +105,6 @@ impl MeasureReport {
         ws.recycle_vec(self.machine_performances);
         ws.recycle_vec(self.task_difficulties);
     }
-}
-
-/// Escapes `s` as a JSON string literal (with surrounding quotes).
-///
-/// Shared by [`MeasureReport::to_json`] and downstream crates (the HTTP server)
-/// that hand-roll JSON without a serialization dependency.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Computes MPH, TDH, and TMA with default options and uniform weights.
@@ -306,14 +279,6 @@ mod tests {
         assert!(j.ends_with('}'));
         // Missing names degrade to "?", still valid JSON keys.
         assert!(r.to_json(&[], &[]).contains("\"?\":"));
-    }
-
-    #[test]
-    fn json_string_escaping() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Minimal JSON string/number rendering.
+//! Minimal JSON string/number rendering: the workspace's one string escaper
+//! and float formatter.
 //!
-//! `hc-obs` sits below `hc-core` in the dependency graph, so it cannot reuse
-//! `hc_core::report::json_string`; this is the same contract re-implemented:
-//! RFC 8259 string escaping (quotes, backslash, and all control characters)
-//! and float formatting that never produces invalid JSON tokens.
+//! `hc-obs` sits at the bottom of the dependency graph, so every crate that
+//! hand-rolls JSON (the measure report, the server's builders and error
+//! bodies, the flight recorder) shares this contract: RFC 8259 string
+//! escaping (quotes, backslash, and all control characters) and float
+//! formatting that never produces invalid JSON tokens.
 
 /// Appends `s` to `out` as a JSON string literal, including the quotes.
 ///
@@ -53,6 +55,7 @@ mod tests {
 
     #[test]
     fn escapes_quotes_and_backslashes() {
+        assert_eq!(escape("plain"), "\"plain\"");
         assert_eq!(escape(r#"a"b\c"#), r#""a\"b\\c""#);
     }
 
@@ -64,6 +67,8 @@ mod tests {
         assert_eq!(escape("a\u{0}b"), "\"a\\u0000b\"");
         assert_eq!(escape("a\u{1b}b"), "\"a\\u001bb\"");
         assert_eq!(escape("a\u{1f}b"), "\"a\\u001fb\"");
+        assert_eq!(escape("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::json;
 
 /// Number of log₂ histogram buckets; bucket `i` covers values of bit-length
 /// `i` (`2^(i-1) ≤ v < 2^i`, with 0 in bucket 0), and the last bucket is
-/// unbounded. This is exactly the latency bucketing used by `hc-serve`'s
-/// endpoint metrics, so the two are comparable.
+/// unbounded. `hc-serve`'s per-endpoint latency histograms are these cells
+/// too.
 pub const BUCKETS: usize = 24;
 
 /// Monotonically increasing event count.
@@ -90,6 +90,27 @@ pub fn bucket_upper(i: usize) -> u64 {
     } else {
         1u64 << i
     }
+}
+
+/// Upper bound `2^i` of the bucket holding the `q`-quantile of `buckets`
+/// (per-bucket counts): the first bucket at which the running count reaches
+/// `⌈n·q⌉` of the `n` observations. 0 when empty; the overflow bucket reports
+/// `2^(BUCKETS-1)`. `hc-serve` runs it on cumulative endpoint histograms for
+/// `/metrics` and on per-second deltas for the tsdb collector.
+pub fn quantile_upper(buckets: &[u64; BUCKETS], q: f64) -> u64 {
+    let count: u64 = buckets.iter().sum();
+    if count == 0 {
+        return 0;
+    }
+    let target = (count as f64 * q).ceil() as u64;
+    let mut seen = 0;
+    for (i, &n) in buckets.iter().enumerate() {
+        seen += n;
+        if seen >= target {
+            return 1u64 << i;
+        }
+    }
+    1u64 << (BUCKETS - 1)
 }
 
 /// One retained observation pinned to a histogram bucket: the most recent
@@ -509,6 +530,25 @@ mod tests {
         assert_eq!(buckets[2], 2); // 2 and 3
         assert_eq!(buckets[3], 1); // 4
         assert_eq!(buckets[BUCKETS - 1], 1); // 2^23 overflows the last bound
+    }
+
+    #[test]
+    fn quantile_upper_walks_the_buckets() {
+        let h = Histogram::default();
+        for v in [1u64, 10, 100, 1000, 10_000] {
+            h.observe(v);
+        }
+        let buckets = h.bucket_counts();
+        let p50 = quantile_upper(&buckets, 0.50);
+        let p95 = quantile_upper(&buckets, 0.95);
+        let p99 = quantile_upper(&buckets, 0.99);
+        assert!(p50 <= p95 && p95 <= p99);
+        assert_eq!(p50, 128, "the median sample 100 lies below 2^7");
+        assert_eq!(p99, 16_384);
+        assert_eq!(quantile_upper(&[0; BUCKETS], 0.5), 0);
+        let mut overflow = [0; BUCKETS];
+        overflow[BUCKETS - 1] = 1;
+        assert_eq!(quantile_upper(&overflow, 0.5), 1 << (BUCKETS - 1));
     }
 
     #[test]

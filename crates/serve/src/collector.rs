@@ -21,10 +21,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
+use hc_obs::metrics::{quantile_upper, BUCKETS};
 use hc_obs::tsdb::{Kind, QueryResult, Tsdb};
 
 use crate::http::{HttpError, Request, Response};
-use crate::metrics::{quantile_upper_us_of, EndpointStats, BUCKETS};
+use crate::metrics::Registry;
 use crate::server::ServerState;
 
 /// Collection cadence: one sample per second, matching the finest tier.
@@ -76,10 +77,35 @@ pub fn collect_once(state: &ServerState) {
     Collector::default().collect(state, unix_now_s());
 }
 
-/// Delta memory between collection passes.
+/// Whole-server sums over every endpoint at one collection pass.
+#[derive(Default)]
+struct Totals {
+    requests: u64,
+    errors: u64,
+    cache_hits: u64,
+    latency: [u64; BUCKETS],
+}
+
+impl Totals {
+    fn of(registry: &Registry) -> Self {
+        let mut t = Totals::default();
+        for (_, e) in registry.endpoints() {
+            t.requests += e.requests.get();
+            t.errors += e.errors.get();
+            t.cache_hits += e.cache_hits.get();
+            for (sum, n) in t.latency.iter_mut().zip(e.latency.bucket_counts()) {
+                *sum += n;
+            }
+        }
+        t
+    }
+}
+
+/// Delta memory between collection passes; the first pass diffs against
+/// zero, i.e. reads the cumulative histogram.
 #[derive(Default)]
 struct Collector {
-    prev: Option<EndpointStats>,
+    prev: Totals,
     last_p50: f64,
     last_p99: f64,
     last_hit_rate: f64,
@@ -90,49 +116,30 @@ impl Collector {
         let Some(tsdb) = &state.tsdb else {
             return;
         };
-        let merged = state.metrics.merged();
+        let now = Totals::of(&state.metrics);
         tsdb.record(
             Kind::Counter,
             "serve_requests_total",
             ts_s,
-            merged.count as f64,
+            now.requests as f64,
         );
-        tsdb.record(
-            Kind::Counter,
-            "serve_errors_total",
-            ts_s,
-            merged.errors as f64,
-        );
+        tsdb.record(Kind::Counter, "serve_errors_total", ts_s, now.errors as f64);
         tsdb.record(
             Kind::Counter,
             "serve_cache_hits_total",
             ts_s,
-            merged.cache_hits as f64,
+            now.cache_hits as f64,
         );
-        match &self.prev {
-            Some(prev) => {
-                let mut delta = [0u64; BUCKETS];
-                let mut n = 0u64;
-                for (k, d) in delta.iter_mut().enumerate() {
-                    *d = merged.latency_buckets[k].saturating_sub(prev.latency_buckets[k]);
-                    n += *d;
-                }
-                if n > 0 {
-                    self.last_p50 = quantile_upper_us_of(&delta, n, 0.50) as f64;
-                    self.last_p99 = quantile_upper_us_of(&delta, n, 0.99) as f64;
-                }
-                let dc = merged.count.saturating_sub(prev.count);
-                if dc > 0 {
-                    self.last_hit_rate =
-                        merged.cache_hits.saturating_sub(prev.cache_hits) as f64 / dc as f64;
-                }
-            }
-            None if merged.count > 0 => {
-                self.last_p50 = merged.quantile_upper_us(0.50) as f64;
-                self.last_p99 = merged.quantile_upper_us(0.99) as f64;
-                self.last_hit_rate = merged.cache_hits as f64 / merged.count as f64;
-            }
-            None => {}
+        let delta: [u64; BUCKETS] =
+            std::array::from_fn(|k| now.latency[k].saturating_sub(self.prev.latency[k]));
+        if delta.iter().any(|&n| n > 0) {
+            self.last_p50 = quantile_upper(&delta, 0.50) as f64;
+            self.last_p99 = quantile_upper(&delta, 0.99) as f64;
+        }
+        let requests = now.requests.saturating_sub(self.prev.requests);
+        if requests > 0 {
+            self.last_hit_rate =
+                now.cache_hits.saturating_sub(self.prev.cache_hits) as f64 / requests as f64;
         }
         tsdb.record(Kind::Gauge, "serve_latency_p50_us", ts_s, self.last_p50);
         tsdb.record(Kind::Gauge, "serve_latency_p99_us", ts_s, self.last_p99);
@@ -175,7 +182,7 @@ impl Collector {
         // Everything the shared library registry holds — session counters,
         // solver iteration histograms (as _count/_sum), tsdb_bytes itself.
         tsdb.collect_registry(ts_s);
-        self.prev = Some(merged);
+        self.prev = now;
     }
 }
 

@@ -72,7 +72,7 @@ pub(crate) fn measure_error(e: MeasureError) -> HttpError {
             )
             .with_details(format!(
                 "\"op\":{},\"iterations_completed\":{iterations},\"residual\":{residual_json}",
-                hc_core::report::json_string(op)
+                hc_obs::json::escape(op)
             ))
         }
         other => HttpError::bad(other.to_string()),

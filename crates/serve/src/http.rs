@@ -270,13 +270,10 @@ impl HttpError {
     /// Renders the error as its JSON response:
     /// `{"error":…[,"code":…][,<details>]}`.
     pub fn to_response(&self) -> Response {
-        let mut body = format!(
-            "{{\"error\":{}",
-            hc_core::report::json_string(&self.message)
-        );
+        let mut body = format!("{{\"error\":{}", hc_obs::json::escape(&self.message));
         if let Some(code) = self.code {
             body.push_str(",\"code\":");
-            body.push_str(&hc_core::report::json_string(code));
+            hc_obs::json::escape_into(&mut body, code);
         }
         if let Some(details) = &self.details {
             body.push(',');

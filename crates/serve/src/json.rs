@@ -2,10 +2,8 @@
 //!
 //! The server keeps the workspace's zero-registry-dependency constraint, so
 //! instead of a serialization framework this module provides two append-only
-//! builders. They emit compact (no-whitespace) JSON; string escaping is shared
-//! with `hc_core` ([`hc_core::report::json_string`]).
-
-pub use hc_core::report::json_string;
+//! builders. They emit compact (no-whitespace) JSON; string escaping and
+//! float formatting are [`hc_obs::json`]'s.
 
 /// The one measure-document renderer shared by `POST /measure`, every
 /// `/batch` item, and the `measures` object in session responses. All three
@@ -40,7 +38,7 @@ impl JsonObject {
             self.buf.push(',');
         }
         self.first = false;
-        self.buf.push_str(&json_string(key));
+        hc_obs::json::escape_into(&mut self.buf, key);
         self.buf.push(':');
     }
 
@@ -53,18 +51,12 @@ impl JsonObject {
 
     /// Adds a string field (escaped).
     pub fn str(self, key: &str, value: &str) -> Self {
-        let v = json_string(value);
-        self.raw(key, &v)
+        self.raw(key, &hc_obs::json::escape(value))
     }
 
     /// Adds a numeric field; non-finite values render as `null`.
     pub fn num(self, key: &str, value: f64) -> Self {
-        if value.is_finite() {
-            let v = format!("{value}");
-            self.raw(key, &v)
-        } else {
-            self.raw(key, "null")
-        }
+        self.raw(key, &hc_obs::json::fmt_f64(value))
     }
 
     /// Adds an unsigned integer field.

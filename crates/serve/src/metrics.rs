@@ -1,133 +1,56 @@
-//! Observability: per-endpoint counters and latency histograms.
+//! Per-server metrics and the two `/metrics` documents.
 //!
-//! Latencies land in log₂ microsecond buckets (`< 1 µs`, `< 2 µs`, … `< 2²³
-//! µs ≈ 8.4 s`, plus an overflow bucket), which keeps recording allocation-free
-//! and gives `/metrics` enough resolution to estimate p50/p95/p99 within a
-//! factor of two — plenty for spotting regressions and cache effects.
+//! Each endpoint owns [`hc_obs`] cells in this server's [`Registry`]: three
+//! counters and two log₂ microsecond histograms (`< 1 µs`, `< 2 µs`, … plus
+//! an overflow bucket), the library registry's own layout:
 //!
-//! Two histograms are kept per endpoint:
-//!
-//! * `latency_*` — measured **from accept**, so queue wait under overload is
+//! * `latency` — measured **from accept**, so queue wait under overload is
 //!   included and overload latency is not under-reported;
-//! * `service_*` — worker pickup to response, the pure handler cost.
+//! * `service` — worker pickup to response, the pure handler cost.
 //!
 //! The gap between the two is time spent waiting in the bounded request queue.
+//! [`crate::router::route`] records on the worker while the request's flight
+//! record is armed, so each bucket keeps the most recent request that landed
+//! in it as an exemplar, per server.
+//!
+//! The JSON document and the Prometheus exposition render from one
+//! `Scrape`: the per-endpoint and SLO series have one renderer per format,
+//! and every other series is one row of `TABLE`, which names its JSON key
+//! and its Prometheus family together.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use hc_obs::metrics::{quantile_upper, Counter, Histogram};
+use hc_obs::prom::PromWriter;
+use hc_obs::slo::{ObjectiveSnapshot, SloSnapshot, WindowStats};
+
+use crate::cache::CacheStats;
 use crate::json::JsonObject;
+use crate::overload::{state_name, OverloadSnapshot, STATE_BROWNOUT, STATE_OK, STATE_SHEDDING};
+use crate::server::ServerState;
 
-/// Number of log₂ latency buckets (the last one is overflow).
-pub const BUCKETS: usize = 24;
-
-/// Counters for one endpoint.
-#[derive(Debug, Clone)]
-pub struct EndpointStats {
+/// One endpoint's cells.
+#[derive(Debug, Default)]
+pub(crate) struct Endpoint {
     /// Requests handled (including errors).
-    pub count: u64,
+    pub requests: Counter,
     /// Requests answered with status ≥ 400.
-    pub errors: u64,
+    pub errors: Counter,
     /// Requests served from the result cache.
-    pub cache_hits: u64,
-    /// Log₂-bucketed accept-to-response latency histogram (microseconds),
-    /// queue wait included.
-    pub latency_buckets: [u64; BUCKETS],
-    /// Total accept-to-response latency in microseconds.
-    pub total_us: u64,
-    /// Log₂-bucketed service-time histogram (microseconds): worker pickup to
-    /// response, excluding queue wait.
-    pub service_buckets: [u64; BUCKETS],
-    /// Total service time in microseconds.
-    pub service_total_us: u64,
-}
-
-fn bucket_of(us: u64) -> usize {
-    (64 - us.leading_zeros() as usize).min(BUCKETS - 1)
-}
-
-impl EndpointStats {
-    fn new() -> Self {
-        Self {
-            count: 0,
-            errors: 0,
-            cache_hits: 0,
-            latency_buckets: [0; BUCKETS],
-            total_us: 0,
-            service_buckets: [0; BUCKETS],
-            service_total_us: 0,
-        }
-    }
-
-    fn record(&mut self, error: bool, cache_hit: bool, latency: Duration, service: Duration) {
-        self.count += 1;
-        if error {
-            self.errors += 1;
-        }
-        if cache_hit {
-            self.cache_hits += 1;
-        }
-        let us = latency.as_micros().min(u64::MAX as u128) as u64;
-        self.total_us += us;
-        self.latency_buckets[bucket_of(us)] += 1;
-        let service_us = service.as_micros().min(u64::MAX as u128) as u64;
-        self.service_total_us += service_us;
-        self.service_buckets[bucket_of(service_us)] += 1;
-    }
-
-    /// Smallest bucket upper bound (µs) below which at least `q` of samples fall.
-    pub fn quantile_upper_us(&self, q: f64) -> u64 {
-        quantile_upper_us_of(&self.latency_buckets, self.count, q)
-    }
-
-    fn to_json(&self) -> String {
-        let render_hist = |buckets: &[u64; BUCKETS]| {
-            let mut hist = JsonObject::new();
-            for (k, &n) in buckets.iter().enumerate() {
-                if n > 0 {
-                    hist = hist.u64(&format!("le_{}us", 1u64 << k), n);
-                }
-            }
-            hist.finish()
-        };
-        JsonObject::new()
-            .u64("count", self.count)
-            .u64("errors", self.errors)
-            .u64("cache_hits", self.cache_hits)
-            .u64("latency_total_us", self.total_us)
-            .u64("latency_p50_us_upper", self.quantile_upper_us(0.50))
-            .u64("latency_p95_us_upper", self.quantile_upper_us(0.95))
-            .u64("latency_p99_us_upper", self.quantile_upper_us(0.99))
-            .raw("latency_histogram_us", &render_hist(&self.latency_buckets))
-            .u64("service_total_us", self.service_total_us)
-            .raw("service_histogram_us", &render_hist(&self.service_buckets))
-            .finish()
-    }
-}
-
-/// `q`-quantile upper bound (µs) of one log₂ bucket array holding `count`
-/// samples. Standalone so the tsdb collector can run it over per-interval
-/// *delta* buckets, not just cumulative endpoint stats.
-pub(crate) fn quantile_upper_us_of(buckets: &[u64; BUCKETS], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let target = (count as f64 * q).ceil() as u64;
-    let mut seen = 0;
-    for (k, &n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= target {
-            return 1u64 << k;
-        }
-    }
-    1u64 << (BUCKETS - 1)
+    pub cache_hits: Counter,
+    /// Accept-to-response latency in microseconds, queue wait included.
+    pub latency: Histogram,
+    /// Worker pickup to response in microseconds, queue wait excluded.
+    pub service: Histogram,
 }
 
 /// The server-wide metrics registry.
 #[derive(Debug)]
 pub struct Registry {
-    endpoints: Mutex<BTreeMap<&'static str, EndpointStats>>,
+    endpoints: Mutex<BTreeMap<&'static str, Arc<Endpoint>>>,
     started: Instant,
 }
 
@@ -153,10 +76,20 @@ impl Registry {
         latency: Duration,
         service: Duration,
     ) {
-        hc_obs::sync::lock_recover(&self.endpoints)
-            .entry(endpoint)
-            .or_insert_with(EndpointStats::new)
-            .record(error, cache_hit, latency, service);
+        let cells = Arc::clone(
+            hc_obs::sync::lock_recover(&self.endpoints)
+                .entry(endpoint)
+                .or_default(),
+        );
+        cells.requests.inc();
+        if error {
+            cells.errors.inc();
+        }
+        if cache_hit {
+            cells.cache_hits.inc();
+        }
+        cells.latency.observe_duration(latency);
+        cells.service.observe_duration(service);
     }
 
     /// Time elapsed since the registry (i.e. the server) started.
@@ -164,187 +97,473 @@ impl Registry {
         self.started.elapsed()
     }
 
-    /// Point-in-time copy of one endpoint's stats (for tests).
-    pub fn snapshot(&self, endpoint: &str) -> Option<EndpointStats> {
-        hc_obs::sync::lock_recover(&self.endpoints)
-            .get(endpoint)
-            .cloned()
-    }
-
-    /// Merged copy of every endpoint's stats — the whole-server view the
-    /// tsdb collector samples once per second.
-    pub fn merged(&self) -> EndpointStats {
-        let endpoints = hc_obs::sync::lock_recover(&self.endpoints);
-        let mut m = EndpointStats::new();
-        for s in endpoints.values() {
-            m.count += s.count;
-            m.errors += s.errors;
-            m.cache_hits += s.cache_hits;
-            m.total_us += s.total_us;
-            m.service_total_us += s.service_total_us;
-            for k in 0..BUCKETS {
-                m.latency_buckets[k] += s.latency_buckets[k];
-                m.service_buckets[k] += s.service_buckets[k];
-            }
-        }
-        m
-    }
-
-    /// Point-in-time copy of every endpoint's stats, sorted by name. Feeds
-    /// the Prometheus renderer, which needs all series of one metric name
-    /// (e.g. `hc_serve_requests_total{endpoint=...}`) emitted together.
-    pub fn endpoints_snapshot(&self) -> Vec<(&'static str, EndpointStats)> {
+    /// Every endpoint's cells, sorted by name: the Prometheus renderer needs
+    /// all series of one family emitted together, and the tsdb collector
+    /// sums them once per second.
+    pub(crate) fn endpoints(&self) -> Vec<(&'static str, Arc<Endpoint>)> {
         hc_obs::sync::lock_recover(&self.endpoints)
             .iter()
-            .map(|(name, stats)| (*name, stats.clone()))
+            .map(|(name, cells)| (*name, Arc::clone(cells)))
             .collect()
     }
+}
 
-    /// Renders the registry (plus externally-owned pool and cache gauges) as
-    /// the `/metrics` JSON document.
-    ///
-    /// `in_flight` is the number of accepted requests not yet answered,
-    /// `faults` is the panic/deadline counter object, `recorder` is the
-    /// flight-recorder stats object, and `library` is the merged [`hc_obs`]
-    /// registry export ([`hc_obs::metrics::export_json`]) so one scrape
-    /// covers both server and library counters.
-    /// `sessions` is the live-session counter object
-    /// ([`sessions_json`]), `slo` the burn-rate snapshot ([`slo_json`]), and
-    /// `overload` the admission-controller snapshot
-    /// ([`crate::overload::OverloadSnapshot::to_json`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn to_json(
-        &self,
-        pool: &str,
-        connections: &str,
-        cache: &str,
-        faults: &str,
-        recorder: &str,
-        sessions: &str,
-        slo: &str,
-        overload: &str,
-        in_flight: i64,
-        library: &str,
-    ) -> String {
-        let endpoints = hc_obs::sync::lock_recover(&self.endpoints);
-        let mut per_endpoint = JsonObject::new();
-        let mut total = 0u64;
-        for (name, stats) in endpoints.iter() {
-            per_endpoint = per_endpoint.raw(name, &stats.to_json());
-            total += stats.count;
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// What one scrape reads, each source once.
+struct Scrape<'a> {
+    state: &'a ServerState,
+    endpoints: Vec<(&'static str, Arc<Endpoint>)>,
+    cache: CacheStats,
+    overload: OverloadSnapshot,
+    slo: SloSnapshot,
+}
+
+impl<'a> Scrape<'a> {
+    fn take(state: &'a ServerState) -> Self {
+        Self {
+            state,
+            endpoints: state.metrics.endpoints(),
+            cache: state.cache.stats(),
+            overload: state.overload.snapshot(),
+            slo: state.slo.snapshot(),
         }
-        JsonObject::new()
-            .u64("uptime_seconds", self.started.elapsed().as_secs())
-            .raw("build", &build_info_json())
-            .u64("requests_total", total)
-            .i64("requests_in_flight", in_flight)
-            .raw("endpoints", &per_endpoint.finish())
-            .raw("pool", pool)
-            .raw("connections", connections)
-            .raw("cache", cache)
-            .raw("faults", faults)
-            .raw("recorder", recorder)
-            .raw("sessions", sessions)
-            .raw("slo", slo)
-            .raw("overload", overload)
-            .raw("library", library)
-            .finish()
     }
 }
 
-/// Live-session counters, read once per scrape from the shared [`hc_obs`]
-/// registry so the JSON `sessions` object and the Prometheus
-/// `hc_serve_sessions_*` series agree by construction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SessionCounters {
-    /// Sessions currently alive (`session_active` gauge).
-    pub active: i64,
-    /// Sessions ever created.
-    pub created: u64,
-    /// Sessions removed by explicit `DELETE`.
-    pub deleted: u64,
-    /// Sessions removed by TTL expiry.
-    pub expired: u64,
-    /// Sessions removed by LRU eviction at `--max-sessions`.
-    pub evicted: u64,
-    /// `PATCH /session/{id}/etc` requests applied.
-    pub patches: u64,
-    /// `GET /session/{id}/watch` long-polls started.
-    pub watches: u64,
-    /// Long-polls answered with deltas (woken by a version change).
-    pub watch_wakes: u64,
-    /// `If-Match` version conflicts answered `409`.
-    pub conflicts: u64,
-    /// Watchers flushed by a drain.
-    pub drains: u64,
-    /// Warm recomputes that silently fell back to a cold solve.
-    pub warm_fallbacks: u64,
-    /// Total recomputes (cold creates included).
-    pub recomputes: u64,
-    /// Recomputes served by the warm path.
-    pub recomputes_warm: u64,
+/// A row's reading; the variant picks the Prometheus type.
+enum Value {
+    /// A `counter` family.
+    Counter(u64),
+    /// A `gauge` family.
+    Gauge(i64),
+    /// The overload ladder rung: its name in JSON, one 0/1 `gauge` sample per
+    /// rung in Prometheus.
+    Rung(u8),
+    /// A JSON-only sub-document with its own renderer.
+    Json(String),
 }
 
-/// Reads the current [`SessionCounters`] from the global metrics registry.
-pub fn session_counters() -> SessionCounters {
-    let c = |name: &str| hc_obs::metrics::counter_value(name).unwrap_or(0);
-    SessionCounters {
-        active: hc_obs::metrics::gauge_value("session_active").unwrap_or(0),
-        created: c("session_created_total"),
-        deleted: c("session_deleted_total"),
-        expired: c("session_expired_total"),
-        evicted: c("session_evicted_total"),
-        patches: c("session_patch_total"),
-        watches: c("session_watch_total"),
-        watch_wakes: c("session_watch_wake_total"),
-        conflicts: c("session_conflict_total"),
-        drains: c("session_drain_total"),
-        warm_fallbacks: c("session_warm_fallback_total"),
-        recomputes: c("session_recompute_total"),
-        recomputes_warm: c("session_recompute_warm_total"),
+/// One series: its JSON key, its Prometheus family (`None` for JSON only)
+/// and how to read it from a `Scrape`.
+struct Row {
+    key: &'static str,
+    family: Option<&'static str>,
+    read: fn(&Scrape) -> Value,
+}
+
+const fn row(key: &'static str, family: Option<&'static str>, read: fn(&Scrape) -> Value) -> Row {
+    Row { key, family, read }
+}
+
+/// A counter of the process-global library registry (the session counters
+/// live there so the engine can bump them without a server handle).
+fn library_counter(name: &str) -> u64 {
+    hc_obs::metrics::counter_value(name).unwrap_or(0)
+}
+
+/// Every `/metrics` series in JSON document order, as `(group, rows)`: the
+/// JSON object the rows fill (`""` for the top level) and one row per series.
+const TABLE: &[(&str, &[Row])] = &[
+    (
+        "",
+        &[
+            row("uptime_seconds", Some("hc_serve_uptime_seconds"), |s| {
+                Value::Gauge(s.state.metrics.uptime().as_secs() as i64)
+            }),
+            row("build", None, |_| Value::Json(build_info_json())),
+            row("requests_total", None, |s| {
+                Value::Counter(s.endpoints.iter().map(|(_, e)| e.requests.get()).sum())
+            }),
+            row(
+                "requests_in_flight",
+                Some("hc_serve_requests_in_flight"),
+                |s| Value::Gauge(s.state.in_flight.load(Relaxed)),
+            ),
+            row("endpoints", None, |s| {
+                Value::Json(endpoints_json(&s.endpoints))
+            }),
+        ],
+    ),
+    (
+        "pool",
+        &[
+            row("workers", Some("hc_serve_pool_workers"), |s| {
+                Value::Gauge(s.state.pool.worker_count() as i64)
+            }),
+            row("queue_depth", None, |s| {
+                Value::Gauge(s.state.pool.queue_depth() as i64)
+            }),
+            row("queued", Some("hc_serve_pool_queued"), |s| {
+                Value::Gauge(s.state.pool.queued() as i64)
+            }),
+            row(
+                "completed_total",
+                Some("hc_serve_pool_completed_total"),
+                |s| Value::Counter(s.state.pool.completed_total()),
+            ),
+            row("shed_total", Some("hc_serve_pool_shed_total"), |s| {
+                Value::Counter(s.state.pool.shed_total())
+            }),
+            row(
+                "job_panics_total",
+                Some("hc_serve_pool_job_panics_total"),
+                |s| Value::Counter(s.state.pool.job_panics_total()),
+            ),
+            row(
+                "worker_respawns_total",
+                Some("hc_serve_pool_worker_respawns_total"),
+                |s| Value::Counter(s.state.pool.worker_respawns_total()),
+            ),
+            row(
+                "worker_scale_up_total",
+                Some("hc_serve_pool_worker_scale_up_total"),
+                |s| Value::Counter(s.state.pool.worker_scale_up_total()),
+            ),
+            row(
+                "worker_scale_down_total",
+                Some("hc_serve_pool_worker_scale_down_total"),
+                |s| Value::Counter(s.state.pool.worker_scale_down_total()),
+            ),
+        ],
+    ),
+    (
+        "connections",
+        &[
+            row("open", Some("hc_serve_connections_open"), |s| {
+                Value::Gauge(s.state.conns.open.load(Relaxed))
+            }),
+            row(
+                "accepted_total",
+                Some("hc_serve_connections_accepted_total"),
+                |s| Value::Counter(s.state.conns.accepted_total.load(Relaxed)),
+            ),
+            row(
+                "keepalive_requests_total",
+                Some("hc_serve_keepalive_requests_total"),
+                |s| Value::Counter(s.state.conns.keepalive_requests_total.load(Relaxed)),
+            ),
+            row(
+                "idle_timeouts_total",
+                Some("hc_serve_idle_timeouts_total"),
+                |s| Value::Counter(s.state.conns.idle_timeouts_total.load(Relaxed)),
+            ),
+        ],
+    ),
+    (
+        "cache",
+        &[
+            row("entries", Some("hc_serve_result_cache_entries"), |s| {
+                Value::Gauge(s.cache.entries as i64)
+            }),
+            row("capacity", None, |s| Value::Gauge(s.cache.capacity as i64)),
+            row("hits", Some("hc_serve_result_cache_hits_total"), |s| {
+                Value::Counter(s.cache.hits)
+            }),
+            row("misses", Some("hc_serve_result_cache_misses_total"), |s| {
+                Value::Counter(s.cache.misses)
+            }),
+            row(
+                "evictions",
+                Some("hc_serve_result_cache_evictions_total"),
+                |s| Value::Counter(s.cache.evictions),
+            ),
+        ],
+    ),
+    (
+        "faults",
+        &[
+            row("panics_total", Some("hc_serve_panics_total"), |s| {
+                Value::Counter(s.state.faults.panics.load(Relaxed))
+            }),
+            row(
+                "deadline_exceeded_total",
+                Some("hc_serve_deadline_exceeded_total"),
+                |s| Value::Counter(s.state.faults.deadline_exceeded.load(Relaxed)),
+            ),
+        ],
+    ),
+    (
+        "recorder",
+        &[
+            row("capacity", None, |s| {
+                Value::Gauge(s.state.recorder.capacity() as i64)
+            }),
+            row("survivor_capacity", None, |s| {
+                Value::Gauge(s.state.recorder.survivor_capacity() as i64)
+            }),
+            row(
+                "recorded_total",
+                Some("hc_serve_recorder_recorded_total"),
+                |s| Value::Counter(s.state.recorder.recorded_total()),
+            ),
+            row(
+                "survivors_pinned_total",
+                Some("hc_serve_recorder_survivors_pinned_total"),
+                |s| Value::Counter(s.state.recorder.survivors_pinned_total()),
+            ),
+        ],
+    ),
+    (
+        "sessions",
+        &[
+            row("active", Some("hc_serve_sessions_active"), |_| {
+                Value::Gauge(hc_obs::metrics::gauge_value("session_active").unwrap_or(0))
+            }),
+            row(
+                "created_total",
+                Some("hc_serve_sessions_created_total"),
+                |_| Value::Counter(library_counter("session_created_total")),
+            ),
+            row(
+                "deleted_total",
+                Some("hc_serve_sessions_deleted_total"),
+                |_| Value::Counter(library_counter("session_deleted_total")),
+            ),
+            row(
+                "expired_total",
+                Some("hc_serve_sessions_expired_total"),
+                |_| Value::Counter(library_counter("session_expired_total")),
+            ),
+            row(
+                "evicted_total",
+                Some("hc_serve_sessions_evicted_total"),
+                |_| Value::Counter(library_counter("session_evicted_total")),
+            ),
+            row(
+                "patches_total",
+                Some("hc_serve_sessions_patches_total"),
+                |_| Value::Counter(library_counter("session_patch_total")),
+            ),
+            row(
+                "watches_total",
+                Some("hc_serve_sessions_watches_total"),
+                |_| Value::Counter(library_counter("session_watch_total")),
+            ),
+            row(
+                "watch_wakes_total",
+                Some("hc_serve_sessions_watch_wakes_total"),
+                |_| Value::Counter(library_counter("session_watch_wake_total")),
+            ),
+            row(
+                "conflicts_total",
+                Some("hc_serve_sessions_conflicts_total"),
+                |_| Value::Counter(library_counter("session_conflict_total")),
+            ),
+            row(
+                "drains_total",
+                Some("hc_serve_sessions_drains_total"),
+                |_| Value::Counter(library_counter("session_drain_total")),
+            ),
+            row(
+                "warm_fallbacks_total",
+                Some("hc_serve_sessions_warm_fallbacks_total"),
+                |_| Value::Counter(library_counter("session_warm_fallback_total")),
+            ),
+            row(
+                "recomputes_total",
+                Some("hc_serve_sessions_recomputes_total"),
+                |_| Value::Counter(library_counter("session_recompute_total")),
+            ),
+            row(
+                "recomputes_warm_total",
+                Some("hc_serve_sessions_recomputes_warm_total"),
+                |_| Value::Counter(library_counter("session_recompute_warm_total")),
+            ),
+        ],
+    ),
+    ("", &[row("slo", None, |s| Value::Json(slo_json(&s.slo)))]),
+    (
+        "overload",
+        &[
+            row("state", Some("hc_serve_overload_state"), |s| {
+                Value::Rung(s.overload.state)
+            }),
+            row(
+                "target_queue_delay_ms",
+                Some("hc_serve_overload_target_queue_delay_ms"),
+                |s| Value::Gauge(s.overload.target_queue_delay_ms as i64),
+            ),
+            row(
+                "smoothed_queue_delay_us",
+                Some("hc_serve_overload_queue_delay_smoothed_us"),
+                |s| Value::Gauge(s.overload.smoothed_queue_delay_us as i64),
+            ),
+            row(
+                "retry_after_s",
+                Some("hc_serve_overload_retry_after_seconds"),
+                |s| Value::Gauge(i64::from(s.overload.retry_after_s)),
+            ),
+            row(
+                "shed_bulk_total",
+                Some("hc_serve_overload_shed_bulk_total"),
+                |s| Value::Counter(s.overload.shed_bulk_total),
+            ),
+            row(
+                "shed_interactive_total",
+                Some("hc_serve_overload_shed_interactive_total"),
+                |s| Value::Counter(s.overload.shed_interactive_total),
+            ),
+            row(
+                "brownout_entered_total",
+                Some("hc_serve_overload_brownout_entered_total"),
+                |s| Value::Counter(s.overload.brownout_entered_total),
+            ),
+            row(
+                "shedding_entered_total",
+                Some("hc_serve_overload_shedding_entered_total"),
+                |s| Value::Counter(s.overload.shedding_entered_total),
+            ),
+        ],
+    ),
+    (
+        "",
+        &[row("library", None, |_| {
+            Value::Json(hc_obs::metrics::export_json())
+        })],
+    ),
+];
+
+/// Renders the `/metrics` JSON document: every `TABLE` row under its group,
+/// with the merged [`hc_obs`] library registry under `"library"` so one
+/// scrape covers both server and library counters.
+pub(crate) fn json_document(state: &ServerState) -> String {
+    let scrape = Scrape::take(state);
+    let mut doc = JsonObject::new();
+    for (group, rows) in TABLE {
+        doc = if group.is_empty() {
+            json_rows(&scrape, doc, rows)
+        } else {
+            doc.raw(group, &json_rows(&scrape, JsonObject::new(), rows).finish())
+        };
     }
+    doc.finish()
 }
 
-/// Renders the `/metrics` JSON `connections` object from the reactor's
-/// connection counters — the same atomics the Prometheus
-/// `hc_serve_connections_*` / `hc_serve_keepalive_*` series read, so the two
-/// expositions agree (goldened in the tests).
-pub fn connections_json(c: &crate::server::ConnCounters) -> String {
-    use std::sync::atomic::Ordering;
-    JsonObject::new()
-        .i64("open", c.open.load(Ordering::Relaxed))
-        .u64("accepted_total", c.accepted_total.load(Ordering::Relaxed))
-        .u64(
-            "keepalive_requests_total",
-            c.keepalive_requests_total.load(Ordering::Relaxed),
-        )
-        .u64(
-            "idle_timeouts_total",
-            c.idle_timeouts_total.load(Ordering::Relaxed),
-        )
-        .finish()
+/// Renders one named group of the JSON document on its own (`hc-loadgen`
+/// prints `"overload"` after a self-served run); `None` for an unknown group.
+pub fn json_group(state: &ServerState, name: &str) -> Option<String> {
+    let (_, rows) = TABLE
+        .iter()
+        .find(|(group, _)| *group == name && !name.is_empty())?;
+    Some(json_rows(&Scrape::take(state), JsonObject::new(), rows).finish())
 }
 
-/// Renders the `/metrics` JSON `sessions` object.
-pub fn sessions_json(s: &SessionCounters) -> String {
-    JsonObject::new()
-        .i64("active", s.active)
-        .u64("created_total", s.created)
-        .u64("deleted_total", s.deleted)
-        .u64("expired_total", s.expired)
-        .u64("evicted_total", s.evicted)
-        .u64("patches_total", s.patches)
-        .u64("watches_total", s.watches)
-        .u64("watch_wakes_total", s.watch_wakes)
-        .u64("conflicts_total", s.conflicts)
-        .u64("drains_total", s.drains)
-        .u64("warm_fallbacks_total", s.warm_fallbacks)
-        .u64("recomputes_total", s.recomputes)
-        .u64("recomputes_warm_total", s.recomputes_warm)
-        .finish()
+/// Appends one `"key":value` field per row to `obj`.
+fn json_rows(scrape: &Scrape, obj: JsonObject, rows: &[Row]) -> JsonObject {
+    rows.iter().fold(obj, |obj, row| match (row.read)(scrape) {
+        Value::Counter(v) => obj.u64(row.key, v),
+        Value::Gauge(v) => obj.i64(row.key, v),
+        Value::Rung(rung) => obj.str(row.key, state_name(rung)),
+        Value::Json(doc) => obj.raw(row.key, &doc),
+    })
 }
 
-fn window_json(w: &hc_obs::slo::WindowStats) -> String {
+/// Renders the whole `/metrics?format=prometheus` document: the per-endpoint
+/// counters and latency/service histograms (cumulative `_bucket{le=...}`
+/// series carrying exemplar trailers), every `TABLE` row with a family, the
+/// SLO series, and the merged `hc_obs` library registry — one scrape covers
+/// everything a stock Prometheus server needs.
+pub fn prometheus_document(state: &ServerState) -> String {
+    let scrape = Scrape::take(state);
+    let mut w = PromWriter::new();
+    write_endpoint_series(&mut w, &scrape.endpoints);
+    for row in TABLE.iter().flat_map(|(_, rows)| rows.iter()) {
+        let Some(family) = row.family else {
+            continue;
+        };
+        match (row.read)(&scrape) {
+            Value::Counter(v) => {
+                w.type_line(family, "counter");
+                w.sample(family, &[], &v.to_string());
+            }
+            Value::Gauge(v) => {
+                w.type_line(family, "gauge");
+                w.sample(family, &[], &v.to_string());
+            }
+            Value::Rung(current) => {
+                w.type_line(family, "gauge");
+                for rung in [STATE_OK, STATE_BROWNOUT, STATE_SHEDDING] {
+                    let on = if rung == current { "1" } else { "0" };
+                    w.sample(family, &[("state", state_name(rung))], on);
+                }
+            }
+            Value::Json(_) => {}
+        }
+    }
+    write_slo_series(&mut w, &scrape.slo);
+    let mut out = w.finish();
+    out.push_str(&hc_obs::prom::render_registry());
+    out
+}
+
+/// Renders the JSON `endpoints` object: one object per endpoint with its
+/// counters, latency sum and quantile upper bounds, and both histograms as
+/// `{"le_<2^i>us": count}` maps of their non-empty buckets.
+fn endpoints_json(endpoints: &[(&'static str, Arc<Endpoint>)]) -> String {
+    let histogram = |buckets: &[u64]| {
+        let mut obj = JsonObject::new();
+        for (i, &n) in buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
+            obj = obj.u64(&format!("le_{}us", 1u64 << i), n);
+        }
+        obj.finish()
+    };
+    let mut out = JsonObject::new();
+    for (name, e) in endpoints {
+        let latency = e.latency.bucket_counts();
+        let obj = JsonObject::new()
+            .u64("count", e.requests.get())
+            .u64("errors", e.errors.get())
+            .u64("cache_hits", e.cache_hits.get())
+            .u64("latency_total_us", e.latency.sum())
+            .u64("latency_p50_us_upper", quantile_upper(&latency, 0.50))
+            .u64("latency_p95_us_upper", quantile_upper(&latency, 0.95))
+            .u64("latency_p99_us_upper", quantile_upper(&latency, 0.99))
+            .raw("latency_histogram_us", &histogram(&latency))
+            .u64("service_total_us", e.service.sum())
+            .raw(
+                "service_histogram_us",
+                &histogram(&e.service.bucket_counts()),
+            );
+        out = out.raw(name, &obj.finish());
+    }
+    out.finish()
+}
+
+/// Writes the per-endpoint families, each labelled `endpoint="<name>"`.
+fn write_endpoint_series(w: &mut PromWriter, endpoints: &[(&'static str, Arc<Endpoint>)]) {
+    let mut counter = |family: &str, cell: fn(&Endpoint) -> &Counter| {
+        w.type_line(family, "counter");
+        for (name, e) in endpoints {
+            w.sample(family, &[("endpoint", name)], &cell(e).get().to_string());
+        }
+    };
+    counter("hc_serve_requests_total", |e| &e.requests);
+    counter("hc_serve_errors_total", |e| &e.errors);
+    counter("hc_serve_cache_hits_total", |e| &e.cache_hits);
+    let mut histogram = |family: &str, cell: fn(&Endpoint) -> &Histogram| {
+        w.type_line(family, "histogram");
+        for (name, e) in endpoints {
+            let h = cell(e);
+            w.histogram_series_with_exemplars(
+                family,
+                &[("endpoint", name)],
+                &h.bucket_counts(),
+                h.count(),
+                h.sum(),
+                &h.exemplars(),
+            );
+        }
+    };
+    histogram("hc_serve_latency_us", |e| &e.latency);
+    histogram("hc_serve_service_us", |e| &e.service);
+}
+
+fn window_json(w: &WindowStats) -> String {
     JsonObject::new()
         .u64("seconds", w.seconds)
         .u64("total", w.total)
@@ -354,7 +573,7 @@ fn window_json(w: &hc_obs::slo::WindowStats) -> String {
         .finish()
 }
 
-fn objective_fields(obj: JsonObject, o: &hc_obs::slo::ObjectiveSnapshot) -> JsonObject {
+fn objective_fields(obj: JsonObject, o: &ObjectiveSnapshot) -> JsonObject {
     obj.num("objective", o.objective)
         .raw("short", &window_json(&o.short))
         .raw("mid", &window_json(&o.mid))
@@ -363,287 +582,27 @@ fn objective_fields(obj: JsonObject, o: &hc_obs::slo::ObjectiveSnapshot) -> Json
         .bool("slow_alert", o.slow_alert)
 }
 
-/// Renders the `/metrics` JSON `slo` object from one engine snapshot.
-pub fn slo_json(s: &hc_obs::slo::SloSnapshot) -> String {
+/// Renders the JSON `slo` object from one engine snapshot.
+fn slo_json(s: &SloSnapshot) -> String {
     let availability = objective_fields(JsonObject::new(), &s.availability).finish();
-    let mut obj = JsonObject::new()
+    let obj = JsonObject::new()
         .bool("degraded", s.degraded)
         .raw("availability", &availability);
-    obj = match &s.latency {
+    match &s.latency {
         Some((threshold_ms, o)) => {
             let lat = objective_fields(JsonObject::new().u64("threshold_ms", *threshold_ms), o);
             obj.raw("latency", &lat.finish())
         }
         None => obj.raw("latency", "null"),
-    };
-    obj.finish()
-}
-
-/// Renders the whole `/metrics?format=prometheus` document: per-endpoint
-/// counters and latency/service histograms (as cumulative `_bucket{le=...}`
-/// series), pool/cache/fault/recorder gauges and counters, and the merged
-/// `hc_obs` library registry — one scrape covers everything a stock
-/// Prometheus server needs.
-pub fn prometheus_document(state: &crate::server::ServerState) -> String {
-    use hc_obs::prom::PromWriter;
-
-    let mut w = PromWriter::new();
-    let endpoints = state.metrics.endpoints_snapshot();
-
-    w.type_line("hc_serve_requests_total", "counter");
-    for (name, s) in &endpoints {
-        w.sample(
-            "hc_serve_requests_total",
-            &[("endpoint", name)],
-            &s.count.to_string(),
-        );
     }
-    w.type_line("hc_serve_errors_total", "counter");
-    for (name, s) in &endpoints {
-        w.sample(
-            "hc_serve_errors_total",
-            &[("endpoint", name)],
-            &s.errors.to_string(),
-        );
-    }
-    w.type_line("hc_serve_cache_hits_total", "counter");
-    for (name, s) in &endpoints {
-        w.sample(
-            "hc_serve_cache_hits_total",
-            &[("endpoint", name)],
-            &s.cache_hits.to_string(),
-        );
-    }
-    w.type_line("hc_serve_latency_us", "histogram");
-    for (name, s) in &endpoints {
-        w.histogram_series(
-            "hc_serve_latency_us",
-            &[("endpoint", name)],
-            &s.latency_buckets,
-            s.count,
-            s.total_us,
-        );
-    }
-    w.type_line("hc_serve_service_us", "histogram");
-    for (name, s) in &endpoints {
-        w.histogram_series(
-            "hc_serve_service_us",
-            &[("endpoint", name)],
-            &s.service_buckets,
-            s.count,
-            s.service_total_us,
-        );
-    }
-
-    let gauge = |w: &mut PromWriter, name: &str, v: i64| {
-        w.type_line(name, "gauge");
-        w.sample(name, &[], &v.to_string());
-    };
-    let counter = |w: &mut PromWriter, name: &str, v: u64| {
-        w.type_line(name, "counter");
-        w.sample(name, &[], &v.to_string());
-    };
-    gauge(
-        &mut w,
-        "hc_serve_uptime_seconds",
-        state.metrics.uptime().as_secs() as i64,
-    );
-    gauge(
-        &mut w,
-        "hc_serve_requests_in_flight",
-        state.in_flight.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    gauge(
-        &mut w,
-        "hc_serve_pool_workers",
-        state.pool.worker_count() as i64,
-    );
-    gauge(&mut w, "hc_serve_pool_queued", state.pool.queued() as i64);
-    counter(
-        &mut w,
-        "hc_serve_pool_completed_total",
-        state.pool.completed_total(),
-    );
-    counter(&mut w, "hc_serve_pool_shed_total", state.pool.shed_total());
-    counter(
-        &mut w,
-        "hc_serve_pool_job_panics_total",
-        state.pool.job_panics_total(),
-    );
-    counter(
-        &mut w,
-        "hc_serve_pool_worker_respawns_total",
-        state.pool.worker_respawns_total(),
-    );
-    counter(
-        &mut w,
-        "hc_serve_pool_worker_scale_up_total",
-        state.pool.worker_scale_up_total(),
-    );
-    counter(
-        &mut w,
-        "hc_serve_pool_worker_scale_down_total",
-        state.pool.worker_scale_down_total(),
-    );
-    // Overload-controller series, from the same snapshot struct as the JSON
-    // `overload` object (goldened for agreement in the tests). The ladder
-    // rung is one labeled gauge set, Prometheus-idiomatic for enums.
-    {
-        let o = state.overload.snapshot();
-        w.type_line("hc_serve_overload_state", "gauge");
-        for rung in [
-            crate::overload::STATE_OK,
-            crate::overload::STATE_BROWNOUT,
-            crate::overload::STATE_SHEDDING,
-        ] {
-            w.sample(
-                "hc_serve_overload_state",
-                &[("state", crate::overload::state_name(rung))],
-                if o.state == rung { "1" } else { "0" },
-            );
-        }
-        gauge(
-            &mut w,
-            "hc_serve_overload_queue_delay_smoothed_us",
-            o.smoothed_queue_delay_us as i64,
-        );
-        gauge(
-            &mut w,
-            "hc_serve_overload_target_queue_delay_ms",
-            o.target_queue_delay_ms as i64,
-        );
-        gauge(
-            &mut w,
-            "hc_serve_overload_retry_after_seconds",
-            i64::from(o.retry_after_s),
-        );
-        counter(
-            &mut w,
-            "hc_serve_overload_shed_bulk_total",
-            o.shed_bulk_total,
-        );
-        counter(
-            &mut w,
-            "hc_serve_overload_shed_interactive_total",
-            o.shed_interactive_total,
-        );
-        counter(
-            &mut w,
-            "hc_serve_overload_brownout_entered_total",
-            o.brownout_entered_total,
-        );
-        counter(
-            &mut w,
-            "hc_serve_overload_shedding_entered_total",
-            o.shedding_entered_total,
-        );
-    }
-    // Reactor connection series, from the same atomics as the JSON
-    // `connections` object (goldened for agreement in the tests).
-    {
-        use std::sync::atomic::Ordering;
-        let c = &state.conns;
-        gauge(
-            &mut w,
-            "hc_serve_connections_open",
-            c.open.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut w,
-            "hc_serve_connections_accepted_total",
-            c.accepted_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut w,
-            "hc_serve_keepalive_requests_total",
-            c.keepalive_requests_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut w,
-            "hc_serve_idle_timeouts_total",
-            c.idle_timeouts_total.load(Ordering::Relaxed),
-        );
-    }
-    let cache = state.cache.stats();
-    gauge(
-        &mut w,
-        "hc_serve_result_cache_entries",
-        cache.entries as i64,
-    );
-    counter(&mut w, "hc_serve_result_cache_hits_total", cache.hits);
-    counter(&mut w, "hc_serve_result_cache_misses_total", cache.misses);
-    counter(
-        &mut w,
-        "hc_serve_result_cache_evictions_total",
-        cache.evictions,
-    );
-    counter(
-        &mut w,
-        "hc_serve_panics_total",
-        state
-            .faults
-            .panics
-            .load(std::sync::atomic::Ordering::Relaxed),
-    );
-    counter(
-        &mut w,
-        "hc_serve_deadline_exceeded_total",
-        state
-            .faults
-            .deadline_exceeded
-            .load(std::sync::atomic::Ordering::Relaxed),
-    );
-    counter(
-        &mut w,
-        "hc_serve_recorder_recorded_total",
-        state.recorder.recorded_total(),
-    );
-    counter(
-        &mut w,
-        "hc_serve_recorder_survivors_pinned_total",
-        state.recorder.survivors_pinned_total(),
-    );
-
-    // Live-session series, read from the same registry snapshot helper as
-    // the JSON `sessions` object (goldened for agreement in the tests).
-    let s = session_counters();
-    gauge(&mut w, "hc_serve_sessions_active", s.active);
-    counter(&mut w, "hc_serve_sessions_created_total", s.created);
-    counter(&mut w, "hc_serve_sessions_deleted_total", s.deleted);
-    counter(&mut w, "hc_serve_sessions_expired_total", s.expired);
-    counter(&mut w, "hc_serve_sessions_evicted_total", s.evicted);
-    counter(&mut w, "hc_serve_sessions_patches_total", s.patches);
-    counter(&mut w, "hc_serve_sessions_watches_total", s.watches);
-    counter(&mut w, "hc_serve_sessions_watch_wakes_total", s.watch_wakes);
-    counter(&mut w, "hc_serve_sessions_conflicts_total", s.conflicts);
-    counter(&mut w, "hc_serve_sessions_drains_total", s.drains);
-    counter(
-        &mut w,
-        "hc_serve_sessions_warm_fallbacks_total",
-        s.warm_fallbacks,
-    );
-    counter(&mut w, "hc_serve_sessions_recomputes_total", s.recomputes);
-    counter(
-        &mut w,
-        "hc_serve_sessions_recomputes_warm_total",
-        s.recomputes_warm,
-    );
-
-    write_slo_series(&mut w, &state.slo.snapshot());
-
-    // The merged hc-obs library registry (sinkhorn/SVD/core counters and
-    // iteration histograms), so kernels and daemon share one scrape.
-    let mut out = w.finish();
-    out.push_str(&hc_obs::prom::render_registry());
-    out
+    .finish()
 }
 
 /// Writes the SLO gauge series for one engine snapshot: per-objective
 /// objectives, per-window error/burn rates, per-alert firing flags, and the
 /// overall `degraded` flag — mirroring the JSON `slo` object.
-fn write_slo_series(w: &mut hc_obs::prom::PromWriter, s: &hc_obs::slo::SloSnapshot) {
-    let mut objectives: Vec<(&str, &hc_obs::slo::ObjectiveSnapshot)> =
-        vec![("availability", &s.availability)];
+fn write_slo_series(w: &mut PromWriter, s: &SloSnapshot) {
+    let mut objectives: Vec<(&str, &ObjectiveSnapshot)> = vec![("availability", &s.availability)];
     if let Some((_, o)) = &s.latency {
         objectives.push(("latency", o));
     }
@@ -656,8 +615,7 @@ fn write_slo_series(w: &mut hc_obs::prom::PromWriter, s: &hc_obs::slo::SloSnapsh
             &format!("{}", o.objective),
         );
     }
-    let windows =
-        |o: &hc_obs::slo::ObjectiveSnapshot| [("short", o.short), ("mid", o.mid), ("long", o.long)];
+    let windows = |o: &ObjectiveSnapshot| [("short", o.short), ("mid", o.mid), ("long", o.long)];
     w.type_line("hc_serve_slo_error_rate", "gauge");
     for (slo, o) in &objectives {
         for (window, stats) in windows(o) {
@@ -710,15 +668,17 @@ pub fn build_info_json() -> String {
         .finish()
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cells(r: &Registry, name: &str) -> Arc<Endpoint> {
+        r.endpoints()
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, e)| e)
+            .expect("endpoint recorded")
+    }
 
     #[test]
     fn records_and_renders() {
@@ -744,45 +704,27 @@ mod tests {
             Duration::from_millis(9),
             Duration::from_millis(8),
         );
-        let s = r.snapshot("measure").unwrap();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.errors, 1);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.latency_buckets.iter().sum::<u64>(), 3);
-        assert_eq!(s.service_buckets.iter().sum::<u64>(), 3);
+        let e = cells(&r, "measure");
+        assert_eq!(e.requests.get(), 3);
+        assert_eq!(e.errors.get(), 1);
+        assert_eq!(e.cache_hits.get(), 1);
+        assert_eq!(e.latency.bucket_counts().iter().sum::<u64>(), 3);
+        assert_eq!(e.service.bucket_counts().iter().sum::<u64>(), 3);
 
-        let j = r.to_json(
-            "{\"queued\":0}",
-            "{\"open\":0}",
-            "{\"entries\":0}",
-            "{\"panics_total\":0}",
-            "{\"recorded_total\":0}",
-            "{\"active\":0}",
-            "{\"degraded\":false}",
-            "{\"state\":\"ok\"}",
-            2,
-            "{}",
+        let j = endpoints_json(&r.endpoints());
+        assert!(j.starts_with("{\"measure\":{\"count\":3,\"errors\":1,\"cache_hits\":1,"));
+        assert!(j.contains("\"latency_total_us\":9133"), "{j}");
+        assert!(j.contains("\"latency_p50_us_upper\":256"), "{j}");
+        assert!(j.contains("\"latency_p99_us_upper\":16384"), "{j}");
+        assert!(
+            j.contains("\"latency_histogram_us\":{\"le_4us\":1,\"le_256us\":1,\"le_16384us\":1}"),
+            "{j}"
         );
-        assert!(j.contains("\"uptime_seconds\":"));
-        assert!(j.contains("\"build\":{\"version\":"));
-        assert!(j.contains("\"requests_total\":3"));
-        assert!(j.contains("\"requests_in_flight\":2"));
-        assert!(j.contains("\"measure\":{\"count\":3"));
-        assert!(j.contains("\"cache_hits\":1"));
-        assert!(j.contains("\"service_histogram_us\""));
-        assert!(j.contains("\"pool\":{\"queued\":0}"));
-        assert!(j.contains("\"connections\":{\"open\":0}"));
-        assert!(j.contains("\"faults\":{\"panics_total\":0}"));
-        assert!(j.contains("\"sessions\":{\"active\":0}"));
-        assert!(j.contains("\"slo\":{\"degraded\":false}"));
-        assert!(j.contains("\"overload\":{\"state\":\"ok\"}"));
-        assert!(j.contains("\"library\":{}"));
-        assert!(j.contains("le_"));
+        assert!(j.contains("\"service_total_us\":8122"), "{j}");
     }
 
     #[test]
     fn poisoned_registry_still_serves() {
-        use std::sync::Arc;
         let r = Arc::new(Registry::new());
         let r2 = Arc::clone(&r);
         let _ = std::thread::spawn(move || {
@@ -791,35 +733,18 @@ mod tests {
         })
         .join();
         assert!(r.endpoints.is_poisoned());
-        // Recording and rendering both recover instead of propagating.
+        // Recording and reading both recover instead of propagating.
         r.record("e", false, false, Duration::from_micros(5), Duration::ZERO);
-        assert_eq!(r.snapshot("e").unwrap().count, 1);
-        let j = r.to_json("{}", "{}", "{}", "{}", "{}", "{}", "{}", "{}", 0, "{}");
-        assert!(j.contains("\"requests_total\":1"), "{j}");
-    }
-
-    #[test]
-    fn quantiles_monotone() {
-        let r = Registry::new();
-        for us in [1u64, 10, 100, 1000, 10_000] {
-            r.record("e", false, false, Duration::from_micros(us), Duration::ZERO);
-        }
-        let s = r.snapshot("e").unwrap();
-        let p50 = s.quantile_upper_us(0.50);
-        let p95 = s.quantile_upper_us(0.95);
-        let p99 = s.quantile_upper_us(0.99);
-        assert!(p50 <= p95 && p95 <= p99);
-        assert!(p50 >= 100, "median sample is 100us, upper bound {p50}");
-        assert_eq!(r.snapshot("absent").map(|s| s.count), None);
+        assert_eq!(cells(&r, "e").requests.get(), 1);
     }
 
     #[test]
     fn zero_latency_lands_in_first_bucket() {
         let r = Registry::new();
         r.record("e", false, false, Duration::from_nanos(1), Duration::ZERO);
-        let s = r.snapshot("e").unwrap();
-        assert_eq!(s.latency_buckets[0], 1);
-        assert_eq!(s.service_buckets[0], 1);
+        let e = cells(&r, "e");
+        assert_eq!(e.latency.bucket_counts()[0], 1);
+        assert_eq!(e.service.bucket_counts()[0], 1);
     }
 
     #[test]
@@ -834,11 +759,10 @@ mod tests {
             Duration::from_millis(5),
             Duration::from_millis(1),
         );
-        let s = r.snapshot("e").unwrap();
-        assert_eq!(s.total_us, 5000);
-        assert_eq!(s.service_total_us, 1000);
-        assert_eq!(s.latency_buckets[bucket_of(5000)], 1);
-        assert_eq!(s.service_buckets[bucket_of(1000)], 1);
-        assert_ne!(bucket_of(5000), bucket_of(1000));
+        let e = cells(&r, "e");
+        assert_eq!(e.latency.sum(), 5000);
+        assert_eq!(e.service.sum(), 1000);
+        assert_eq!(quantile_upper(&e.latency.bucket_counts(), 1.0), 8192);
+        assert_eq!(quantile_upper(&e.service.bucket_counts(), 1.0), 1024);
     }
 }

@@ -7,6 +7,10 @@
 //! This controller sheds on *queue delay* instead — the smoothed dispatch→
 //! pickup sojourn the workers already measure as the `queue_us` phase — so
 //! admission reacts to the symptom clients feel, not to a buffer size.
+//! Each control tick also blends in a backlog estimate: queued jobs ÷ the
+//! recent completion rate, or, with no completion in the drain window, the
+//! backlog's age since the first tick that saw it (an idle server's first
+//! job is not a stalled pool), capped at 10 s either way.
 //!
 //! The ladder has three rungs with hysteresis (constants below):
 //!
@@ -34,7 +38,6 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::http::Request;
-use crate::json::JsonObject;
 
 /// Overload ladder rungs, stored as a `u8` for lock-free reads on the admit
 /// path.
@@ -169,6 +172,8 @@ struct Inner {
     last_scale_up: Option<Instant>,
     /// Start of the current continuous idle stretch (scale-down clock).
     idle_since: Option<Instant>,
+    /// First tick of the current stretch with work queued (the stall clock).
+    queued_since: Option<Instant>,
 }
 
 /// Point-in-time controller snapshot for `/metrics` and Prometheus.
@@ -190,22 +195,6 @@ pub struct OverloadSnapshot {
     pub brownout_entered_total: u64,
     /// Times the ladder entered shedding.
     pub shedding_entered_total: u64,
-}
-
-impl OverloadSnapshot {
-    /// Renders the `/metrics` JSON `overload` object.
-    pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("state", state_name(self.state))
-            .u64("target_queue_delay_ms", self.target_queue_delay_ms)
-            .u64("smoothed_queue_delay_us", self.smoothed_queue_delay_us)
-            .u64("retry_after_s", u64::from(self.retry_after_s))
-            .u64("shed_bulk_total", self.shed_bulk_total)
-            .u64("shed_interactive_total", self.shed_interactive_total)
-            .u64("brownout_entered_total", self.brownout_entered_total)
-            .u64("shedding_entered_total", self.shedding_entered_total)
-            .finish()
-    }
 }
 
 /// The adaptive admission controller and autoscale decision loop. Workers
@@ -247,6 +236,7 @@ impl OverloadController {
                 drain: VecDeque::new(),
                 last_scale_up: None,
                 idle_since: None,
+                queued_since: None,
             }),
         }
     }
@@ -330,10 +320,19 @@ impl OverloadController {
         // now. Keeps the smoothed delay honest in both directions — decaying
         // once the queue empties (shedding stops sojourn samples), and rising
         // when the backlog outruns what admitted requests have observed yet.
+        // With no completion in the drain window the rate says nothing (an
+        // idle server's first job looks like a stall), so the backlog's age
+        // stands in: a real stall still climbs to the cap, one tick at a time.
+        let queued_since = if queued == 0 {
+            inner.queued_since = None;
+            now
+        } else {
+            *inner.queued_since.get_or_insert(now)
+        };
         let estimate_us = if queued == 0 {
             0
         } else if drain_per_s <= 0.0 {
-            ESTIMATE_CAP_US
+            (now.duration_since(queued_since).as_micros() as u64).min(ESTIMATE_CAP_US)
         } else {
             ((queued as f64 / drain_per_s) * 1e6).min(ESTIMATE_CAP_US as f64) as u64
         };
@@ -616,6 +615,36 @@ mod tests {
         }
         let after = c.snapshot().smoothed_queue_delay_us;
         assert!(after < 1_000, "decayed {before} -> {after}");
+    }
+
+    #[test]
+    fn idle_controller_first_queued_job_stays_ok() {
+        // An idle stretch fills the drain window with zero completions; the
+        // first job queued after it must not read as a stalled pool.
+        let c = OverloadController::new(100);
+        let t0 = Instant::now();
+        for i in 0..50 {
+            c.tick(t0 + Duration::from_millis(50 * i), 0);
+        }
+        c.tick(t0 + Duration::from_millis(50 * 50), 1);
+        assert_eq!(c.current_state(), STATE_OK, "{:?}", c.snapshot());
+        // A fresh server's first tick, between dispatch and worker pickup.
+        let fresh = OverloadController::new(100);
+        fresh.tick(Instant::now(), 1);
+        assert_eq!(fresh.current_state(), STATE_OK, "{:?}", fresh.snapshot());
+        assert!(fresh.snapshot().smoothed_queue_delay_us < 100_000);
+    }
+
+    #[test]
+    fn stalled_pool_still_escalates() {
+        // Work queued and nothing completing: the backlog's age climbs past
+        // the target, then past twice the target after the brownout dwell.
+        let c = OverloadController::new(100);
+        let t0 = Instant::now();
+        for i in 0..60 {
+            c.tick(t0 + Duration::from_millis(50 * i), 3);
+        }
+        assert_eq!(c.current_state(), STATE_SHEDDING, "{:?}", c.snapshot());
     }
 
     #[test]

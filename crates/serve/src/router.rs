@@ -294,51 +294,6 @@ fn split_batch(text: &str) -> Vec<String> {
     parts
 }
 
-fn metrics_document(state: &ServerState) -> String {
-    let recorder_json = JsonObject::new()
-        .u64("capacity", state.recorder.capacity() as u64)
-        .u64(
-            "survivor_capacity",
-            state.recorder.survivor_capacity() as u64,
-        )
-        .u64("recorded_total", state.recorder.recorded_total())
-        .u64(
-            "survivors_pinned_total",
-            state.recorder.survivors_pinned_total(),
-        )
-        .finish();
-    let cache_stats = state.cache.stats();
-    let cache_json = JsonObject::new()
-        .u64("entries", cache_stats.entries as u64)
-        .u64("capacity", cache_stats.capacity as u64)
-        .u64("hits", cache_stats.hits)
-        .u64("misses", cache_stats.misses)
-        .u64("evictions", cache_stats.evictions)
-        .finish();
-    let faults_json = JsonObject::new()
-        .u64("panics_total", state.faults.panics.load(Ordering::Relaxed))
-        .u64(
-            "deadline_exceeded_total",
-            state.faults.deadline_exceeded.load(Ordering::Relaxed),
-        )
-        .finish();
-    let sessions_json = crate::metrics::sessions_json(&crate::metrics::session_counters());
-    let slo_json = crate::metrics::slo_json(&state.slo.snapshot());
-    let overload_json = state.overload.snapshot().to_json();
-    state.metrics.to_json(
-        &state.pool.stats_json(),
-        &crate::metrics::connections_json(&state.conns),
-        &cache_json,
-        &faults_json,
-        &recorder_json,
-        &sessions_json,
-        &slo_json,
-        &overload_json,
-        state.in_flight.load(std::sync::atomic::Ordering::Relaxed),
-        &hc_obs::metrics::export_json(),
-    )
-}
-
 /// `GET /debug/profile?seconds=N&format=folded|json` — the continuous
 /// profiler's folded-stack render (default) or JSON top table. `seconds`
 /// restricts the profile to the epochs overlapping the last N seconds;
@@ -569,7 +524,9 @@ fn dispatch(
         }
         "metrics" => match require_method(req, "GET") {
             Ok(()) => match req.param("format") {
-                None | Some("json") => (Response::json(metrics_document(state)), false),
+                None | Some("json") => {
+                    (Response::json(crate::metrics::json_document(state)), false)
+                }
                 Some("prometheus") => (
                     Response::prometheus(crate::metrics::prometheus_document(state)),
                     false,

@@ -562,10 +562,6 @@ pub(crate) fn run_attempt(st: &Arc<ServerState>, task: &mut ReqTask) -> AttemptO
     };
     let resp = resp.with_header("Server-Timing", &server_timing_value(&phases));
     let slow = st.config.slow_ms > 0 && latency >= Duration::from_millis(st.config.slow_ms);
-    // Observed while the flight record is still armed on this thread, so the
-    // latency histogram's per-bucket exemplars carry this request's id and
-    // traceparent — the join from a Prometheus bucket to `/debug/requests/{id}`.
-    hc_obs::obs_histogram!("serve_request_latency_us").observe(latency.as_micros() as u64);
     recording.finish(Outcome {
         status: resp.status,
         latency_us: latency.as_micros() as u64,

@@ -41,8 +41,6 @@ use std::time::Duration;
 
 use hc_obs::sync::{lock_recover, wait_recover, wait_timeout_recover};
 
-use crate::json::JsonObject;
-
 /// A unit of work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -245,19 +243,9 @@ impl Pool {
         self.shared.scale_down.load(Ordering::Relaxed)
     }
 
-    /// Pool gauges as a JSON object for `/metrics`.
-    pub fn stats_json(&self) -> String {
-        JsonObject::new()
-            .u64("workers", self.worker_count() as u64)
-            .u64("queue_depth", self.shared.queue_depth as u64)
-            .u64("queued", self.queued() as u64)
-            .u64("completed_total", self.completed_total())
-            .u64("shed_total", self.shed_total())
-            .u64("job_panics_total", self.job_panics_total())
-            .u64("worker_respawns_total", self.worker_respawns_total())
-            .u64("worker_scale_up_total", self.worker_scale_up_total())
-            .u64("worker_scale_down_total", self.worker_scale_down_total())
-            .finish()
+    /// The request lane's bound (`--queue-depth`, at least 1).
+    pub fn queue_depth(&self) -> usize {
+        self.shared.queue_depth
     }
 
     /// Number of live worker threads (a gauge under autoscaling).

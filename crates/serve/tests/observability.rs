@@ -427,3 +427,382 @@ fn prometheus_exposition_and_cache_control() {
     handle.shutdown();
     handle.join();
 }
+
+/// Every `key.path` of a compact JSON document in document order, paired
+/// with its raw scalar text (empty for objects and arrays). A minimal walker
+/// for the documents `/metrics` renders; it assumes valid, whitespace-free
+/// JSON.
+fn flatten_json(json: &str) -> Vec<(String, String)> {
+    fn string(b: &[u8], i: &mut usize) -> String {
+        let start = *i + 1;
+        *i = start;
+        while b[*i] != b'"' {
+            *i += if b[*i] == b'\\' { 2 } else { 1 };
+        }
+        *i += 1;
+        String::from_utf8_lossy(&b[start..*i - 1]).into_owned()
+    }
+    fn value(b: &[u8], i: &mut usize, path: &str, out: &mut Vec<(String, String)>) -> String {
+        let start = *i;
+        match b[*i] {
+            b'{' => {
+                *i += 1;
+                while b[*i] != b'}' {
+                    if b[*i] == b',' {
+                        *i += 1;
+                    }
+                    let key = string(b, i);
+                    *i += 1; // ':'
+                    let child = if path.is_empty() {
+                        key
+                    } else {
+                        format!("{path}.{key}")
+                    };
+                    let at = out.len();
+                    out.push((child.clone(), String::new()));
+                    let scalar = value(b, i, &child, out);
+                    out[at].1 = scalar;
+                }
+                *i += 1;
+                return String::new();
+            }
+            b'[' => {
+                *i += 1;
+                while b[*i] != b']' {
+                    if b[*i] == b',' {
+                        *i += 1;
+                    }
+                    value(b, i, path, out);
+                }
+                *i += 1;
+                return String::new();
+            }
+            b'"' => {
+                string(b, i);
+            }
+            _ => {
+                while !matches!(b[*i], b',' | b'}' | b']') {
+                    *i += 1;
+                }
+            }
+        }
+        String::from_utf8_lossy(&b[start..*i]).into_owned()
+    }
+    let mut out = Vec::new();
+    value(json.as_bytes(), &mut 0, "", &mut out);
+    out
+}
+
+/// Pushes `group` and then `group.key` for every key.
+fn nest(out: &mut Vec<String>, group: &str, keys: &[&str]) {
+    out.push(group.to_string());
+    out.extend(keys.iter().map(|k| format!("{group}.{k}")));
+}
+
+/// Pins the shape of both `/metrics` documents after a fixed request
+/// sequence on a fresh server: the ordered JSON key paths (outside the
+/// merged `library` registry and the timing-dependent histogram buckets),
+/// each endpoint's counters, and the set of `hc_serve_*` Prometheus samples
+/// with each family typed exactly once.
+#[test]
+fn metrics_documents_keep_their_shape() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let handle = start(test_config()).expect("start server");
+    let addr = handle.local_addr();
+
+    for _ in 0..3 {
+        assert_eq!(post(addr, "/measure", &matrix(1)).0, 200);
+    }
+    assert_eq!(post(addr, "/measure", "not,a\nmatrix").0, 400);
+    assert_eq!(get(addr, "/healthz").0, 200);
+    let (s, _h, created) = post(addr, "/session", &matrix(2));
+    assert_eq!(s, 200, "{created}");
+    let at = created.find("\"id\":\"").expect("session id") + 6;
+    let id: String = created[at..].chars().take_while(|c| *c != '"').collect();
+    let etc = format!("/session/{id}/etc");
+    let edit = "cell,t1,m1,2.5\n";
+    assert_eq!(request_with_headers(addr, "PATCH", &etc, &[], edit).0, 200);
+    let stale = [("If-Match", "\"1\"")];
+    assert_eq!(
+        request_with_headers(addr, "PATCH", &etc, &stale, edit).0,
+        409
+    );
+    let target = format!("/session/{id}");
+    assert_eq!(
+        request_with_headers(addr, "DELETE", &target, &[], "").0,
+        200
+    );
+
+    // (a) JSON key paths, in document order.
+    let (ms, _mh, doc) = get(addr, "/metrics");
+    assert_eq!(ms, 200);
+    let flat = flatten_json(&doc);
+    let paths: Vec<&str> = flat
+        .iter()
+        .map(|(p, _)| p.as_str())
+        .filter(|p| *p != "library" && !p.starts_with("library."))
+        .filter(|p| !p.contains("_histogram_us."))
+        .collect();
+    let endpoint = [
+        "count",
+        "errors",
+        "cache_hits",
+        "latency_total_us",
+        "latency_p50_us_upper",
+        "latency_p95_us_upper",
+        "latency_p99_us_upper",
+        "latency_histogram_us",
+        "service_total_us",
+        "service_histogram_us",
+    ];
+    let window = ["seconds", "total", "bad", "error_rate", "burn_rate"];
+    let mut want: Vec<String> = vec!["uptime_seconds".into()];
+    nest(&mut want, "build", &["version", "git_describe"]);
+    want.extend(["requests_total".into(), "requests_in_flight".into()]);
+    want.push("endpoints".into());
+    for e in ["healthz", "measure", "session", "session_etc", "session_id"] {
+        nest(&mut want, &format!("endpoints.{e}"), &endpoint);
+    }
+    nest(
+        &mut want,
+        "pool",
+        &[
+            "workers",
+            "queue_depth",
+            "queued",
+            "completed_total",
+            "shed_total",
+            "job_panics_total",
+            "worker_respawns_total",
+            "worker_scale_up_total",
+            "worker_scale_down_total",
+        ],
+    );
+    nest(
+        &mut want,
+        "connections",
+        &[
+            "open",
+            "accepted_total",
+            "keepalive_requests_total",
+            "idle_timeouts_total",
+        ],
+    );
+    nest(
+        &mut want,
+        "cache",
+        &["entries", "capacity", "hits", "misses", "evictions"],
+    );
+    nest(
+        &mut want,
+        "faults",
+        &["panics_total", "deadline_exceeded_total"],
+    );
+    nest(
+        &mut want,
+        "recorder",
+        &[
+            "capacity",
+            "survivor_capacity",
+            "recorded_total",
+            "survivors_pinned_total",
+        ],
+    );
+    nest(
+        &mut want,
+        "sessions",
+        &[
+            "active",
+            "created_total",
+            "deleted_total",
+            "expired_total",
+            "evicted_total",
+            "patches_total",
+            "watches_total",
+            "watch_wakes_total",
+            "conflicts_total",
+            "drains_total",
+            "warm_fallbacks_total",
+            "recomputes_total",
+            "recomputes_warm_total",
+        ],
+    );
+    nest(&mut want, "slo", &["degraded"]);
+    nest(&mut want, "slo.availability", &["objective"]);
+    for w in ["short", "mid", "long"] {
+        nest(&mut want, &format!("slo.availability.{w}"), &window);
+    }
+    want.extend([
+        "slo.availability.fast_alert".into(),
+        "slo.availability.slow_alert".into(),
+        "slo.latency".into(),
+    ]);
+    nest(
+        &mut want,
+        "overload",
+        &[
+            "state",
+            "target_queue_delay_ms",
+            "smoothed_queue_delay_us",
+            "retry_after_s",
+            "shed_bulk_total",
+            "shed_interactive_total",
+            "brownout_entered_total",
+            "shedding_entered_total",
+        ],
+    );
+    assert_eq!(paths, want, "{doc}");
+    assert_eq!(
+        flat.last().map(|(p, _)| p.split('.').next()),
+        Some(Some("library"))
+    );
+
+    // (b) per-endpoint counters.
+    let value = |path: String| -> &str {
+        flat.iter()
+            .find(|(p, _)| *p == path)
+            .map(|(_, v)| v.as_str())
+            .unwrap_or_else(|| panic!("{path} in {doc}"))
+    };
+    for (e, count, errors, hits) in [
+        ("healthz", "1", "0", "0"),
+        ("measure", "4", "1", "2"),
+        ("session", "1", "0", "0"),
+        ("session_etc", "2", "1", "0"),
+        ("session_id", "1", "0", "0"),
+    ] {
+        let got = [
+            value(format!("endpoints.{e}.count")),
+            value(format!("endpoints.{e}.errors")),
+            value(format!("endpoints.{e}.cache_hits")),
+        ];
+        assert_eq!(got, [count, errors, hits], "endpoint {e}");
+    }
+
+    // (c) hc_serve_* samples (names and labels), exemplar trailers stripped,
+    // and one `# TYPE` line per family.
+    let (ps, _ph, prom) = get(addr, "/metrics?format=prometheus");
+    assert_eq!(ps, 200);
+    let mut typed: Vec<&str> = prom
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .filter(|n| n.starts_with("hc_serve_"))
+        .collect();
+    let typed_count = typed.len();
+    typed.sort_unstable();
+    typed.dedup();
+    assert_eq!(typed.len(), typed_count, "a family typed twice:\n{prom}");
+    let samples: std::collections::BTreeSet<String> = prom
+        .lines()
+        .filter(|l| l.starts_with("hc_serve_"))
+        .map(|l| l.split(" # ").next().unwrap())
+        .map(|l| l.rsplit_once(' ').expect("sample value").0.to_string())
+        .collect();
+    let mut expect = std::collections::BTreeSet::new();
+    let endpoints = [
+        "healthz",
+        "measure",
+        "metrics",
+        "session",
+        "session_etc",
+        "session_id",
+    ];
+    for e in endpoints {
+        for family in ["requests_total", "errors_total", "cache_hits_total"] {
+            expect.insert(format!("hc_serve_{family}{{endpoint=\"{e}\"}}"));
+        }
+        for family in ["latency_us", "service_us"] {
+            let les = (0..23)
+                .map(|i| (1u64 << i).to_string())
+                .chain(["+Inf".to_string()]);
+            for le in les {
+                expect.insert(format!(
+                    "hc_serve_{family}_bucket{{endpoint=\"{e}\",le=\"{le}\"}}"
+                ));
+            }
+            expect.insert(format!("hc_serve_{family}_sum{{endpoint=\"{e}\"}}"));
+            expect.insert(format!("hc_serve_{family}_count{{endpoint=\"{e}\"}}"));
+        }
+    }
+    for scalar in [
+        "uptime_seconds",
+        "requests_in_flight",
+        "pool_workers",
+        "pool_queued",
+        "pool_completed_total",
+        "pool_shed_total",
+        "pool_job_panics_total",
+        "pool_worker_respawns_total",
+        "pool_worker_scale_up_total",
+        "pool_worker_scale_down_total",
+        "overload_state{state=\"ok\"}",
+        "overload_state{state=\"brownout\"}",
+        "overload_state{state=\"shedding\"}",
+        "overload_queue_delay_smoothed_us",
+        "overload_target_queue_delay_ms",
+        "overload_retry_after_seconds",
+        "overload_shed_bulk_total",
+        "overload_shed_interactive_total",
+        "overload_brownout_entered_total",
+        "overload_shedding_entered_total",
+        "connections_open",
+        "connections_accepted_total",
+        "keepalive_requests_total",
+        "idle_timeouts_total",
+        "result_cache_entries",
+        "result_cache_hits_total",
+        "result_cache_misses_total",
+        "result_cache_evictions_total",
+        "panics_total",
+        "deadline_exceeded_total",
+        "recorder_recorded_total",
+        "recorder_survivors_pinned_total",
+        "sessions_active",
+        "sessions_created_total",
+        "sessions_deleted_total",
+        "sessions_expired_total",
+        "sessions_evicted_total",
+        "sessions_patches_total",
+        "sessions_watches_total",
+        "sessions_watch_wakes_total",
+        "sessions_conflicts_total",
+        "sessions_drains_total",
+        "sessions_warm_fallbacks_total",
+        "sessions_recomputes_total",
+        "sessions_recomputes_warm_total",
+        "slo_objective{slo=\"availability\"}",
+        "slo_error_rate{slo=\"availability\",window=\"short\"}",
+        "slo_error_rate{slo=\"availability\",window=\"mid\"}",
+        "slo_error_rate{slo=\"availability\",window=\"long\"}",
+        "slo_burn_rate{slo=\"availability\",window=\"short\"}",
+        "slo_burn_rate{slo=\"availability\",window=\"mid\"}",
+        "slo_burn_rate{slo=\"availability\",window=\"long\"}",
+        "slo_alert_firing{slo=\"availability\",alert=\"fast\"}",
+        "slo_alert_firing{slo=\"availability\",alert=\"slow\"}",
+        "slo_degraded",
+    ] {
+        expect.insert(format!("hc_serve_{scalar}"));
+    }
+    let missing: Vec<_> = expect.difference(&samples).collect();
+    let extra: Vec<_> = samples.difference(&expect).collect();
+    assert!(
+        missing.is_empty() && extra.is_empty(),
+        "missing {missing:?}, unexpected {extra:?}"
+    );
+    // Every sampled family carries its one `# TYPE` line.
+    for s in &samples {
+        let name = s.split('{').next().unwrap();
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .find_map(|suffix| {
+                name.strip_suffix(suffix)
+                    .filter(|f| typed.binary_search(f).is_ok())
+            })
+            .unwrap_or(name);
+        assert!(typed.binary_search(&family).is_ok(), "{s} untyped");
+    }
+
+    handle.shutdown();
+    handle.join();
+}

@@ -560,7 +560,7 @@ fn prom_value(exposition: &str, series: &str) -> i64 {
 
 /// Golden agreement test: every sessions counter must carry the same value
 /// through the JSON `/metrics` document and the Prometheus exposition —
-/// both read the same registry through `session_counters()`, and this pins
+/// both render the same rows of the server's metrics table, and this pins
 /// that neither surface drops or renames a field.
 #[test]
 fn sessions_metrics_agree_between_json_and_prometheus() {

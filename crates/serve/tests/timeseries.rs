@@ -289,7 +289,7 @@ fn exemplars_join_the_flight_recorder_under_flood() {
     assert_eq!(status, 200);
     let exemplar_line = prom
         .lines()
-        .find(|l| l.contains("serve_request_latency_us_bucket") && l.contains("# {request_id="))
+        .find(|l| l.contains("hc_serve_latency_us_bucket") && l.contains("# {request_id="))
         .unwrap_or_else(|| panic!("no exemplar trailer on the latency histogram:\n{prom}"));
     let id_at = exemplar_line.find("request_id=\"").unwrap() + "request_id=\"".len();
     let id = exemplar_line[id_at..]

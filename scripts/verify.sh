@@ -108,6 +108,15 @@ grep -q '_bucket{' /tmp/verify-metrics.prom \
     || { echo "prometheus scrape lacks histogram buckets"; exit 1; }
 echo "GET /metrics?format=prometheus 200 (exposition format OK)"
 
+# Exemplars are per server: a bucket of the measure endpoint's latency
+# histogram names a request that the flight recorder still holds.
+EX_ID=$(sed -n 's/^hc_serve_latency_us_bucket{endpoint="measure",[^}]*} [0-9]* # {request_id="\([^"]*\)".*/\1/p' \
+    /tmp/verify-metrics.prom | head -n1)
+[ -n "$EX_ID" ] || { echo "no exemplar on hc_serve_latency_us_bucket{endpoint=\"measure\"}"; exit 1; }
+EX_CODE=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ADDR/debug/requests/$EX_ID")
+[ "$EX_CODE" = "200" ] || { echo "exemplar request $EX_ID answered $EX_CODE at /debug/requests"; exit 1; }
+echo "exemplar on hc_serve_latency_us_bucket{endpoint=\"measure\"} joins /debug/requests/$EX_ID"
+
 # Keep-alive smoke: 20 mixed requests plus a final /metrics scrape issued by a
 # single curl invocation, which reuses one connection for every transfer. The
 # scrape rides the same connection, so its connection counters must show
