@@ -1,8 +1,9 @@
 //! `bench-snapshot` — dependency-free benchmark snapshot for CI trending.
 //!
-//! This binary times the two pillars that matter for regression tracking —
-//! the full `characterize` pipeline (measure) and the Sinkhorn standardization
-//! at its heart — over [`hc_bench::ABLATION_SIZES`] with nothing but
+//! This binary times the pillars that matter for regression tracking — the
+//! full `characterize` pipeline (measure) and the Sinkhorn standardization
+//! at its heart over [`hc_bench::ABLATION_SIZES`], and the values-only
+//! spectrum behind TMA over [`SPECTRUM_SIZES`] — with nothing but
 //! `std::time`, and prints one JSON document to stdout.
 //! `scripts/bench_snapshot.sh` redirects it into a dated `BENCH_<date>.json`.
 //!
@@ -22,9 +23,11 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use hc_bench::{dense_fixture, ecs_fixture, ABLATION_SIZES};
 use hc_core::report::{characterize_in, characterize_with};
-use hc_core::standard::TmaOptions;
+use hc_core::standard::{standard_form, TmaOptions};
 use hc_core::weights::Weights;
 use hc_core::Analyzer;
+use hc_gen::{cvb, CvbParams};
+use hc_linalg::svd::{spectrum_in, SvdAlgorithm};
 use hc_sinkhorn::balance::{balance_with, standard_targets, BalanceOptions};
 
 /// `System` wrapped with an allocation counter, so the snapshot can report
@@ -63,6 +66,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Samples per benchmark point; the median is reported so one scheduler
 /// hiccup cannot skew a snapshot.
 const RUNS: usize = 7;
+
+/// Shapes of the `linalg.spectrum` lane, up to the largest `hcbench`
+/// ensemble member.
+const SPECTRUM_SIZES: [(usize, usize); 5] =
+    [(64, 64), (128, 128), (256, 256), (512, 128), (512, 512)];
 
 fn median_ns(mut samples: Vec<u128>) -> u128 {
     samples.sort_unstable();
@@ -249,6 +257,35 @@ fn main() {
             m,
             samples,
             balance_allocs,
+        ));
+    }
+
+    // Spectrum lane: the values-only SVD that TMA runs (`spectrum_in`), with a
+    // warm workspace, on the CVB (V = 0.5) standard forms `characterize`
+    // hands it. Its Householder reduction dominates above 128².
+    for &(t, m) in &SPECTRUM_SIZES {
+        let ecs = cvb(&CvbParams::new(t, m, 0.5, 0.5), 1)
+            .expect("CVB fixture generates")
+            .to_ecs();
+        let a = standard_form(&ecs, &TmaOptions::default())
+            .expect("fixture standardizes")
+            .matrix;
+        let mut ws = hc_linalg::Workspace::new();
+        let mut spectrum_call = || {
+            let (sigma, _) = spectrum_in(a.view(), SvdAlgorithm::Auto, None, &mut ws)
+                .expect("fixture has a spectrum");
+            assert!(sigma[0].is_finite());
+            ws.recycle_vec(sigma);
+        };
+        spectrum_call(); // populate the workspace
+        let spectrum_allocs = allocs_during(&mut spectrum_call);
+        let samples = time_ns(spectrum_call);
+        results.push(result_json(
+            "linalg.spectrum",
+            t,
+            m,
+            samples,
+            spectrum_allocs,
         ));
     }
 

@@ -121,13 +121,17 @@ fn serve_smoke_over_real_process() {
         .trim()
         .to_string();
 
+    // `Connection: close` makes the server end each exchange, so reading to
+    // EOF returns as soon as the response is written rather than racing
+    // the server's idle-connection close against the client timeout.
     let request = |verb: &str, target: &str, body: &str| -> String {
         let mut s = std::net::TcpStream::connect(&addr).expect("connect");
         s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
             .unwrap();
         s.write_all(
             format!(
-                "{verb} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                "{verb} {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+                 Content-Length: {}\r\n\r\n{body}",
                 body.len()
             )
             .as_bytes(),

@@ -5,13 +5,25 @@
 //! orthogonal, and `B` is upper bidiagonal (diagonal `d`, superdiagonal `e`). This is
 //! stage one of the Golub–Reinsch SVD in [`crate::svd`].
 //!
-//! One reduction serves every caller. It applies each left reflector row by
-//! row (`w = β·vᵀA` as one axpy per row, then `A −= v·wᵀ`), so no step
-//! strides down a column of the row-major matrix, and it accumulates `U` and
-//! `V` only when asked: [`bidiagonalize_in`] returns them, while the SVD's
-//! values-only path ([`crate::svd::spectrum_in`]) keeps just `d` and `e`.
-//! Every reflector lives in a pooled flat buffer, so a warm [`Workspace`]
-//! makes the whole factorization allocation-free.
+//! One reduction serves every caller, and each column costs it one read
+//! sweep and one write sweep of the row-major trailing matrix, in the spirit
+//! of LAPACK's fused one-sided updates (Dongarra, Sorensen & Hammarling,
+//! 1989). Sweep 1 reads the rows to form `w = β·vᵀA` for the left reflector
+//! `v`, four rows per pass over `w`, adding each column's rows in order.
+//! Row `j` minus `w` then yields the right reflector `u`, and sweep 2 applies
+//! both reflectors to every lower row as one rank-2 update,
+//! `aᵢ ← aᵢ − vᵢ·w − β_r·(aᵢᵀu − vᵢ·wᵀu)·u`, two rows per pass, collecting
+//! the next column's reflector as it writes, so nothing strides down a
+//! column. The right reflector's dot products thus read each row before its
+//! left update, so `B` matches a reduction that applies the reflectors one
+//! after the other only up to rounding: the singular values agree to a few
+//! ulps of σ₁, while `d` and `e` past the numerical rank may differ.
+//!
+//! The reduction's arithmetic never depends on whether `U` and `V` are
+//! wanted. [`bidiagonalize_in`] keeps every reflector in pooled flat buffers
+//! and accumulates the factors afterwards; the SVD's values-only path
+//! ([`crate::svd::spectrum_in`]) keeps just `d` and `e` and never allocates
+//! the reflector store. A warm [`Workspace`] makes either allocation-free.
 
 use crate::budget::Budget;
 use crate::error::LinAlgError;
@@ -59,36 +71,178 @@ impl Bidiag {
 /// asked for them.
 pub(crate) type Factors = Option<(Matrix, Matrix)>;
 
-/// Applies a left reflector `(v, β)` spanning rows `row0..row0 + v.len()` to
-/// columns `col0..` of `a`, one contiguous row at a time: `w = β·vᵀA`
-/// accumulates as an axpy per row, then each row takes `−v_k·w`. Each
-/// column's dot product still sums its rows in order, so the result is
-/// bit-identical to walking the columns. `w` is scratch of at least
-/// `a.cols() − col0` entries.
-fn apply_left_rows(a: &mut Matrix, v: &[f64], beta: f64, row0: usize, col0: usize, w: &mut [f64]) {
+/// Sweep 1: `w = vᵀA` over rows `row0..row0 + v.len()` and the last
+/// `w.len()` columns of `a`, four rows per pass over `w`. Each entry adds its
+/// rows in order, exactly as one axpy per row would.
+fn reflect_rows(a: &Matrix, v: &[f64], row0: usize, w: &mut [f64]) {
+    let n = a.cols();
+    let col0 = n - w.len();
+    let rows = &a.as_slice()[row0 * n..(row0 + v.len()) * n];
+    w.fill(0.0);
+    let mut quads = rows.chunks_exact(4 * n);
+    let mut vs = v.chunks_exact(4);
+    for (quad, vk) in (&mut quads).zip(&mut vs) {
+        let (r0, rest) = quad.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let lanes = w
+            .iter_mut()
+            .zip(&r0[col0..])
+            .zip(&r1[col0..])
+            .zip(&r2[col0..])
+            .zip(&r3[col0..]);
+        for ((((wc, a0), a1), a2), a3) in lanes {
+            *wc = (((*wc + vk[0] * a0) + vk[1] * a1) + vk[2] * a2) + vk[3] * a3;
+        }
+    }
+    for (row, &vk) in quads.remainder().chunks_exact(n).zip(vs.remainder()) {
+        vecops::axpy(vk, &row[col0..], w);
+    }
+}
+
+/// Sweep 2: applies the left reflector's tail `v` (with `w = β·vᵀA` from
+/// sweep 1) and the right reflector `(u, rbeta)` to rows `row0..` over the
+/// last `w.len()` columns of `a`, as the rank-2 update
+/// `aᵢ ← aᵢ − vᵢ·w − rbeta·(aᵢᵀu − vᵢ·wᵀu)·u`, two rows per pass. Each
+/// updated row's first entry — the next column's — lands in `next`.
+fn update_rows(
+    a: &mut Matrix,
+    v: &[f64],
+    w: &[f64],
+    u: &[f64],
+    rbeta: f64,
+    row0: usize,
+    next: &mut [f64],
+) {
+    let n = a.cols();
+    let col0 = n - w.len();
+    let wu = if rbeta == 0.0 { 0.0 } else { vecops::dot(w, u) };
+    // The right reflector's coefficient for a row, from its entries before
+    // the left update.
+    let coef = |row: &[f64], vi: f64| {
+        if rbeta == 0.0 {
+            0.0
+        } else {
+            rbeta * (vecops::dot(row, u) - vi * wu)
+        }
+    };
+    let rows = &mut a.as_mut_slice()[row0 * n..];
+    let mut pairs = rows.chunks_exact_mut(2 * n);
+    let mut vs = v.chunks_exact(2);
+    let mut outs = next.chunks_exact_mut(2);
+    for ((pair, vp), out) in (&mut pairs).zip(&mut vs).zip(&mut outs) {
+        let (r0, r1) = pair.split_at_mut(n);
+        let (r0, r1) = (&mut r0[col0..], &mut r1[col0..]);
+        let (v0, v1) = (vp[0], vp[1]);
+        let (s0, s1) = (coef(r0, v0), coef(r1, v1));
+        for (((a0, a1), wc), uc) in r0.iter_mut().zip(r1.iter_mut()).zip(w).zip(u) {
+            *a0 = *a0 - v0 * wc - s0 * uc;
+            *a1 = *a1 - v1 * wc - s1 * uc;
+        }
+        out[0] = r0[0];
+        out[1] = r1[0];
+    }
+    for ((row, &vi), out) in pairs
+        .into_remainder()
+        .chunks_exact_mut(n)
+        .zip(vs.remainder())
+        .zip(outs.into_remainder())
+    {
+        let r = &mut row[col0..];
+        let s = coef(r, vi);
+        for ((ac, wc), uc) in r.iter_mut().zip(w).zip(u) {
+            *ac = *ac - vi * wc - s * uc;
+        }
+        *out = r[0];
+    }
+}
+
+/// Applies the left reflector `(v, β)` spanning rows `row0..row0 + v.len()`
+/// to columns `col0..` of `a`: `w = β·vᵀA` by sweep 1, then each row takes
+/// `−v_k·w`. `w` is scratch of at least `a.cols() − col0` entries.
+fn apply_left(a: &mut Matrix, v: &[f64], beta: f64, row0: usize, col0: usize, w: &mut [f64]) {
     if beta == 0.0 {
         return;
     }
     let w = &mut w[..a.cols() - col0];
-    w.fill(0.0);
-    for (off, &vk) in v.iter().enumerate() {
-        vecops::axpy(vk, &a.row(row0 + off)[col0..], w);
-    }
+    reflect_rows(a, v, row0, w);
     vecops::scale(beta, w);
     for (off, &vk) in v.iter().enumerate() {
         vecops::axpy(-vk, w, &mut a.row_mut(row0 + off)[col0..]);
     }
 }
 
-/// Applies a right reflector `(v, β)` spanning columns `col0..col0 + v.len()`
-/// to rows `row0..rows` of `a` (each row segment is contiguous).
-fn apply_right_rows(a: &mut Matrix, v: &[f64], beta: f64, row0: usize, col0: usize) {
-    if beta == 0.0 {
-        return;
+/// Every reflector of a reduction, kept only when `U` and `V` are wanted.
+/// Left reflector `j` spans rows `j..m` and right reflector `j` columns
+/// `j + 1..n` (present only while `j + 2 < n`); each is packed flat after
+/// its predecessors.
+struct Reflectors {
+    left: Vec<f64>,
+    right: Vec<f64>,
+    lbeta: Vec<f64>,
+    rbeta: Vec<f64>,
+    loff: usize,
+    roff: usize,
+}
+
+impl Reflectors {
+    fn take(m: usize, n: usize, ws: &mut Workspace) -> Self {
+        let left_total: usize = (0..n).map(|j| m - j).sum();
+        let right_total: usize = (0..n.saturating_sub(2)).map(|j| n - j - 1).sum();
+        Reflectors {
+            left: ws.take_vec(left_total, 0.0),
+            right: ws.take_vec(right_total, 0.0),
+            lbeta: ws.take_vec(n, 0.0),
+            rbeta: ws.take_vec(n.saturating_sub(2), 0.0),
+            loff: 0,
+            roff: 0,
+        }
     }
-    let m = a.rows();
-    for i in row0..m {
-        vecops::apply_reflector(v, beta, &mut a.row_mut(i)[col0..col0 + v.len()]);
+
+    fn push_left(&mut self, j: usize, v: &[f64], beta: f64) {
+        self.left[self.loff..self.loff + v.len()].copy_from_slice(v);
+        self.loff += v.len();
+        self.lbeta[j] = beta;
+    }
+
+    fn push_right(&mut self, j: usize, u: &[f64], beta: f64) {
+        self.right[self.roff..self.roff + u.len()].copy_from_slice(u);
+        self.roff += u.len();
+        self.rbeta[j] = beta;
+    }
+
+    /// Accumulates thin `U` (`m × n`) and `V` (`n × n`) by applying the
+    /// reflectors in reverse to the identity, and hands the store back to
+    /// `ws`. Reflector `j` leaves the identity's columns left of its span
+    /// untouched, so each application starts at its own first column.
+    fn accumulate(self, m: usize, n: usize, w: &mut [f64], ws: &mut Workspace) -> (Matrix, Matrix) {
+        let mut u = ws.take_matrix(m, n, 0.0);
+        for j in 0..n {
+            u[(j, j)] = 1.0;
+        }
+        let mut off = self.left.len();
+        for j in (0..n).rev() {
+            off -= m - j;
+            let v = &self.left[off..off + (m - j)];
+            apply_left(&mut u, v, self.lbeta[j], j, j, w);
+        }
+
+        // Right reflector j acts on rows/cols (j+1)..n of the V space;
+        // applying from the left accumulates V = H_r0 · H_r1 · … (each H is
+        // symmetric).
+        let mut v = ws.take_identity(n);
+        let mut off = self.right.len();
+        for j in (0..n.saturating_sub(2)).rev() {
+            off -= n - j - 1;
+            let r = &self.right[off..off + (n - j - 1)];
+            apply_left(&mut v, r, self.rbeta[j], j + 1, j + 1, w);
+        }
+
+        ws.recycle_vec(self.left);
+        ws.recycle_vec(self.right);
+        ws.recycle_vec(self.lbeta);
+        ws.recycle_vec(self.rbeta);
+        (u, v)
     }
 }
 
@@ -129,108 +283,76 @@ pub(crate) fn reduce_in(
 
     let mut work = ws.take_matrix(m, n, 0.0);
     work.view_mut().copy_from(a);
-
-    // Reflector j's direction vector is packed flat: left reflectors span rows
-    // j..m (length m − j), right reflectors span columns j+1..n (length
-    // n − j − 1, present only while j + 2 < n).
-    let left_total: usize = (0..n).map(|j| m - j).sum();
-    let right_total: usize = (0..n.saturating_sub(2)).map(|j| n - j - 1).sum();
-    let mut lv = ws.take_vec(left_total, 0.0);
-    let mut rv = ws.take_vec(right_total, 0.0);
-    let mut lbeta = ws.take_vec(n, 0.0);
-    let mut rbeta = ws.take_vec(n, 0.0);
-    let mut loffs = ws.take_idx(n);
-    let mut roffs = ws.take_idx(n);
+    let mut d = ws.take_vec(n, 0.0);
+    let mut e = ws.take_vec(n - 1, 0.0);
+    // `x` holds column j's entries on rows j..m, which become its left
+    // reflector; sweep 2 collects column j + 1's into `next`.
+    let mut x = ws.take_vec(m, 0.0);
+    let mut next = ws.take_vec(m, 0.0);
+    let mut u = ws.take_vec(n, 0.0);
     let mut w = ws.take_vec(n, 0.0);
+    let mut store = factors.then(|| Reflectors::take(m, n, ws));
+    for (xi, row) in x.iter_mut().zip(work.row_iter()) {
+        *xi = row[0];
+    }
 
-    let mut loff = 0usize;
-    let mut roff = 0usize;
     for j in 0..n {
         if let Some(b) = budget {
             b.check("golub-reinsch-bidiag", j, f64::NAN)?;
         }
-        // Left reflector: annihilate work[j+1.., j].
-        let llen = m - j;
-        loffs[j] = loff;
-        let beta = {
-            let slot = &mut lv[loff..loff + llen];
-            for (off, s) in slot.iter_mut().enumerate() {
-                *s = work[(j + off, j)];
+        // Left reflector: annihilates column j below the diagonal.
+        let v = &mut x[..m - j];
+        let (beta, alpha) = vecops::householder_in_place(v);
+        d[j] = alpha;
+        if let Some(s) = store.as_mut() {
+            s.push_left(j, v, beta);
+        }
+        let k = n - j - 1;
+        if k == 0 {
+            break;
+        }
+        let w = &mut w[..k];
+        if beta == 0.0 {
+            w.fill(0.0);
+        } else {
+            reflect_rows(&work, v, j, w);
+            vecops::scale(beta, w);
+        }
+        // Row j after the left update (v₀ = 1) is the right reflector's
+        // source; it annihilates row j right of the superdiagonal.
+        let u = &mut u[..k];
+        for ((uc, ac), wc) in u.iter_mut().zip(&work.row(j)[j + 1..]).zip(w.iter()) {
+            *uc = ac - wc;
+        }
+        let rbeta = if k >= 2 {
+            let (rbeta, ralpha) = vecops::householder_in_place(u);
+            e[j] = ralpha;
+            if let Some(s) = store.as_mut() {
+                s.push_right(j, u, rbeta);
             }
-            let (beta, alpha) = vecops::householder_in_place(slot);
-            work[(j, j)] = alpha;
-            beta
+            rbeta
+        } else {
+            e[j] = u[0];
+            0.0
         };
-        lbeta[j] = beta;
-        // The diagonal entry already holds α; the reflector must still see the
-        // untouched column, so apply to the columns right of it, then zero the
-        // annihilated tail. (Applying to column j itself and overwriting with α
-        // — what the owned path historically did — produces the same matrix.)
-        apply_left_rows(&mut work, &lv[loff..loff + llen], beta, j, j + 1, &mut w);
-        for i in (j + 1)..m {
-            work[(i, j)] = 0.0;
-        }
-        loff += llen;
-
-        // Right reflector: annihilate work[j, j+2..].
-        if j + 2 < n {
-            let rlen = n - j - 1;
-            roffs[j] = roff;
-            let beta = {
-                let slot = &mut rv[roff..roff + rlen];
-                slot.copy_from_slice(&work.row(j)[j + 1..]);
-                let (beta, alpha) = vecops::householder_in_place(slot);
-                work[(j, j + 1)] = alpha;
-                beta
-            };
-            rbeta[j] = beta;
-            apply_right_rows(&mut work, &rv[roff..roff + rlen], beta, j + 1, j + 1);
-            for k in (j + 2)..n {
-                work[(j, k)] = 0.0;
-            }
-            roff += rlen;
-        }
+        update_rows(
+            &mut work,
+            &v[1..],
+            w,
+            u,
+            rbeta,
+            j + 1,
+            &mut next[..m - j - 1],
+        );
+        std::mem::swap(&mut x, &mut next);
     }
 
-    let factors = factors.then(|| {
-        // Accumulate thin U: apply left reflectors in reverse to I(m×n).
-        let mut u = ws.take_matrix(m, n, 0.0);
-        for j in 0..n {
-            u[(j, j)] = 1.0;
-        }
-        for j in (0..n).rev() {
-            let v = &lv[loffs[j]..loffs[j] + (m - j)];
-            apply_left_rows(&mut u, v, lbeta[j], j, 0, &mut w);
-        }
-
-        // Accumulate V: apply right reflectors in reverse to I(n×n).
-        // Right reflector j acts on rows/cols (j+1)..n of the V space; applying
-        // from the left accumulates V = H_r0 · H_r1 · … (each H is symmetric).
-        let mut v = ws.take_identity(n);
-        for j in (0..n.saturating_sub(2)).rev() {
-            let r = &rv[roffs[j]..roffs[j] + (n - j - 1)];
-            apply_left_rows(&mut v, r, rbeta[j], j + 1, 0, &mut w);
-        }
-        (u, v)
-    });
-
-    let mut d = ws.take_vec(n, 0.0);
-    for (j, dj) in d.iter_mut().enumerate() {
-        *dj = work[(j, j)];
-    }
-    let mut e = ws.take_vec(n - 1, 0.0);
-    for (j, ej) in e.iter_mut().enumerate() {
-        *ej = work[(j, j + 1)];
-    }
-
+    let factors = store.map(|s| s.accumulate(m, n, &mut w, ws));
     ws.recycle_matrix(work);
-    ws.recycle_vec(lv);
-    ws.recycle_vec(rv);
-    ws.recycle_vec(lbeta);
-    ws.recycle_vec(rbeta);
+    ws.recycle_vec(x);
+    ws.recycle_vec(next);
+    ws.recycle_vec(u);
     ws.recycle_vec(w);
-    ws.recycle_idx(loffs);
-    ws.recycle_idx(roffs);
     Ok((d, e, factors))
 }
 

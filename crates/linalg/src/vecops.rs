@@ -3,14 +3,31 @@
 //! These free functions operate on plain `&[f64]` slices so they can be reused on
 //! matrix rows, copied columns, and scratch buffers alike.
 
-/// Dot product `xᵀy`.
+/// Dot product `xᵀy`, summed in eight fixed lanes so that no add waits on
+/// a single serial chain.
+///
+/// Lane `k` adds the products of entries `k`, `k + 8`, `k + 16`, … in index
+/// order, and the lanes combine as
+/// `((l₀ + l₁) + (l₂ + l₃)) + ((l₄ + l₅) + (l₆ + l₇))`. The order depends
+/// only on the length, so the result is the same bits on every host.
 ///
 /// # Panics
 /// Panics when the slices have different lengths.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
+    let mut l = [0.0; 8];
+    let (xs, ys) = (x.chunks_exact(8), y.chunks_exact(8));
+    let (xr, yr) = (xs.remainder(), ys.remainder());
+    for (a, b) in xs.zip(ys) {
+        for k in 0..8 {
+            l[k] += a[k] * b[k];
+        }
+    }
+    for ((lk, a), b) in l.iter_mut().zip(xr).zip(yr) {
+        *lk += a * b;
+    }
+    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
 /// Euclidean norm computed with overflow/underflow-safe scaling.
@@ -133,6 +150,16 @@ mod tests {
     fn dot_basic() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(dot(&[], &[]), 0.0);
+        // Integer-valued inputs sum exactly in any order, so every length
+        // through each lane remainder must give the exact integer result.
+        for len in 0..=40 {
+            let x: Vec<f64> = (0..len).map(|i| (i % 7) as f64 - 3.0).collect();
+            let y: Vec<f64> = (0..len).map(|i| (i * 5 % 11) as f64 + 1.0).collect();
+            let exact: i64 = (0..len as i64)
+                .map(|i| (i % 7 - 3) * (i * 5 % 11 + 1))
+                .sum();
+            assert_eq!(dot(&x, &y), exact as f64, "length {len}");
+        }
     }
 
     #[test]

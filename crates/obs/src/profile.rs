@@ -44,6 +44,7 @@
 //! balanced.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -189,7 +190,36 @@ struct LocalStack {
     stack: Arc<ThreadStack>,
     /// Call-site id cache keyed by the `&'static str` data pointer, so the
     /// global interner lock is taken once per (thread, span name).
-    ids: HashMap<usize, u32>,
+    ids: HashMap<usize, u32, BuildHasherDefault<PtrHasher>>,
+}
+
+/// Hashes the id cache's keys with one multiply (Fibonacci hashing) rather
+/// than SipHash, which would run on every span open: the keys are
+/// program-internal string addresses, not untrusted input.
+#[derive(Default)]
+struct PtrHasher(u64);
+
+impl PtrHasher {
+    fn mix(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+impl Hasher for PtrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
 }
 
 impl Drop for LocalStack {
@@ -208,7 +238,7 @@ fn register_current_thread() -> LocalStack {
     lock_recover(registry()).push(Arc::clone(&stack));
     LocalStack {
         stack,
-        ids: HashMap::new(),
+        ids: HashMap::default(),
     }
 }
 

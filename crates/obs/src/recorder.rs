@@ -66,9 +66,9 @@ pub struct RecordedSpan {
     /// Severity.
     pub level: Level,
     /// Record name (`"sinkhorn.balance"`, `"serve.slow_request"`, …).
-    pub name: String,
+    pub name: &'static str,
     /// Enclosing span on the recording thread, if any.
-    pub parent: Option<String>,
+    pub parent: Option<&'static str>,
     /// Nesting depth on the recording thread.
     pub depth: usize,
     /// Duration in microseconds (spans only).
@@ -185,8 +185,8 @@ pub(crate) fn capture(record: &Record<'_>) {
             b.spans.push(RecordedSpan {
                 kind: record.kind,
                 level: record.level,
-                name: record.name.to_string(),
-                parent: record.parent.map(str::to_string),
+                name: record.name,
+                parent: record.parent,
                 depth: record.depth,
                 dur_us: record.dur_us,
                 fields: record.fields.to_vec(),
@@ -616,8 +616,8 @@ impl RequestRecord {
             out.push_str(",\"level\":\"");
             out.push_str(s.level.as_str());
             out.push_str("\",\"name\":");
-            json::escape_into(&mut out, &s.name);
-            if let Some(parent) = &s.parent {
+            json::escape_into(&mut out, s.name);
+            if let Some(parent) = s.parent {
                 out.push_str(",\"parent\":");
                 json::escape_into(&mut out, parent);
             }

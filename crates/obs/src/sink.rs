@@ -122,9 +122,9 @@ pub struct Record<'a> {
     /// Severity (spans always emit at [`Level::Info`]).
     pub level: Level,
     /// Static name, dot-namespaced by crate (`"sinkhorn.balance"`).
-    pub name: &'a str,
+    pub name: &'static str,
     /// Name of the enclosing span on this thread, if any.
-    pub parent: Option<&'a str>,
+    pub parent: Option<&'static str>,
     /// Nesting depth on this thread (0 = top level).
     pub depth: usize,
     /// Elapsed monotonic time in microseconds (spans only).

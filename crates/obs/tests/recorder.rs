@@ -63,13 +63,13 @@ fn records_spans_events_and_notes_without_a_sink() {
     assert_eq!(r.phases.compute_us, 1000);
 
     // Spans complete inner-first; the event fires after both closed.
-    let names: Vec<&str> = r.spans.iter().map(|s| s.name.as_str()).collect();
+    let names: Vec<&str> = r.spans.iter().map(|s| s.name).collect();
     assert_eq!(
         names,
         ["test.inner", "test.outer", "test.note"],
         "{names:?}"
     );
-    assert_eq!(r.spans[0].parent.as_deref(), Some("test.outer"));
+    assert_eq!(r.spans[0].parent, Some("test.outer"));
     assert!(r.spans[0].dur_us.is_some());
     assert_eq!(r.spans[1].fields, vec![("n", FieldValue::U64(7))]);
 

@@ -95,6 +95,10 @@ fn profile_resolves_kernel_phases_under_mixed_load() {
     let addr = handle.local_addr();
     assert!(hc_obs::profile::running(), "server must start the sampler");
 
+    // A Sinkhorn run on these inputs can finish between two 997 Hz ticks, so
+    // each iteration spins for 1 ms on the CPU while the load runs and the
+    // sampler always finds the `sinkhorn.balance` frames.
+    hc_obs::failpoints::arm("sinkhorn.iteration:busy:1");
     // 50 mixed requests; matrices vary per request to defeat the cache.
     for i in 0..50 {
         let (path, body) = match i % 3 {
@@ -108,6 +112,7 @@ fn profile_resolves_kernel_phases_under_mixed_load() {
         let (s, _h, b) = post(addr, &path, &body);
         assert_eq!(s, 200, "{path}: {b}");
     }
+    hc_obs::failpoints::reset();
 
     let (ps, ph, folded) = get(addr, "/debug/profile?seconds=10");
     assert_eq!(ps, 200, "{folded}");

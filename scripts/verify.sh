@@ -349,9 +349,13 @@ echo "session fallback chaos OK"
 
 echo "== profiling smoke test =="
 # A profiling server under mixed load must serve a folded profile that
-# resolves into the Sinkhorn and SVD kernel phases, and stay healthy.
+# resolves into the Sinkhorn and SVD kernel phases, and stay healthy. A
+# Sinkhorn run on these inputs can finish between two 997 Hz ticks, so each
+# iteration spins for 1 ms on the CPU (the `busy` failpoint) and the sampler
+# always finds the `sinkhorn` frames.
 PROF_LOG=$(mktemp)
-"$HCM" serve --addr 127.0.0.1:0 --workers 2 --profile-hz 997 2>"$PROF_LOG" &
+HC_FAILPOINT='sinkhorn.iteration:busy:1' "$HCM" serve --addr 127.0.0.1:0 --workers 2 \
+    --profile-hz 997 2>"$PROF_LOG" &
 PROF_PID=$!
 trap 'kill "$PROF_PID" 2>/dev/null || true' EXIT
 
