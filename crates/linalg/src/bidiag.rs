@@ -20,10 +20,11 @@
 //! ulps of σ₁, while `d` and `e` past the numerical rank may differ.
 //!
 //! The reduction's arithmetic never depends on whether `U` and `V` are
-//! wanted. [`bidiagonalize_in`] keeps every reflector in pooled flat buffers
-//! and accumulates the factors afterwards; the SVD's values-only path
-//! ([`crate::svd::spectrum_in`]) keeps just `d` and `e` and never allocates
-//! the reflector store. A warm [`Workspace`] makes either allocation-free.
+//! wanted, so both SVD entry points share one reduction. [`bidiagonalize_in`]
+//! keeps every reflector in pooled flat buffers and accumulates the factors
+//! afterwards; the SVD's values-only path ([`crate::svd::spectrum_in`]) keeps
+//! just `d` and `e` and never allocates the reflector store. A warm
+//! [`Workspace`] makes either allocation-free.
 
 use crate::budget::Budget;
 use crate::error::LinAlgError;

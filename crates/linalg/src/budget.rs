@@ -1,10 +1,11 @@
 //! Cooperative cancellation budgets for iterative kernels.
 //!
-//! The iterative algorithms in this stack — Sinkhorn balancing, the Jacobi and
-//! Golub–Reinsch SVD loops — can legitimately spin for their full iteration
-//! budget on adversarial inputs. A [`Budget`] bounds that in *wall-clock* terms:
-//! it carries an optional deadline and an optional shared [`CancelToken`], and
-//! the kernels poll [`Budget::check`] once per iteration/sweep, returning
+//! The iterative algorithms in this stack — Sinkhorn balancing, the Jacobi,
+//! Golub–Reinsch and dqds SVD loops — can legitimately spin for their full
+//! iteration budget on adversarial inputs. A [`Budget`] bounds that in
+//! *wall-clock* terms: it carries an optional deadline and an optional shared
+//! [`CancelToken`], and the kernels poll [`Budget::check`] once per
+//! iteration/sweep, returning
 //! [`LinAlgError::DeadlineExceeded`] (with the iterations completed and the
 //! residual at the point of cancellation) when either trips.
 //!

@@ -11,11 +11,12 @@
 //! * Golub–Kahan Householder bidiagonalization ([`bidiag`]): one read sweep and
 //!   one write sweep of the trailing matrix per column.
 //! * Two independent SVD algorithms ([`svd`]) behind one validated dispatch:
-//!   Golub–Reinsch implicit-shift bidiagonal QR (the default at every size)
-//!   and one-sided Jacobi (high relative accuracy), the differential oracle
-//!   the tests check the default against. The dispatch has two entry points:
-//!   the full decomposition and a values-only spectrum
-//!   ([`svd::spectrum_in`]) that never builds `U` or `V`.
+//!   Golub–Reinsch (the default at every size) and one-sided Jacobi (high
+//!   relative accuracy), the differential oracle the tests check the default
+//!   against. The dispatch has two entry points: the full decomposition,
+//!   whose bidiagonal phase is implicit-shift QR, and a values-only spectrum
+//!   ([`svd::spectrum_in`]) that never builds `U` or `V` and runs dqds
+//!   (LAPACK's differential-qd kernel) on the bidiagonal instead.
 //! * Scoped data-parallel helpers ([`par`]) built on `std::thread::scope` — no detached
 //!   threads, deterministic reductions.
 //! * Zero-copy views ([`view`]) and a recycling scratch arena ([`workspace`]).

@@ -39,7 +39,8 @@ use hc_sinkhorn::balance::{standardize_in, BalanceOutcome};
 pub struct RecomputeStats {
     /// Sinkhorn iterations the standardization took.
     pub sinkhorn_iterations: usize,
-    /// Golub–Reinsch QR iterations the spectrum took.
+    /// Bidiagonal-phase iterations the spectrum took: qd transforms under
+    /// the default SVD, sweeps under Jacobi.
     pub svd_iterations: usize,
     /// `true` when the standardization started from the previous scalings.
     pub warm: bool,
