@@ -52,6 +52,23 @@ fn validate_names(
             ),
         });
     }
+    unique(task_names, "task")?;
+    unique(machine_names, "machine")
+}
+
+/// Rejects a repeated name, naming it and the 1-based positions of its first
+/// two occurrences. Two empty names are a repeat too.
+fn unique(names: &[String], axis: &'static str) -> Result<(), MeasureError> {
+    let mut seen = std::collections::HashMap::with_capacity(names.len());
+    for (i, name) in names.iter().enumerate() {
+        if let Some(first) = seen.insert(name.as_str(), i) {
+            return Err(MeasureError::DuplicateName {
+                axis,
+                name: name.clone(),
+                positions: (first + 1, i + 1),
+            });
+        }
+    }
     Ok(())
 }
 
@@ -394,6 +411,37 @@ mod tests {
             vec!["x".into(), "y".into()]
         )
         .is_err());
+    }
+
+    #[test]
+    fn repeated_names_rejected_with_both_positions() {
+        let m = || Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[3.0, 1.0, 2.0]]).unwrap();
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err =
+            Etc::with_names(m(), names(&["t1", "t2"]), names(&["m1", "m2", "m1"])).unwrap_err();
+        assert_eq!(
+            err,
+            MeasureError::DuplicateName {
+                axis: "machine",
+                name: "m1".into(),
+                positions: (1, 3),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid HC environment: machine name \"m1\" appears twice (machines 1 and 3); \
+             names must be unique"
+        );
+        let err = Ecs::with_names(m(), names(&["", ""]), names(&["a", "b", "c"])).unwrap_err();
+        assert_eq!(
+            err,
+            MeasureError::DuplicateName {
+                axis: "task",
+                name: String::new(),
+                positions: (1, 2),
+            }
+        );
+        assert!(Ecs::with_names(m(), names(&["t", "T"]), names(&["a", "b", "c"])).is_ok());
     }
 
     #[test]

@@ -28,6 +28,16 @@ pub enum MeasureError {
         /// Iterations performed.
         iterations: usize,
     },
+    /// Two tasks or two machines share a name, so a name cannot address one
+    /// row or column (and a JSON object keyed by name would drop one).
+    DuplicateName {
+        /// `"task"` or `"machine"`.
+        axis: &'static str,
+        /// The repeated name.
+        name: String,
+        /// 1-based positions of its first two occurrences.
+        positions: (usize, usize),
+    },
     /// A weights vector has the wrong length or non-positive entries.
     InvalidWeights {
         /// What is wrong.
@@ -62,6 +72,15 @@ impl fmt::Display for MeasureError {
             } => write!(
                 f,
                 "standard-form iteration did not converge ({iterations} iterations, residual {residual:.3e})"
+            ),
+            MeasureError::DuplicateName {
+                axis,
+                name,
+                positions: (first, second),
+            } => write!(
+                f,
+                "invalid HC environment: {axis} name {name:?} appears twice \
+                 ({axis}s {first} and {second}); names must be unique"
             ),
             MeasureError::InvalidWeights { reason } => write!(f, "invalid weights: {reason}"),
             MeasureError::DeadlineExceeded {

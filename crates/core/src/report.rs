@@ -8,6 +8,7 @@ use crate::measures::{
 use crate::standard::{standard_form_budgeted_in, tma_from_standard_form, TmaOptions};
 use crate::weights::Weights;
 use hc_linalg::{Budget, Workspace};
+use hc_obs::json::Object;
 
 /// The three paper measures plus diagnostics, computed together.
 #[derive(Debug, Clone)]
@@ -62,33 +63,40 @@ impl MeasureReport {
     /// per-machine/per-task vectors could in degenerate inputs) serialize as
     /// `null` so the output is always valid JSON.
     pub fn to_json(&self, task_names: &[String], machine_names: &[String]) -> String {
-        use hc_obs::json::{escape_into, fmt_f64};
-        fn named_map(names: &[String], values: &[f64]) -> String {
-            let mut out = String::from("{");
+        let mut out = String::with_capacity(
+            192 + 32 * (self.machine_performances.len() + self.task_difficulties.len()),
+        );
+        self.write_json(&mut Object::new(&mut out), task_names, machine_names);
+        out
+    }
+
+    /// Writes [`MeasureReport::to_json`]'s members into `o`, so a larger
+    /// document can hold the measures in place.
+    pub fn write_json(&self, o: &mut Object<'_>, task_names: &[String], machine_names: &[String]) {
+        fn named(mut o: Object<'_>, names: &[String], values: &[f64]) {
             for (k, v) in values.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                escape_into(&mut out, names.get(k).map(String::as_str).unwrap_or("?"));
-                out.push(':');
-                out.push_str(&fmt_f64(*v));
+                o.f64(names.get(k).map(String::as_str).unwrap_or("?"), *v);
             }
-            out.push('}');
-            out
         }
-        format!(
-            "{{\"mph\":{},\"tdh\":{},\"tma\":{},\
-             \"machine_performances\":{},\"task_difficulties\":{},\
-             \"standardization_iterations\":{},\"regularized\":{},\"reduced_to_core\":{}}}",
-            fmt_f64(self.mph),
-            fmt_f64(self.tdh),
-            fmt_f64(self.tma),
-            named_map(machine_names, &self.machine_performances),
-            named_map(task_names, &self.task_difficulties),
-            self.standardization_iterations,
-            self.regularized,
-            self.reduced_to_core,
+        o.f64("mph", self.mph)
+            .f64("tdh", self.tdh)
+            .f64("tma", self.tma);
+        named(
+            o.object("machine_performances"),
+            machine_names,
+            &self.machine_performances,
+        );
+        named(
+            o.object("task_difficulties"),
+            task_names,
+            &self.task_difficulties,
+        );
+        o.u64(
+            "standardization_iterations",
+            self.standardization_iterations as u64,
         )
+        .bool("regularized", self.regularized)
+        .bool("reduced_to_core", self.reduced_to_core);
     }
 
     /// Renders the report as a compact single-line summary.
@@ -279,6 +287,50 @@ mod tests {
         assert!(j.ends_with('}'));
         // Missing names degrade to "?", still valid JSON keys.
         assert!(r.to_json(&[], &[]).contains("\"?\":"));
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        // Fig. 3b's measures in closed form: every row and column of the
+        // circulant sums to 12 and TMA = √3/6 (see tests/golden.rs), so the
+        // pinned bytes do not move with the kernels' last bits.
+        let ecs = crate::extremes::figure3b();
+        let r = MeasureReport {
+            mph: 1.0,
+            tdh: 1.0,
+            tma: 3f64.sqrt() / 6.0,
+            machine_performances: vec![12.0; 3],
+            task_difficulties: vec![12.0; 3],
+            standardization_iterations: 1,
+            regularized: false,
+            reduced_to_core: false,
+        };
+        assert_eq!(
+            r.to_json(ecs.task_names(), ecs.machine_names()),
+            "{\"mph\":1,\"tdh\":1,\"tma\":0.28867513459481287,\
+             \"machine_performances\":{\"m1\":12,\"m2\":12,\"m3\":12},\
+             \"task_difficulties\":{\"t1\":12,\"t2\":12,\"t3\":12},\
+             \"standardization_iterations\":1,\"regularized\":false,\"reduced_to_core\":false}"
+        );
+        // Missing names degrade to "?", a name is escaped, and a non-finite
+        // value is written as null.
+        let r = MeasureReport {
+            mph: 0.5,
+            tdh: f64::NAN,
+            tma: 0.0,
+            machine_performances: vec![2.5, f64::INFINITY],
+            task_difficulties: vec![1e-7],
+            standardization_iterations: 0,
+            regularized: true,
+            reduced_to_core: true,
+        };
+        assert_eq!(
+            r.to_json(&[], &["a\"b\\c".to_string()]),
+            "{\"mph\":0.5,\"tdh\":null,\"tma\":0,\
+             \"machine_performances\":{\"a\\\"b\\\\c\":2.5,\"?\":null},\
+             \"task_difficulties\":{\"?\":0.0000001},\
+             \"standardization_iterations\":0,\"regularized\":true,\"reduced_to_core\":true}"
+        );
     }
 
     #[test]

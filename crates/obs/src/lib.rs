@@ -41,7 +41,8 @@
 //! Two fault-containment utilities also live here, at the bottom of the
 //! dependency graph so both the kernels and the daemon can share them:
 //! [`sync`] (poison-recovering lock helpers) and [`failpoints`] (the
-//! `HC_FAILPOINT` chaos-injection registry).
+//! `HC_FAILPOINT` chaos-injection registry). So does [`json`], the
+//! workspace's one JSON writer.
 //!
 //! The crate is std-only by design: it sits below `hc-linalg` in the
 //! dependency graph so every other crate in the workspace can instrument

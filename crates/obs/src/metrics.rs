@@ -395,58 +395,38 @@ pub fn snapshot_exemplars() -> BTreeMap<&'static str, Vec<(usize, Exemplar)>> {
 /// `{"counters":{..},"gauges":{..},"histograms":{name:{"count","sum","buckets":{"le_1":..}}}}`.
 /// Names are sorted; histogram buckets with zero observations are omitted.
 pub fn export_json() -> String {
-    let (counters, gauges, hists) = snapshot_all();
+    json::object(export_into)
+}
 
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"counters\":{");
-    for (i, (name, v)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Writes [`export_json`]'s members into `o`, so a larger document can hold
+/// the registry in place.
+pub fn export_into(o: &mut json::Object<'_>) {
+    let (counters, gauges, hists) = snapshot_all();
+    {
+        let mut out = o.object("counters");
+        for (name, v) in &counters {
+            out.u64(name, *v);
         }
-        json::escape_into(&mut out, name);
-        out.push(':');
-        out.push_str(&v.to_string());
     }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    {
+        let mut out = o.object("gauges");
+        for (name, v) in &gauges {
+            out.i64(name, *v);
         }
-        json::escape_into(&mut out, name);
-        out.push(':');
-        out.push_str(&v.to_string());
     }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, (count, sum, buckets))) in hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::escape_into(&mut out, name);
-        out.push_str(":{\"count\":");
-        out.push_str(&count.to_string());
-        out.push_str(",\"sum\":");
-        out.push_str(&sum.to_string());
-        out.push_str(",\"buckets\":{");
-        let mut first = true;
-        for (b, n) in buckets.iter().enumerate() {
-            if *n == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
+    let mut out = o.object("histograms");
+    for (name, (count, sum, buckets)) in &hists {
+        let mut h = out.object(name);
+        h.u64("count", *count).u64("sum", *sum);
+        let mut le = h.object("buckets");
+        for (b, &n) in buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
             if b >= BUCKETS - 1 {
-                out.push_str("\"le_inf\":");
+                le.u64("le_inf", n);
             } else {
-                out.push_str(&format!("\"le_{}\":", bucket_upper(b)));
+                le.u64(&format!("le_{}", bucket_upper(b)), n);
             }
-            out.push_str(&n.to_string());
         }
-        out.push_str("}}");
     }
-    out.push_str("}}");
-    out
 }
 
 /// Resolves (once per call site) and returns a `&'static Arc<Counter>`.

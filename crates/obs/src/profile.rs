@@ -532,37 +532,25 @@ pub fn top_json(window: Option<Duration>, k: usize) -> String {
     frames.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| name_of(a.0).cmp(name_of(b.0))));
     frames.truncate(k);
 
-    let rate = hz().max(1) as f64;
-    let mut out = String::with_capacity(256 + frames.len() * 96);
-    out.push_str("{\"window_seconds\":");
-    match window {
-        Some(d) => out.push_str(&d.as_secs().to_string()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"hz\":");
-    out.push_str(&hz().to_string());
-    out.push_str(",\"samples\":");
-    out.push_str(&samples.to_string());
-    out.push_str(",\"top\":[");
-    for (i, (id, total)) in frames.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let hz = hz();
+    let rate = hz.max(1) as f64;
+    json::object(|o| {
+        match window {
+            Some(d) => o.u64("window_seconds", d.as_secs()),
+            None => o.null("window_seconds"),
+        };
+        o.u64("hz", u64::from(hz)).u64("samples", samples);
+        let mut top = o.array("top");
+        for (id, total) in &frames {
+            let self_n = self_counts.get(id).copied().unwrap_or(0);
+            top.object()
+                .str("frame", name_of(*id))
+                .u64("self", self_n)
+                .u64("total", *total)
+                .f64("self_seconds", self_n as f64 / rate)
+                .f64("total_seconds", *total as f64 / rate);
         }
-        let self_n = self_counts.get(id).copied().unwrap_or(0);
-        out.push_str("{\"frame\":");
-        json::escape_into(&mut out, name_of(*id));
-        out.push_str(",\"self\":");
-        out.push_str(&self_n.to_string());
-        out.push_str(",\"total\":");
-        out.push_str(&total.to_string());
-        out.push_str(",\"self_seconds\":");
-        out.push_str(&json::fmt_f64(self_n as f64 / rate));
-        out.push_str(",\"total_seconds\":");
-        out.push_str(&json::fmt_f64(*total as f64 / rate));
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    })
 }
 
 #[cfg(test)]
@@ -651,6 +639,37 @@ mod tests {
         assert!(json.contains("{\"frame\":\"profile.test.inner\",\"self\":2,\"total\":2"));
         assert!(json.contains("\"samples\":3"));
         reset_store();
+    }
+
+    #[test]
+    fn top_json_bytes_are_pinned() {
+        let _g = serial();
+        reset_store();
+        let a = intern("profile.pin.outer");
+        let b = intern("profile.pin.\"inner\"");
+        record_sample(&[a, b], 0);
+        record_sample(&[a, b], 0);
+        record_sample(&[a], 0);
+        // No sampler runs here, so `hz` reads 0 and seconds equal samples.
+        assert_eq!(
+            top_json(None, 10),
+            "{\"window_seconds\":null,\"hz\":0,\"samples\":3,\"top\":[\
+             {\"frame\":\"profile.pin.outer\",\"self\":1,\"total\":3,\
+             \"self_seconds\":1,\"total_seconds\":3},\
+             {\"frame\":\"profile.pin.\\\"inner\\\"\",\"self\":2,\"total\":2,\
+             \"self_seconds\":2,\"total_seconds\":2}]}"
+        );
+        assert_eq!(
+            top_json(Some(Duration::from_secs(1 << 40)), 1),
+            "{\"window_seconds\":1099511627776,\"hz\":0,\"samples\":3,\"top\":[\
+             {\"frame\":\"profile.pin.outer\",\"self\":1,\"total\":3,\
+             \"self_seconds\":1,\"total_seconds\":3}]}"
+        );
+        reset_store();
+        assert_eq!(
+            top_json(None, 10),
+            "{\"window_seconds\":null,\"hz\":0,\"samples\":0,\"top\":[]}"
+        );
     }
 
     #[test]

@@ -499,147 +499,88 @@ impl FlightRecorder {
     /// The `/debug/requests` document: recorder configuration, lifetime
     /// counters, and a newest-first summary of every retained record.
     pub fn summary_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"capacity\":");
-        out.push_str(&self.capacity.to_string());
-        out.push_str(",\"survivor_capacity\":");
-        out.push_str(&self.survivor_capacity.to_string());
-        out.push_str(",\"recorded_total\":");
-        out.push_str(&self.recorded_total().to_string());
-        out.push_str(",\"survivors_pinned_total\":");
-        out.push_str(&self.survivors_pinned_total().to_string());
-        out.push_str(",\"requests\":[");
-        for (i, r) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(|o| {
+            o.u64("capacity", self.capacity as u64)
+                .u64("survivor_capacity", self.survivor_capacity as u64)
+                .u64("recorded_total", self.recorded_total())
+                .u64("survivors_pinned_total", self.survivors_pinned_total());
+            let mut requests = o.array("requests");
+            for r in self.snapshot() {
+                r.write_summary(&mut requests.object());
             }
-            r.summary_json_into(&mut out);
-        }
-        out.push_str("]}");
-        out
+        })
     }
 }
 
 impl RequestRecord {
-    fn flags_json_into(&self, out: &mut String) {
-        out.push_str(",\"status\":");
-        out.push_str(&self.status.to_string());
-        out.push_str(",\"latency_us\":");
-        out.push_str(&self.latency_us.to_string());
-        out.push_str(",\"slow\":");
-        out.push_str(if self.slow { "true" } else { "false" });
-        out.push_str(",\"error\":");
-        out.push_str(if self.error { "true" } else { "false" });
-        out.push_str(",\"panicked\":");
-        out.push_str(if self.panicked { "true" } else { "false" });
-        out.push_str(",\"deadline_exceeded\":");
-        out.push_str(if self.deadline_exceeded {
-            "true"
-        } else {
-            "false"
-        });
-        out.push_str(",\"survivor\":");
-        out.push_str(if self.survivor { "true" } else { "false" });
-        if let (Some(class), Some(state)) = (self.priority_class, self.overload_state) {
-            out.push_str(",\"overload\":{\"class\":");
-            json::escape_into(out, class);
-            out.push_str(",\"state_at_admission\":");
-            json::escape_into(out, state);
-            out.push_str(",\"shed\":");
-            out.push_str(if self.shed { "true" } else { "false" });
-            out.push('}');
-        }
-    }
-
-    fn head_json_into(&self, out: &mut String) {
-        out.push_str("{\"request_id\":");
-        json::escape_into(out, &self.request_id);
-        out.push_str(",\"trace_id\":");
-        json::escape_into(out, &self.trace_id);
-        out.push_str(",\"span_id\":");
-        json::escape_into(out, &self.span_id);
+    fn write_head(&self, o: &mut json::Object<'_>) {
+        o.str("request_id", &self.request_id)
+            .str("trace_id", &self.trace_id)
+            .str("span_id", &self.span_id);
         if let Some(parent) = &self.parent_span_id {
-            out.push_str(",\"parent_span_id\":");
-            json::escape_into(out, parent);
+            o.str("parent_span_id", parent);
         }
-        out.push_str(",\"method\":");
-        json::escape_into(out, &self.method);
-        out.push_str(",\"path\":");
-        json::escape_into(out, &self.path);
-        out.push_str(",\"started_unix_us\":");
-        out.push_str(&self.started_unix_us.to_string());
-        self.flags_json_into(out);
+        o.str("method", &self.method)
+            .str("path", &self.path)
+            .u64("started_unix_us", self.started_unix_us)
+            .u64("status", u64::from(self.status))
+            .u64("latency_us", self.latency_us)
+            .bool("slow", self.slow)
+            .bool("error", self.error)
+            .bool("panicked", self.panicked)
+            .bool("deadline_exceeded", self.deadline_exceeded)
+            .bool("survivor", self.survivor);
+        if let (Some(class), Some(state)) = (self.priority_class, self.overload_state) {
+            o.object("overload")
+                .str("class", class)
+                .str("state_at_admission", state)
+                .bool("shed", self.shed);
+        }
     }
 
-    /// One-line summary object (used by the `/debug/requests` listing).
-    pub fn summary_json_into(&self, out: &mut String) {
-        self.head_json_into(out);
-        out.push_str(",\"spans\":");
-        out.push_str(&self.spans.len().to_string());
-        out.push('}');
+    /// Writes the one-line summary (the `/debug/requests` listing entry)
+    /// into `o`.
+    fn write_summary(&self, o: &mut json::Object<'_>) {
+        self.write_head(o);
+        o.u64("spans", self.spans.len() as u64);
     }
 
     /// The full record: identity, flags, phase timings, numeric telemetry,
     /// and the complete captured span tree.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        self.head_json_into(&mut out);
-        out.push_str(",\"phases_us\":{\"queue\":");
-        out.push_str(&self.phases.queue_us.to_string());
-        out.push_str(",\"parse\":");
-        out.push_str(&self.phases.parse_us.to_string());
-        out.push_str(",\"compute\":");
-        out.push_str(&self.phases.compute_us.to_string());
-        out.push_str(",\"serialize\":");
-        out.push_str(&self.phases.serialize_us.to_string());
-        out.push_str("},\"numerics\":{");
-        for (i, (k, v)) in self.numerics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::escape_into(&mut out, k);
-            out.push(':');
-            v.render_json(&mut out);
-        }
-        out.push_str("},\"dropped_spans\":");
-        out.push_str(&self.dropped_spans.to_string());
-        out.push_str(",\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"kind\":");
-            out.push_str(match s.kind {
-                RecordKind::Span => "\"span\"",
-                RecordKind::Event => "\"event\"",
-            });
-            out.push_str(",\"level\":\"");
-            out.push_str(s.level.as_str());
-            out.push_str("\",\"name\":");
-            json::escape_into(&mut out, s.name);
-            if let Some(parent) = s.parent {
-                out.push_str(",\"parent\":");
-                json::escape_into(&mut out, parent);
-            }
-            out.push_str(",\"depth\":");
-            out.push_str(&s.depth.to_string());
-            if let Some(dur) = s.dur_us {
-                out.push_str(",\"dur_us\":");
-                out.push_str(&dur.to_string());
-            }
-            out.push_str(",\"fields\":{");
-            for (j, (k, v)) in s.fields.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        json::object(|o| {
+            self.write_head(o);
+            o.object("phases_us")
+                .u64("queue", self.phases.queue_us)
+                .u64("parse", self.phases.parse_us)
+                .u64("compute", self.phases.compute_us)
+                .u64("serialize", self.phases.serialize_us);
+            {
+                let mut numerics = o.object("numerics");
+                for (k, v) in &self.numerics {
+                    v.write_json(&mut numerics, k);
                 }
-                json::escape_into(&mut out, k);
-                out.push(':');
-                v.render_json(&mut out);
             }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+            o.u64("dropped_spans", self.dropped_spans);
+            let mut spans = o.array("spans");
+            for s in &self.spans {
+                let mut span = spans.object();
+                span.str("kind", s.kind.as_str())
+                    .str("level", s.level.as_str())
+                    .str("name", s.name);
+                if let Some(parent) = s.parent {
+                    span.str("parent", parent);
+                }
+                span.u64("depth", s.depth as u64);
+                if let Some(dur) = s.dur_us {
+                    span.u64("dur_us", dur);
+                }
+                let mut fields = span.object("fields");
+                for (k, v) in &s.fields {
+                    v.write_json(&mut fields, k);
+                }
+            }
+        })
     }
 }
 
@@ -688,6 +629,108 @@ mod tests {
         assert_eq!(r.priority_class, None);
         assert!(!r.shed);
         assert!(!r.to_json().contains("\"overload\""));
+    }
+
+    /// The `/debug/requests` listing entry for one record.
+    fn summary(r: &RequestRecord) -> String {
+        json::object(|o| r.write_summary(o))
+    }
+
+    fn pinned_record() -> RequestRecord {
+        RequestRecord {
+            seq: 9,
+            request_id: "req-\"1\"".to_string(),
+            trace_id: "4bf92f3577b34da6a3ce929d0e0e4736".to_string(),
+            span_id: "00f067aa0ba902b7".to_string(),
+            parent_span_id: Some("b7ad6b7169203331".to_string()),
+            method: "POST".to_string(),
+            path: "/measure".to_string(),
+            status: 504,
+            started_unix_us: 1_700_000_000_000_001,
+            latency_us: 41_000,
+            phases: PhaseTimings {
+                queue_us: 10,
+                parse_us: 20,
+                compute_us: 40_000,
+                serialize_us: 5,
+            },
+            slow: true,
+            panicked: false,
+            deadline_exceeded: true,
+            error: true,
+            survivor: true,
+            spans: vec![
+                RecordedSpan {
+                    kind: RecordKind::Span,
+                    level: Level::Info,
+                    name: "sinkhorn.balance",
+                    parent: Some("core.characterize"),
+                    depth: 1,
+                    dur_us: Some(39_000),
+                    fields: vec![
+                        ("iterations", FieldValue::U64(12)),
+                        ("residual", FieldValue::F64(f64::INFINITY)),
+                    ],
+                },
+                RecordedSpan {
+                    kind: RecordKind::Event,
+                    level: Level::Warn,
+                    name: "serve.slow_request",
+                    parent: None,
+                    depth: 0,
+                    dur_us: None,
+                    fields: vec![],
+                },
+            ],
+            dropped_spans: 2,
+            numerics: vec![
+                ("sinkhorn_iterations", FieldValue::U64(12)),
+                ("deadline_ms", FieldValue::F64(40.5)),
+            ],
+            priority_class: Some("interactive"),
+            overload_state: Some("brownout"),
+            shed: false,
+        }
+    }
+
+    #[test]
+    fn record_documents_are_pinned() {
+        let mut r = pinned_record();
+        let head = "{\"request_id\":\"req-\\\"1\\\"\",\
+             \"trace_id\":\"4bf92f3577b34da6a3ce929d0e0e4736\",\"span_id\":\"00f067aa0ba902b7\",";
+        let tail = "\"method\":\"POST\",\"path\":\"/measure\",\
+             \"started_unix_us\":1700000000000001,\"status\":504,\"latency_us\":41000,\
+             \"slow\":true,\"error\":true,\"panicked\":false,\"deadline_exceeded\":true,\
+             \"survivor\":true";
+        let overload = ",\"overload\":{\"class\":\"interactive\",\
+             \"state_at_admission\":\"brownout\",\"shed\":false}";
+        let body = ",\"phases_us\":{\"queue\":10,\"parse\":20,\"compute\":40000,\
+             \"serialize\":5},\"numerics\":{\"sinkhorn_iterations\":12,\"deadline_ms\":40.5},\
+             \"dropped_spans\":2,\"spans\":[{\"kind\":\"span\",\"level\":\"info\",\
+             \"name\":\"sinkhorn.balance\",\"parent\":\"core.characterize\",\"depth\":1,\
+             \"dur_us\":39000,\"fields\":{\"iterations\":12,\"residual\":null}},\
+             {\"kind\":\"event\",\"level\":\"warn\",\"name\":\"serve.slow_request\",\
+             \"depth\":0,\"fields\":{}}]}";
+        let parent = "\"parent_span_id\":\"b7ad6b7169203331\",";
+        assert_eq!(r.to_json(), format!("{head}{parent}{tail}{overload}{body}"));
+        assert_eq!(
+            summary(&r),
+            format!("{head}{parent}{tail}{overload},\"spans\":2}}")
+        );
+        // No caller span and no admission context: both blocks are omitted.
+        r.parent_span_id = None;
+        r.priority_class = None;
+        r.spans.clear();
+        r.numerics.clear();
+        r.dropped_spans = 0;
+        assert_eq!(
+            r.to_json(),
+            format!(
+                "{head}{tail},\"phases_us\":{{\"queue\":10,\"parse\":20,\"compute\":40000,\
+                 \"serialize\":5}},\"numerics\":{{}},\"dropped_spans\":0,\"spans\":[]}}"
+            )
+        );
+        assert_eq!(summary(&r), format!("{head}{tail},\"spans\":0}}"));
     }
 
     #[test]

@@ -85,14 +85,15 @@ pub enum FieldValue {
 }
 
 impl FieldValue {
-    pub(crate) fn render_json(&self, out: &mut String) {
+    /// Writes the value as member `key` of `o`.
+    pub(crate) fn write_json(&self, o: &mut json::Object<'_>, key: &str) {
         match self {
-            FieldValue::U64(v) => out.push_str(&v.to_string()),
-            FieldValue::I64(v) => out.push_str(&v.to_string()),
-            FieldValue::F64(v) => out.push_str(&json::fmt_f64(*v)),
-            FieldValue::Str(v) => json::escape_into(out, v),
-            FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-        }
+            FieldValue::U64(v) => o.u64(key, *v),
+            FieldValue::I64(v) => o.i64(key, *v),
+            FieldValue::F64(v) => o.f64(key, *v),
+            FieldValue::Str(v) => o.str(key, v),
+            FieldValue::Bool(v) => o.bool(key, *v),
+        };
     }
 
     fn render_human(&self) -> String {
@@ -113,6 +114,16 @@ pub enum RecordKind {
     Span,
     /// An instantaneous structured log line.
     Event,
+}
+
+impl RecordKind {
+    /// Lower-case name, as rendered in JSON.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            RecordKind::Span => "span",
+            RecordKind::Event => "event",
+        }
+    }
 }
 
 /// A fully-described trace record, borrowed from the emitting span/event.
@@ -238,54 +249,33 @@ pub fn uninstall_all_sinks() {
     LEVEL.store(Level::Info as u8, Ordering::Relaxed);
 }
 
-fn render_json(record: &Record<'_>) -> String {
-    let ts_us = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0);
-    let mut out = String::with_capacity(128);
-    out.push_str("{\"ts_us\":");
-    out.push_str(&ts_us.to_string());
-    out.push_str(",\"kind\":");
-    out.push_str(match record.kind {
-        RecordKind::Span => "\"span\"",
-        RecordKind::Event => "\"event\"",
-    });
-    out.push_str(",\"level\":\"");
-    out.push_str(record.level.as_str());
-    out.push_str("\",\"name\":");
-    json::escape_into(&mut out, record.name);
-    let thread = std::thread::current();
-    if let Some(name) = thread.name() {
-        out.push_str(",\"thread\":");
-        json::escape_into(&mut out, name);
-    }
-    if record.depth > 0 {
-        out.push_str(",\"depth\":");
-        out.push_str(&record.depth.to_string());
-    }
-    if let Some(parent) = record.parent {
-        out.push_str(",\"parent\":");
-        json::escape_into(&mut out, parent);
-    }
-    if let Some(dur) = record.dur_us {
-        out.push_str(",\"dur_us\":");
-        out.push_str(&dur.to_string());
-    }
-    if !record.fields.is_empty() {
-        out.push_str(",\"fields\":{");
-        for (i, (k, v)) in record.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::escape_into(&mut out, k);
-            out.push(':');
-            v.render_json(&mut out);
+/// Renders one `--log-json` line for `record`, stamped `ts_us` (µs since the
+/// Unix epoch) on the thread named `thread`.
+fn render_json(record: &Record<'_>, ts_us: u64, thread: Option<&str>) -> String {
+    json::object(|o| {
+        o.u64("ts_us", ts_us)
+            .str("kind", record.kind.as_str())
+            .str("level", record.level.as_str())
+            .str("name", record.name);
+        if let Some(name) = thread {
+            o.str("thread", name);
         }
-        out.push('}');
-    }
-    out.push('}');
-    out
+        if record.depth > 0 {
+            o.u64("depth", record.depth as u64);
+        }
+        if let Some(parent) = record.parent {
+            o.str("parent", parent);
+        }
+        if let Some(dur) = record.dur_us {
+            o.u64("dur_us", dur);
+        }
+        if !record.fields.is_empty() {
+            let mut fields = o.object("fields");
+            for (k, v) in record.fields {
+                v.write_json(&mut fields, k);
+            }
+        }
+    })
 }
 
 fn render_human(record: &Record<'_>) -> String {
@@ -325,7 +315,11 @@ pub fn emit(record: &Record<'_>) {
     }
     let needs_json = guard.iter().any(|s| !matches!(s, SinkImpl::Trace));
     let json_line = if needs_json {
-        render_json(record)
+        let ts_us = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_micros() as u64)
+            .unwrap_or(0);
+        render_json(record, ts_us, std::thread::current().name())
     } else {
         String::new()
     };
@@ -353,5 +347,53 @@ pub fn emit(record: &Record<'_>) {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_lines_are_pinned() {
+        let fields = [
+            ("tasks", FieldValue::U64(17)),
+            ("delta", FieldValue::I64(-3)),
+            ("tma", FieldValue::F64(0.07)),
+            ("residual", FieldValue::F64(f64::NAN)),
+            ("path", FieldValue::Str("/a\"b\n".to_string())),
+            ("hit", FieldValue::Bool(true)),
+        ];
+        let span = Record {
+            kind: RecordKind::Span,
+            level: Level::Info,
+            name: "core.characterize",
+            parent: Some("serve.request"),
+            depth: 2,
+            dur_us: Some(1234),
+            fields: &fields,
+        };
+        assert_eq!(
+            render_json(&span, 1_700_000_000_123_456, Some("hc-serve-worker-0")),
+            "{\"ts_us\":1700000000123456,\"kind\":\"span\",\"level\":\"info\",\
+             \"name\":\"core.characterize\",\"thread\":\"hc-serve-worker-0\",\"depth\":2,\
+             \"parent\":\"serve.request\",\"dur_us\":1234,\"fields\":{\"tasks\":17,\
+             \"delta\":-3,\"tma\":0.07,\"residual\":null,\"path\":\"/a\\\"b\\n\",\
+             \"hit\":true}}"
+        );
+        let event = Record {
+            kind: RecordKind::Event,
+            level: Level::Warn,
+            name: "serve.slow_request",
+            parent: None,
+            depth: 0,
+            dur_us: None,
+            fields: &[],
+        };
+        assert_eq!(
+            render_json(&event, 0, None),
+            "{\"ts_us\":0,\"kind\":\"event\",\"level\":\"warn\",\
+             \"name\":\"serve.slow_request\"}"
+        );
     }
 }

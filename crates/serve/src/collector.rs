@@ -21,6 +21,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
+use hc_obs::json::{self, Array};
 use hc_obs::metrics::{quantile_upper, BUCKETS};
 use hc_obs::tsdb::{Kind, QueryResult, Tsdb};
 
@@ -272,80 +273,57 @@ pub(crate) fn debug_timeseries(state: &ServerState, req: &Request) -> Result<Res
 
 /// The no-parameters catalog document.
 fn catalog_json(tsdb: &Tsdb, now_s: u64) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\"now_s\":");
-    out.push_str(&now_s.to_string());
-    out.push_str(",\"tsdb_bytes\":");
-    out.push_str(&tsdb.bytes().to_string());
-    out.push_str(",\"tiers\":[");
-    for (i, (step, slots)) in tsdb.tiers().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    json::object(|o| {
+        o.u64("now_s", now_s).i64("tsdb_bytes", tsdb.bytes());
+        {
+            let mut tiers = o.array("tiers");
+            for &(step, slots) in tsdb.tiers() {
+                tiers
+                    .object()
+                    .u64("step_s", step)
+                    .u64("slots", slots as u64)
+                    .u64("span_s", step * slots as u64);
+            }
         }
-        out.push_str(&format!(
-            "{{\"step_s\":{step},\"slots\":{slots},\"span_s\":{}}}",
-            step * *slots as u64
-        ));
-    }
-    out.push_str("],\"series\":[");
-    for (i, (name, kind)) in tsdb.series_names().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        let mut series = o.array("series");
+        for (name, kind) in tsdb.series_names() {
+            series
+                .object()
+                .str("name", &name)
+                .str("kind", kind.as_str());
         }
-        out.push_str("{\"name\":");
-        hc_obs::json::escape_into(&mut out, name);
-        out.push_str(",\"kind\":\"");
-        out.push_str(kind.as_str());
-        out.push_str("\"}");
-    }
-    out.push_str("]}");
-    out
+    })
 }
 
 /// Writes one `[v1,null,v2,...]` array of optional points.
-fn points_into(out: &mut String, points: &[Option<f64>]) {
-    out.push('[');
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+fn write_points(mut arr: Array<'_>, points: &[Option<f64>]) {
+    for p in points {
         match p {
-            Some(v) => out.push_str(&hc_obs::json::fmt_f64(*v)),
-            None => out.push_str("null"),
-        }
+            Some(v) => arr.f64(*v),
+            None => arr.null(),
+        };
     }
-    out.push(']');
 }
 
 /// The `series=` JSON document: aligned arrays, kinds, and counter rates.
 fn render_json(now_s: u64, window_s: u64, results: &[(&str, QueryResult)]) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"now_s\":");
-    out.push_str(&now_s.to_string());
-    out.push_str(",\"window_s\":");
-    out.push_str(&window_s.to_string());
-    out.push_str(",\"series\":{");
-    for (i, (name, q)) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    json::object(|o| {
+        o.u64("now_s", now_s).u64("window_s", window_s);
+        let mut series = o.object("series");
+        for (name, q) in results {
+            let mut s = series.object(name);
+            s.str("kind", q.kind.as_str())
+                .u64("step_s", q.step_s)
+                .u64("start_s", q.start_s);
+            write_points(s.array("points"), &q.points);
+            if matches!(q.kind, Kind::Counter) {
+                write_points(
+                    s.array("rate_per_s"),
+                    &hc_obs::tsdb::rate(&q.points, q.step_s),
+                );
+            }
         }
-        hc_obs::json::escape_into(&mut out, name);
-        out.push_str(":{\"kind\":\"");
-        out.push_str(q.kind.as_str());
-        out.push_str("\",\"step_s\":");
-        out.push_str(&q.step_s.to_string());
-        out.push_str(",\"start_s\":");
-        out.push_str(&q.start_s.to_string());
-        out.push_str(",\"points\":");
-        points_into(&mut out, &q.points);
-        if matches!(q.kind, Kind::Counter) {
-            out.push_str(",\"rate_per_s\":");
-            points_into(&mut out, &hc_obs::tsdb::rate(&q.points, q.step_s));
-        }
-        out.push('}');
-    }
-    out.push_str("}}");
-    out
+    })
 }
 
 /// One line per series: `name  <sparkline>  last=<v> step=<s>s`. Counters
@@ -413,6 +391,40 @@ mod tests {
         let g_obj = &doc[doc.find("\"g\":{").unwrap()..];
         assert!(!g_obj.contains("rate_per_s"), "{doc}");
         assert!(g_obj.contains("\"points\":[7,7,7,7,7]"), "{doc}");
+    }
+
+    #[test]
+    fn catalog_and_series_bytes_are_pinned() {
+        let tsdb = Tsdb::new(&[(1, 4), (10, 2)]);
+        tsdb.record(Kind::Gauge, "p99_\"us\"", 100, 1.5);
+        for (s, v) in [(100, 2.0), (101, 5.0), (102, 8.0)] {
+            tsdb.record(Kind::Counter, "requests_total", s, v);
+        }
+        assert_eq!(
+            catalog_json(&tsdb, 103),
+            format!(
+                "{{\"now_s\":103,\"tsdb_bytes\":{},\"tiers\":[\
+                 {{\"step_s\":1,\"slots\":4,\"span_s\":4}},\
+                 {{\"step_s\":10,\"slots\":2,\"span_s\":20}}],\"series\":[\
+                 {{\"name\":\"p99_\\\"us\\\"\",\"kind\":\"gauge\"}},\
+                 {{\"name\":\"requests_total\",\"kind\":\"counter\"}}]}}",
+                tsdb.bytes()
+            )
+        );
+        let counter = tsdb.query("requests_total", 103, 4, None).unwrap();
+        let gauge = tsdb.query("p99_\"us\"", 103, 4, None).unwrap();
+        assert_eq!(
+            render_json(
+                103,
+                4,
+                &[("requests_total", counter), ("p99_\"us\"", gauge)]
+            ),
+            "{\"now_s\":103,\"window_s\":4,\"series\":{\
+             \"requests_total\":{\"kind\":\"counter\",\"step_s\":1,\"start_s\":100,\
+             \"points\":[2,5,8,null],\"rate_per_s\":[null,3,3,null]},\
+             \"p99_\\\"us\\\"\":{\"kind\":\"gauge\",\"step_s\":1,\"start_s\":100,\
+             \"points\":[1.5,null,null,null]}}}"
+        );
     }
 
     #[test]

@@ -24,10 +24,10 @@ use hc_sched::problem::{makespan_lower_bound, MappingProblem};
 use hc_sinkhorn::structure::analyze_structure;
 use hc_spec::csv;
 
-use crate::http::{HttpError, Request, Response};
-use crate::json::JsonObject;
+use crate::http::{ErrorDetails, HttpError, Request, Response};
 use hc_core::error::MeasureError;
 use hc_linalg::Budget;
+use hc_obs::json;
 
 /// Per-request context threaded from the router into every handler: the
 /// cooperative cancellation budget (when a deadline applies) and the oversized
@@ -52,29 +52,27 @@ impl ReqCtx<'_> {
 }
 
 /// Maps a measurement failure to its HTTP error: deadline expiry becomes a
-/// typed `504` carrying partial-progress diagnostics, everything else `400`.
+/// typed `504` carrying partial-progress diagnostics, a repeated task or
+/// machine name a typed `400`, everything else a plain `400`.
 pub(crate) fn measure_error(e: MeasureError) -> HttpError {
     match e {
+        MeasureError::DuplicateName { .. } => {
+            HttpError::typed(400, "duplicate_name", e.to_string())
+        }
         MeasureError::DeadlineExceeded {
             op,
             iterations,
             residual,
-        } => {
-            let residual_json = if residual.is_finite() {
-                format!("{residual:e}")
-            } else {
-                "null".to_string()
-            };
-            HttpError::typed(
-                504,
-                "deadline_exceeded",
-                format!("deadline exceeded in {op} after {iterations} iterations"),
-            )
-            .with_details(format!(
-                "\"op\":{},\"iterations_completed\":{iterations},\"residual\":{residual_json}",
-                hc_obs::json::escape(op)
-            ))
-        }
+        } => HttpError::typed(
+            504,
+            "deadline_exceeded",
+            format!("deadline exceeded in {op} after {iterations} iterations"),
+        )
+        .with_details(ErrorDetails::Deadline {
+            op,
+            iterations,
+            residual,
+        }),
         other => HttpError::bad(other.to_string()),
     }
 }
@@ -149,14 +147,14 @@ pub fn load_ecs(req: &Request, ctx: &ReqCtx<'_>) -> Result<Ecs, HttpError> {
         b.check("parse", 0, f64::NAN)
             .map_err(|e| measure_error(MeasureError::from(e)))?;
     }
-    let etc = csv::from_csv(text).map_err(|e| HttpError::bad(e.to_string()))?;
+    let etc = csv::from_csv(text).map_err(measure_error)?;
     if req.has_param("ecs") {
         Ecs::with_names(
             etc.matrix().map(|v| if v.is_infinite() { 0.0 } else { v }),
             etc.task_names().to_vec(),
             etc.machine_names().to_vec(),
         )
-        .map_err(|e| HttpError::bad(e.to_string()))
+        .map_err(measure_error)
     } else {
         Ok(etc.to_ecs())
     }
@@ -201,19 +199,19 @@ pub fn structure(req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError>
     check_allowed(req, &["ecs"])?;
     let ecs = load_ecs(req, ctx)?;
     let rep = analyze_structure(ecs.matrix());
-    Ok(Response::json(
-        JsonObject::new()
-            .raw("shape", &format!("[{},{}]", rep.shape.0, rep.shape.1))
-            .u64("positive_entries", rep.positive_entries as u64)
+    Ok(Response::json(json::object(|o| {
+        o.array("shape")
+            .u64(rep.shape.0 as u64)
+            .u64(rep.shape.1 as u64);
+        o.u64("positive_entries", rep.positive_entries as u64)
             .u64("total_entries", (rep.shape.0 * rep.shape.1) as u64)
             .u64("matching_size", rep.matching_size as u64)
             .bool("has_support", rep.has_support)
             .bool("has_total_support", rep.has_total_support)
             .bool("fully_indecomposable", rep.fully_indecomposable)
             .bool("connected", rep.connected)
-            .str("balanceability", &format!("{:?}", rep.balanceability))
-            .finish(),
-    ))
+            .str("balanceability", &format!("{:?}", rep.balanceability));
+    })))
 }
 
 /// `POST /generate` — synthesize an ETC matrix; returns `text/csv`.
@@ -328,38 +326,39 @@ pub fn schedule(req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError> 
         }
     }
 
-    let mut results = JsonObject::new();
+    let mut makespans = Vec::with_capacity(rows.len());
     let mut best: Option<(&str, f64, &hc_sched::Schedule)> = None;
     for (name, s) in &rows {
         let mk = s.makespan(&p).map_err(lib_err)?;
-        results = results.num(name, mk);
+        makespans.push((name, mk));
         if best.is_none() || mk < best.expect("set").1 {
             best = Some((name, mk, s));
         }
     }
-    let best_json = match best {
-        Some((name, mk, s)) => {
-            let mut assignment = JsonObject::new();
-            for (i, &j) in s.assignment.iter().enumerate() {
-                assignment = assignment.str(&etc.task_names()[i], &etc.machine_names()[j]);
-            }
-            JsonObject::new()
-                .str("name", name)
-                .num("makespan", mk)
-                .raw("assignment", &assignment.finish())
-                .finish()
-        }
-        None => "null".to_string(),
-    };
-    Ok(Response::json(
-        JsonObject::new()
-            .u64("tasks", p.num_tasks() as u64)
+    Ok(Response::json(json::object(|o| {
+        o.u64("tasks", p.num_tasks() as u64)
             .u64("machines", p.num_machines() as u64)
-            .num("lower_bound", makespan_lower_bound(&p))
-            .raw("results", &results.finish())
-            .raw("best", &best_json)
-            .finish(),
-    ))
+            .f64("lower_bound", makespan_lower_bound(&p));
+        {
+            let mut results = o.object("results");
+            for (name, mk) in &makespans {
+                results.f64(name, *mk);
+            }
+        }
+        match best {
+            Some((name, mk, s)) => {
+                let mut entry = o.object("best");
+                entry.str("name", name).f64("makespan", mk);
+                let mut assignment = entry.object("assignment");
+                for (i, &j) in s.assignment.iter().enumerate() {
+                    assignment.str(&etc.task_names()[i], &etc.machine_names()[j]);
+                }
+            }
+            None => {
+                o.null("best");
+            }
+        }
+    })))
 }
 
 #[cfg(test)]
@@ -515,6 +514,68 @@ mod tests {
         assert!(body.contains("\"iterations_completed\":"), "{body}");
         assert!(body.contains("\"residual\":"), "{body}");
         assert!(body.contains("\"op\":"), "{body}");
+    }
+
+    #[test]
+    fn deadline_body_is_pinned() {
+        let body = |e: HttpError| String::from_utf8(e.to_response().body.as_slice().to_vec());
+        let e = measure_error(MeasureError::DeadlineExceeded {
+            op: "sinkhorn",
+            iterations: 12,
+            residual: 1.5e-3,
+        });
+        assert_eq!(e.status, 504);
+        assert_eq!(
+            body(e).unwrap(),
+            "{\"error\":\"deadline exceeded in sinkhorn after 12 iterations\",\
+             \"code\":\"deadline_exceeded\",\"op\":\"sinkhorn\",\
+             \"iterations_completed\":12,\"residual\":1.5e-3}"
+        );
+        // An untracked residual is null; a whole one keeps the `{:e}` form.
+        let untracked = measure_error(MeasureError::DeadlineExceeded {
+            op: "parse",
+            iterations: 0,
+            residual: f64::NAN,
+        });
+        assert!(body(untracked)
+            .unwrap()
+            .ends_with("\"op\":\"parse\",\"iterations_completed\":0,\"residual\":null}"));
+        let whole = measure_error(MeasureError::DeadlineExceeded {
+            op: "svd",
+            iterations: 3,
+            residual: 1.0,
+        });
+        assert!(body(whole).unwrap().ends_with("\"residual\":1e0}"));
+    }
+
+    #[test]
+    fn repeated_names_answer_typed_400() {
+        let dup = "task,m1,m1\nt1,1,2\nt1,3,1\n";
+        for (endpoint, handler) in [
+            ("measure", measure as fn(&Request, &ReqCtx<'_>) -> _),
+            ("structure", structure),
+            ("schedule", schedule),
+        ] {
+            let err = handler(&post(&[], dup), &ctx()).unwrap_err();
+            assert_eq!(
+                (err.status, err.code),
+                (400, Some("duplicate_name")),
+                "{endpoint}"
+            );
+            assert_eq!(
+                body_text(&err.to_response()),
+                "{\"error\":\"invalid HC environment: task name \\\"t1\\\" appears twice \
+                 (tasks 1 and 2); names must be unique\",\"code\":\"duplicate_name\"}",
+                "{endpoint}"
+            );
+        }
+        let one_empty = measure(&post(&[("ecs", "1")], "task,a,\nt1,1,2\nt2,3,1\n"), &ctx());
+        assert!(one_empty.is_ok(), "distinct names, one empty, are accepted");
+        let err = measure(&post(&[], "task,,\nt1,1,2\nt2,3,1\n"), &ctx()).unwrap_err();
+        assert_eq!(err.code, Some("duplicate_name"));
+        assert!(err
+            .message
+            .contains("machine name \"\" appears twice (machines 1 and 2)"));
     }
 
     #[test]

@@ -234,10 +234,22 @@ pub struct HttpError {
     /// `"matrix_too_large"`, `"body_too_large"`, `"internal_panic"`, …) for
     /// clients that must branch on the failure kind without parsing prose.
     pub code: Option<&'static str>,
-    /// Extra top-level JSON fields (a raw `"key":value,…` fragment, no braces)
-    /// spliced into the error body — e.g. partial-progress diagnostics on a
-    /// deadline-exceeded response.
-    pub details: Option<String>,
+    /// Extra top-level fields of the error body.
+    pub details: Option<ErrorDetails>,
+}
+
+/// The typed extra fields an error body can carry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ErrorDetails {
+    /// `deadline_exceeded`: the cancelled kernel, the iterations it completed,
+    /// and its residual then (exponent form; `null` when untracked).
+    Deadline {
+        op: &'static str,
+        iterations: usize,
+        residual: f64,
+    },
+    /// `version_conflict`: the session's current version.
+    VersionConflict { current: u64 },
 }
 
 impl HttpError {
@@ -261,25 +273,36 @@ impl HttpError {
         }
     }
 
-    /// Attaches extra top-level JSON fields (raw `"key":value,…` fragment).
-    pub fn with_details(mut self, raw_fields: impl Into<String>) -> Self {
-        self.details = Some(raw_fields.into());
+    /// Attaches extra top-level fields to the error body.
+    pub fn with_details(mut self, details: ErrorDetails) -> Self {
+        self.details = Some(details);
         self
     }
 
     /// Renders the error as its JSON response:
     /// `{"error":…[,"code":…][,<details>]}`.
     pub fn to_response(&self) -> Response {
-        let mut body = format!("{{\"error\":{}", hc_obs::json::escape(&self.message));
-        if let Some(code) = self.code {
-            body.push_str(",\"code\":");
-            hc_obs::json::escape_into(&mut body, code);
-        }
-        if let Some(details) = &self.details {
-            body.push(',');
-            body.push_str(details);
-        }
-        body.push('}');
+        let body = hc_obs::json::object(|o| {
+            o.str("error", &self.message);
+            if let Some(code) = self.code {
+                o.str("code", code);
+            }
+            match self.details {
+                Some(ErrorDetails::Deadline {
+                    op,
+                    iterations,
+                    residual,
+                }) => {
+                    o.str("op", op)
+                        .u64("iterations_completed", iterations as u64)
+                        .f64_exp("residual", residual);
+                }
+                Some(ErrorDetails::VersionConflict { current }) => {
+                    o.u64("current_version", current);
+                }
+                None => {}
+            }
+        });
         Response {
             status: self.status,
             content_type: "application/json",
@@ -722,15 +745,20 @@ mod tests {
 
     #[test]
     fn typed_error_renders_code_and_details() {
-        let e = HttpError::typed(504, "deadline_exceeded", "out of time")
-            .with_details("\"iterations_completed\":12,\"residual\":1e-3");
+        let e = HttpError::typed(504, "deadline_exceeded", "out of time").with_details(
+            ErrorDetails::Deadline {
+                op: "svd",
+                iterations: 12,
+                residual: 1e-3,
+            },
+        );
         let resp = e.to_response();
         assert_eq!(resp.status, 504);
         let body = String::from_utf8(resp.body.as_slice().to_vec()).unwrap();
         assert_eq!(
             body,
             "{\"error\":\"out of time\",\"code\":\"deadline_exceeded\",\
-             \"iterations_completed\":12,\"residual\":1e-3}"
+             \"op\":\"svd\",\"iterations_completed\":12,\"residual\":1e-3}"
         );
         let mut out = Vec::new();
         write_response(&mut out, &resp).unwrap();
@@ -747,6 +775,28 @@ mod tests {
         assert!(String::from_utf8(out)
             .unwrap()
             .starts_with("HTTP/1.1 422 Unprocessable Entity\r\n"));
+    }
+
+    #[test]
+    fn error_bodies_are_pinned() {
+        let body = |r: Response| String::from_utf8(r.body.as_slice().to_vec()).unwrap();
+        assert_eq!(
+            body(Response::error(404, "no such endpoint /a\"b")),
+            "{\"error\":\"no such endpoint /a\\\"b\"}"
+        );
+        assert_eq!(
+            body(HttpError::bad("line 1:\tbad\u{1}").to_response()),
+            "{\"error\":\"line 1:\\tbad\\u0001\"}"
+        );
+        assert_eq!(
+            body(HttpError::typed(422, "matrix_too_large", "too big").to_response()),
+            "{\"error\":\"too big\",\"code\":\"matrix_too_large\"}"
+        );
+        assert_eq!(
+            body(Response::overloaded(1)),
+            "{\"error\":\"server overloaded, request queue full or queue delay over \
+             target\",\"code\":\"overloaded\"}"
+        );
     }
 
     #[test]

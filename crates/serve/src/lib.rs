@@ -51,7 +51,8 @@
 //!   `endpoint\0options\0body`; identical requests skip Sinkhorn/heuristic
 //!   work entirely (`X-Cache: hit`).
 //! * [`metrics`] — per-endpoint counters and log₂ latency histograms,
-//!   rendered by `GET /metrics` through the hand-rolled [`json`] builders.
+//!   rendered by `GET /metrics` with [`hc_obs::json`]'s writer, the one
+//!   every document uses ([`json`] keeps only the measure body).
 //! * [`handlers`] / [`router`] / [`server`] — pure endpoint logic, then
 //!   dispatch + caching + batching, then sockets and lifecycle.
 //! * [`signal`] — SIGINT/SIGTERM → atomic flag → graceful drain.

@@ -23,12 +23,12 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use hc_obs::json::{self, Object};
 use hc_obs::metrics::{quantile_upper, Counter, Histogram};
 use hc_obs::prom::PromWriter;
 use hc_obs::slo::{ObjectiveSnapshot, SloSnapshot, WindowStats};
 
 use crate::cache::CacheStats;
-use crate::json::JsonObject;
 use crate::overload::{state_name, OverloadSnapshot, STATE_BROWNOUT, STATE_OK, STATE_SHEDDING};
 use crate::server::ServerState;
 
@@ -144,8 +144,8 @@ enum Value {
     /// The overload ladder rung: its name in JSON, one 0/1 `gauge` sample per
     /// rung in Prometheus.
     Rung(u8),
-    /// A JSON-only sub-document with its own renderer.
-    Json(String),
+    /// A JSON-only sub-document, written in place by its own writer.
+    Json(fn(&Scrape, &mut Object<'_>)),
 }
 
 /// One series: its JSON key, its Prometheus family (`None` for JSON only)
@@ -175,7 +175,7 @@ const TABLE: &[(&str, &[Row])] = &[
             row("uptime_seconds", Some("hc_serve_uptime_seconds"), |s| {
                 Value::Gauge(s.state.metrics.uptime().as_secs() as i64)
             }),
-            row("build", None, |_| Value::Json(build_info_json())),
+            row("build", None, |_| Value::Json(|_, o| write_build_info(o))),
             row("requests_total", None, |s| {
                 Value::Counter(s.endpoints.iter().map(|(_, e)| e.requests.get()).sum())
             }),
@@ -184,8 +184,8 @@ const TABLE: &[(&str, &[Row])] = &[
                 Some("hc_serve_requests_in_flight"),
                 |s| Value::Gauge(s.state.in_flight.load(Relaxed)),
             ),
-            row("endpoints", None, |s| {
-                Value::Json(endpoints_json(&s.endpoints))
+            row("endpoints", None, |_| {
+                Value::Json(|s, o| write_endpoints(o, &s.endpoints))
             }),
         ],
     ),
@@ -376,7 +376,12 @@ const TABLE: &[(&str, &[Row])] = &[
             ),
         ],
     ),
-    ("", &[row("slo", None, |s| Value::Json(slo_json(&s.slo)))]),
+    (
+        "",
+        &[row("slo", None, |_| {
+            Value::Json(|s, o| write_slo(o, &s.slo))
+        })],
+    ),
     (
         "overload",
         &[
@@ -423,7 +428,7 @@ const TABLE: &[(&str, &[Row])] = &[
     (
         "",
         &[row("library", None, |_| {
-            Value::Json(hc_obs::metrics::export_json())
+            Value::Json(|_, o| hc_obs::metrics::export_into(o))
         })],
     ),
 ];
@@ -433,15 +438,15 @@ const TABLE: &[(&str, &[Row])] = &[
 /// scrape covers both server and library counters.
 pub(crate) fn json_document(state: &ServerState) -> String {
     let scrape = Scrape::take(state);
-    let mut doc = JsonObject::new();
-    for (group, rows) in TABLE {
-        doc = if group.is_empty() {
-            json_rows(&scrape, doc, rows)
-        } else {
-            doc.raw(group, &json_rows(&scrape, JsonObject::new(), rows).finish())
-        };
-    }
-    doc.finish()
+    json::object(|doc| {
+        for (group, rows) in TABLE {
+            if group.is_empty() {
+                write_rows(&scrape, doc, rows);
+            } else {
+                write_rows(&scrape, &mut doc.object(group), rows);
+            }
+        }
+    })
 }
 
 /// Renders one named group of the JSON document on its own (`hc-loadgen`
@@ -450,17 +455,26 @@ pub fn json_group(state: &ServerState, name: &str) -> Option<String> {
     let (_, rows) = TABLE
         .iter()
         .find(|(group, _)| *group == name && !name.is_empty())?;
-    Some(json_rows(&Scrape::take(state), JsonObject::new(), rows).finish())
+    let scrape = Scrape::take(state);
+    Some(json::object(|o| write_rows(&scrape, o, rows)))
 }
 
-/// Appends one `"key":value` field per row to `obj`.
-fn json_rows(scrape: &Scrape, obj: JsonObject, rows: &[Row]) -> JsonObject {
-    rows.iter().fold(obj, |obj, row| match (row.read)(scrape) {
-        Value::Counter(v) => obj.u64(row.key, v),
-        Value::Gauge(v) => obj.i64(row.key, v),
-        Value::Rung(rung) => obj.str(row.key, state_name(rung)),
-        Value::Json(doc) => obj.raw(row.key, &doc),
-    })
+/// Writes one `"key":value` member per row into `o`.
+fn write_rows(scrape: &Scrape, o: &mut Object<'_>, rows: &[Row]) {
+    for row in rows {
+        match (row.read)(scrape) {
+            Value::Counter(v) => {
+                o.u64(row.key, v);
+            }
+            Value::Gauge(v) => {
+                o.i64(row.key, v);
+            }
+            Value::Rung(rung) => {
+                o.str(row.key, state_name(rung));
+            }
+            Value::Json(write) => write(scrape, &mut o.object(row.key)),
+        }
+    }
 }
 
 /// Renders the whole `/metrics?format=prometheus` document: the per-endpoint
@@ -501,37 +515,32 @@ pub fn prometheus_document(state: &ServerState) -> String {
     out
 }
 
-/// Renders the JSON `endpoints` object: one object per endpoint with its
+/// Writes the JSON `endpoints` members: one object per endpoint with its
 /// counters, latency sum and quantile upper bounds, and both histograms as
 /// `{"le_<2^i>us": count}` maps of their non-empty buckets.
-fn endpoints_json(endpoints: &[(&'static str, Arc<Endpoint>)]) -> String {
-    let histogram = |buckets: &[u64]| {
-        let mut obj = JsonObject::new();
+fn write_endpoints(o: &mut Object<'_>, endpoints: &[(&'static str, Arc<Endpoint>)]) {
+    fn histogram(mut o: Object<'_>, buckets: &[u64]) {
         for (i, &n) in buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
-            obj = obj.u64(&format!("le_{}us", 1u64 << i), n);
+            o.u64(&format!("le_{}us", 1u64 << i), n);
         }
-        obj.finish()
-    };
-    let mut out = JsonObject::new();
+    }
     for (name, e) in endpoints {
         let latency = e.latency.bucket_counts();
-        let obj = JsonObject::new()
-            .u64("count", e.requests.get())
+        let mut obj = o.object(name);
+        obj.u64("count", e.requests.get())
             .u64("errors", e.errors.get())
             .u64("cache_hits", e.cache_hits.get())
             .u64("latency_total_us", e.latency.sum())
             .u64("latency_p50_us_upper", quantile_upper(&latency, 0.50))
             .u64("latency_p95_us_upper", quantile_upper(&latency, 0.95))
-            .u64("latency_p99_us_upper", quantile_upper(&latency, 0.99))
-            .raw("latency_histogram_us", &histogram(&latency))
-            .u64("service_total_us", e.service.sum())
-            .raw(
-                "service_histogram_us",
-                &histogram(&e.service.bucket_counts()),
-            );
-        out = out.raw(name, &obj.finish());
+            .u64("latency_p99_us_upper", quantile_upper(&latency, 0.99));
+        histogram(obj.object("latency_histogram_us"), &latency);
+        obj.u64("service_total_us", e.service.sum());
+        histogram(
+            obj.object("service_histogram_us"),
+            &e.service.bucket_counts(),
+        );
     }
-    out.finish()
 }
 
 /// Writes the per-endpoint families, each labelled `endpoint="<name>"`.
@@ -563,39 +572,37 @@ fn write_endpoint_series(w: &mut PromWriter, endpoints: &[(&'static str, Arc<End
     histogram("hc_serve_service_us", |e| &e.service);
 }
 
-fn window_json(w: &WindowStats) -> String {
-    JsonObject::new()
-        .u64("seconds", w.seconds)
+fn write_window(mut o: Object<'_>, w: &WindowStats) {
+    o.u64("seconds", w.seconds)
         .u64("total", w.total)
         .u64("bad", w.bad)
-        .num("error_rate", w.error_rate)
-        .num("burn_rate", w.burn_rate)
-        .finish()
+        .f64("error_rate", w.error_rate)
+        .f64("burn_rate", w.burn_rate);
 }
 
-fn objective_fields(obj: JsonObject, o: &ObjectiveSnapshot) -> JsonObject {
-    obj.num("objective", o.objective)
-        .raw("short", &window_json(&o.short))
-        .raw("mid", &window_json(&o.mid))
-        .raw("long", &window_json(&o.long))
-        .bool("fast_alert", o.fast_alert)
-        .bool("slow_alert", o.slow_alert)
+fn write_objective(o: &mut Object<'_>, s: &ObjectiveSnapshot) {
+    o.f64("objective", s.objective);
+    write_window(o.object("short"), &s.short);
+    write_window(o.object("mid"), &s.mid);
+    write_window(o.object("long"), &s.long);
+    o.bool("fast_alert", s.fast_alert)
+        .bool("slow_alert", s.slow_alert);
 }
 
-/// Renders the JSON `slo` object from one engine snapshot.
-fn slo_json(s: &SloSnapshot) -> String {
-    let availability = objective_fields(JsonObject::new(), &s.availability).finish();
-    let obj = JsonObject::new()
-        .bool("degraded", s.degraded)
-        .raw("availability", &availability);
+/// Writes the JSON `slo` members from one engine snapshot.
+fn write_slo(o: &mut Object<'_>, s: &SloSnapshot) {
+    o.bool("degraded", s.degraded);
+    write_objective(&mut o.object("availability"), &s.availability);
     match &s.latency {
-        Some((threshold_ms, o)) => {
-            let lat = objective_fields(JsonObject::new().u64("threshold_ms", *threshold_ms), o);
-            obj.raw("latency", &lat.finish())
+        Some((threshold_ms, objective)) => {
+            let mut latency = o.object("latency");
+            latency.u64("threshold_ms", *threshold_ms);
+            write_objective(&mut latency, objective);
         }
-        None => obj.raw("latency", "null"),
+        None => {
+            o.null("latency");
+        }
     }
-    .finish()
 }
 
 /// Writes the SLO gauge series for one engine snapshot: per-objective
@@ -654,23 +661,28 @@ fn write_slo_series(w: &mut PromWriter, s: &SloSnapshot) {
     );
 }
 
-/// Build identity rendered into `/metrics` and `/healthz`: crate version plus
+/// Build identity written into `/metrics` and `/healthz`: crate version plus
 /// the `git describe` output captured at compile time via the
 /// `HC_GIT_DESCRIBE` environment variable (absent in plain `cargo build`, so
 /// it degrades to `"unknown"`).
-pub fn build_info_json() -> String {
-    JsonObject::new()
-        .str("version", env!("CARGO_PKG_VERSION"))
-        .str(
-            "git_describe",
-            option_env!("HC_GIT_DESCRIBE").unwrap_or("unknown"),
-        )
-        .finish()
+pub(crate) fn write_build_info(o: &mut Object<'_>) {
+    o.str("version", env!("CARGO_PKG_VERSION")).str(
+        "git_describe",
+        option_env!("HC_GIT_DESCRIBE").unwrap_or("unknown"),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn endpoints_json(endpoints: &[(&'static str, Arc<Endpoint>)]) -> String {
+        json::object(|o| write_endpoints(o, endpoints))
+    }
+
+    fn slo_json(s: &SloSnapshot) -> String {
+        json::object(|o| write_slo(o, s))
+    }
 
     fn cells(r: &Registry, name: &str) -> Arc<Endpoint> {
         r.endpoints()
@@ -721,6 +733,81 @@ mod tests {
             "{j}"
         );
         assert!(j.contains("\"service_total_us\":8122"), "{j}");
+    }
+
+    #[test]
+    fn endpoints_and_slo_groups_are_pinned() {
+        let r = Registry::new();
+        r.record(
+            "measure",
+            false,
+            true,
+            Duration::from_micros(3),
+            Duration::from_micros(2),
+        );
+        r.record(
+            "healthz",
+            true,
+            false,
+            Duration::from_micros(700),
+            Duration::ZERO,
+        );
+        assert_eq!(
+            endpoints_json(&r.endpoints()),
+            "{\"healthz\":{\"count\":1,\"errors\":1,\"cache_hits\":0,\
+             \"latency_total_us\":700,\"latency_p50_us_upper\":1024,\
+             \"latency_p95_us_upper\":1024,\"latency_p99_us_upper\":1024,\
+             \"latency_histogram_us\":{\"le_1024us\":1},\"service_total_us\":0,\
+             \"service_histogram_us\":{\"le_1us\":1}},\
+             \"measure\":{\"count\":1,\"errors\":0,\"cache_hits\":1,\
+             \"latency_total_us\":3,\"latency_p50_us_upper\":4,\
+             \"latency_p95_us_upper\":4,\"latency_p99_us_upper\":4,\
+             \"latency_histogram_us\":{\"le_4us\":1},\"service_total_us\":2,\
+             \"service_histogram_us\":{\"le_4us\":1}}}"
+        );
+        assert_eq!(endpoints_json(&[]), "{}");
+
+        let window = |seconds, total, bad| WindowStats {
+            seconds,
+            total,
+            bad,
+            error_rate: if total == 0 {
+                0.0
+            } else {
+                bad as f64 / total as f64
+            },
+            burn_rate: if total == 0 { 0.0 } else { 25.0 },
+        };
+        let objective = ObjectiveSnapshot {
+            objective: 0.999,
+            short: window(300, 4, 1),
+            mid: window(3600, 0, 0),
+            long: window(21600, 8, 0),
+            fast_alert: true,
+            slow_alert: false,
+        };
+        let mut snap = SloSnapshot {
+            availability: objective,
+            latency: None,
+            degraded: true,
+        };
+        let objective_json = "\"objective\":0.999,\
+            \"short\":{\"seconds\":300,\"total\":4,\"bad\":1,\"error_rate\":0.25,\"burn_rate\":25},\
+            \"mid\":{\"seconds\":3600,\"total\":0,\"bad\":0,\"error_rate\":0,\"burn_rate\":0},\
+            \"long\":{\"seconds\":21600,\"total\":8,\"bad\":0,\"error_rate\":0,\"burn_rate\":25},\
+            \"fast_alert\":true,\"slow_alert\":false";
+        assert_eq!(
+            slo_json(&snap),
+            format!("{{\"degraded\":true,\"availability\":{{{objective_json}}},\"latency\":null}}")
+        );
+        snap.latency = Some((250, objective));
+        assert_eq!(
+            slo_json(&snap),
+            format!(
+                "{{\"degraded\":true,\"availability\":{{{objective_json}}},\
+                 \"latency\":{{\"threshold_ms\":250,{objective_json}}}}}"
+            )
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@ use hc_linalg::Budget;
 use crate::cache::{cache_key, CachedResponse};
 use crate::handlers::{self, ReqCtx};
 use crate::http::{Body, HttpError, Request, Response};
-use crate::json::{JsonArray, JsonObject};
 use crate::server::{Config, ServerState};
+use hc_obs::json;
 
 /// Most matrices accepted in one `/batch` request.
 pub const MAX_BATCH_PARTS: usize = 1024;
@@ -261,16 +261,16 @@ fn batch(state: &Arc<ServerState>, req: &Request, ctx: &ReqCtx<'_>) -> Result<Re
         .help_until(move || fin.load(Ordering::SeqCst) == n);
 
     let collected = hc_obs::sync::lock_recover(&results);
-    let mut arr = JsonArray::new();
-    for slot in collected.iter() {
-        arr.push_raw(slot.as_deref().unwrap_or("null"));
-    }
-    Ok(Response::json(
-        JsonObject::new()
-            .u64("count", n as u64)
-            .raw("results", &arr.finish())
-            .finish(),
-    ))
+    Ok(Response::json(json::object(|o| {
+        o.u64("count", n as u64);
+        let mut arr = o.array("results");
+        for slot in collected.iter() {
+            match slot {
+                Some(item) => arr.rendered(item),
+                None => arr.null(),
+            };
+        }
+    })))
 }
 
 /// Splits a batch body into per-matrix CSV chunks on `---` separator lines.
@@ -547,25 +547,21 @@ fn dispatch(
             // burn-rate alert fires, so orchestration can act before the
             // budget is gone.
             let degraded = state.slo.snapshot().degraded;
-            (
-                Response::json(
-                    JsonObject::new()
-                        .bool("ok", true)
-                        .str("status", if degraded { "degraded" } else { "ok" })
-                        .str(
-                            "overload_state",
-                            crate::overload::state_name(state.overload.current_state()),
-                        )
-                        .u64("uptime_seconds", state.metrics.uptime().as_secs())
-                        .raw("build", &crate::metrics::build_info_json())
-                        .i64(
-                            "requests_in_flight",
-                            state.in_flight.load(std::sync::atomic::Ordering::Relaxed),
-                        )
-                        .finish(),
-                ),
-                false,
-            )
+            let body = json::object(|o| {
+                o.bool("ok", true)
+                    .str("status", if degraded { "degraded" } else { "ok" })
+                    .str(
+                        "overload_state",
+                        crate::overload::state_name(state.overload.current_state()),
+                    )
+                    .u64("uptime_seconds", state.metrics.uptime().as_secs());
+                crate::metrics::write_build_info(&mut o.object("build"));
+                o.i64(
+                    "requests_in_flight",
+                    state.in_flight.load(std::sync::atomic::Ordering::Relaxed),
+                );
+            });
+            (Response::json(body), false)
         }
         "debug_requests" => match require_method(req, "GET") {
             Ok(()) => (Response::json(state.recorder.summary_json()), false),
@@ -612,10 +608,10 @@ fn dispatch(
                 .unwrap_or(100)
                 .min(MAX_SLEEP_MS);
             std::thread::sleep(std::time::Duration::from_millis(ms));
-            (
-                Response::json(JsonObject::new().u64("slept_ms", ms).finish()),
-                false,
-            )
+            let body = json::object(|o| {
+                o.u64("slept_ms", ms);
+            });
+            (Response::json(body), false)
         }
         "quitquitquit" => {
             state
@@ -625,10 +621,10 @@ fn dispatch(
             // as a backstop for the SIGINT path): parked long-polls answer a
             // typed 503 instead of holding workers to their deadlines.
             state.sessions.drain();
-            (
-                Response::json(JsonObject::new().bool("shutting_down", true).finish()),
-                false,
-            )
+            let body = json::object(|o| {
+                o.bool("shutting_down", true);
+            });
+            (Response::json(body), false)
         }
         _ => (
             Response::error(404, &format!("no such endpoint {}", req.path)),

@@ -10,19 +10,20 @@
 //!
 //! The stateful parts (store, engine, warm solvers) live in `hc-session`;
 //! this module only translates HTTP to store calls and store results to the
-//! wire. The `measures` object in every session response is rendered by
-//! [`crate::json::measure_body`] — the same builder `POST /measure` and
-//! `/batch` items use, byte-for-byte.
+//! wire. The `measures` object in every session response is written by
+//! [`MeasureReport::write_json`](hc_core::report::MeasureReport::write_json),
+//! the renderer behind [`crate::json::measure_body`] for `POST /measure` and
+//! `/batch` items, so the three surfaces match byte-for-byte.
 
 use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant};
 
-use hc_session::{parse_edits, SessionError, SessionSnapshot, TryWatch};
+use hc_session::{parse_edits, Delta, SessionError, SessionSnapshot, TryWatch};
 
 use crate::handlers::{self, ReqCtx};
-use crate::http::{HttpError, Request, Response};
-use crate::json::JsonObject;
+use crate::http::{ErrorDetails, HttpError, Request, Response};
 use crate::server::ServerState;
+use hc_obs::json::{self, Object};
 
 /// Default long-poll window for `GET /session/{id}/watch` when neither the
 /// client nor the server sets a deadline.
@@ -85,7 +86,7 @@ fn session_error(e: SessionError) -> HttpError {
             "version_conflict",
             format!("If-Match version does not match current version {current}"),
         )
-        .with_details(format!("\"current_version\":{current}")),
+        .with_details(ErrorDetails::VersionConflict { current }),
         SessionError::Draining => HttpError::typed(
             503,
             "draining",
@@ -100,27 +101,57 @@ fn session_error(e: SessionError) -> HttpError {
     }
 }
 
-/// Renders the `recompute` object: how the last analysis ran.
-fn stats_json(stats: &hc_session::RecomputeStats) -> String {
-    JsonObject::new()
-        .bool("warm", stats.warm)
+/// Writes the `recompute` members: how the last analysis ran.
+fn write_stats(o: &mut Object<'_>, stats: &hc_session::RecomputeStats) {
+    o.bool("warm", stats.warm)
         .bool("fallback", stats.fallback)
         .u64("sinkhorn_iterations", stats.sinkhorn_iterations as u64)
-        .u64("svd_iterations", stats.svd_iterations as u64)
-        .finish()
+        .u64("svd_iterations", stats.svd_iterations as u64);
+}
+
+/// Writes the session's measures as member `measures` of `o`.
+fn write_measures(o: &mut Object<'_>, snap: &SessionSnapshot) {
+    snap.report.write_json(
+        &mut o.object("measures"),
+        &snap.task_names,
+        &snap.machine_names,
+    );
 }
 
 /// Renders the standard session document shared by POST/GET/PATCH responses.
 fn snapshot_json(snap: &SessionSnapshot) -> String {
-    JsonObject::new()
-        .str("id", &snap.id)
-        .u64("version", snap.version)
-        .raw(
-            "measures",
-            &crate::json::measure_body(&snap.report, &snap.task_names, &snap.machine_names),
-        )
-        .raw("recompute", &stats_json(&snap.stats))
-        .finish()
+    json::object(|o| {
+        o.str("id", &snap.id).u64("version", snap.version);
+        write_measures(o, snap);
+        write_stats(&mut o.object("recompute"), &snap.stats);
+    })
+}
+
+/// Renders a watch answer past the watermark: the deltas oldest first, then
+/// the current measures.
+fn changed_json(snapshot: &SessionSnapshot, deltas: &[Delta], truncated: bool) -> String {
+    json::object(|o| {
+        o.str("id", &snapshot.id)
+            .u64("version", snapshot.version)
+            .bool("timed_out", false)
+            .bool("truncated", truncated);
+        {
+            let mut arr = o.array("deltas");
+            for d in deltas {
+                let mut delta = arr.object();
+                delta
+                    .u64("version", d.version)
+                    .f64("mph", d.mph)
+                    .f64("tdh", d.tdh)
+                    .f64("tma", d.tma)
+                    .f64("d_mph", d.d_mph)
+                    .f64("d_tdh", d.d_tdh)
+                    .f64("d_tma", d.d_tma);
+                write_stats(&mut delta.object("recompute"), &d.stats);
+            }
+        }
+        write_measures(o, snapshot);
+    })
 }
 
 /// `POST /session` — register a matrix and run the first (cold) analysis.
@@ -181,9 +212,9 @@ pub fn delete(state: &ServerState, id: &str) -> Result<Response, HttpError> {
     if !state.sessions.delete(id) {
         return Err(session_error(SessionError::NotFound));
     }
-    Ok(Response::json(
-        JsonObject::new().bool("deleted", true).finish(),
-    ))
+    Ok(Response::json(json::object(|o| {
+        o.bool("deleted", true);
+    })))
 }
 
 /// `GET /session/{id}/watch?version=N` — long-poll for versions beyond `N`.
@@ -231,51 +262,16 @@ pub fn watch(
             snapshot,
             deltas,
             truncated,
-        }) => {
-            let mut arr = crate::json::JsonArray::new();
-            for d in &deltas {
-                arr.push_raw(
-                    &JsonObject::new()
-                        .u64("version", d.version)
-                        .num("mph", d.mph)
-                        .num("tdh", d.tdh)
-                        .num("tma", d.tma)
-                        .num("d_mph", d.d_mph)
-                        .num("d_tdh", d.d_tdh)
-                        .num("d_tma", d.d_tma)
-                        .raw("recompute", &stats_json(&d.stats))
-                        .finish(),
-                );
-            }
-            Ok(Response::json(
-                JsonObject::new()
-                    .str("id", &snapshot.id)
-                    .u64("version", snapshot.version)
-                    .bool("timed_out", false)
-                    .bool("truncated", truncated)
-                    .raw("deltas", &arr.finish())
-                    .raw(
-                        "measures",
-                        &crate::json::measure_body(
-                            &snapshot.report,
-                            &snapshot.task_names,
-                            &snapshot.machine_names,
-                        ),
-                    )
-                    .finish(),
-            ))
-        }
+        }) => Ok(Response::json(changed_json(&snapshot, &deltas, truncated))),
         Ok(TryWatch::NotYet { version }) => {
             if Instant::now() >= deadline {
-                return Ok(Response::json(
-                    JsonObject::new()
-                        .str("id", id)
+                return Ok(Response::json(json::object(|o| {
+                    o.str("id", id)
                         .u64("version", version)
                         .bool("timed_out", true)
-                        .bool("truncated", false)
-                        .raw("deltas", "[]")
-                        .finish(),
-                ));
+                        .bool("truncated", false);
+                    o.array("deltas");
+                })));
             }
             PARK_INTENT.with(|p| {
                 *p.borrow_mut() = Some(ParkIntent {
@@ -286,10 +282,113 @@ pub fn watch(
             });
             // Placeholder: the attempt loop sees the intent and parks the
             // connection instead of writing this.
-            Ok(Response::json(
-                JsonObject::new().bool("parked", true).finish(),
-            ))
+            Ok(Response::json(json::object(|o| {
+                o.bool("parked", true);
+            })))
         }
         Err(e) => Err(session_error(e)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hc_core::report::MeasureReport;
+    use hc_session::RecomputeStats;
+
+    fn body(e: HttpError) -> String {
+        String::from_utf8(e.to_response().body.as_slice().to_vec()).unwrap()
+    }
+
+    fn snapshot() -> SessionSnapshot {
+        SessionSnapshot {
+            id: "s-1".to_string(),
+            version: 3,
+            report: MeasureReport {
+                mph: 0.5,
+                tdh: 0.75,
+                tma: 0.125,
+                machine_performances: vec![1.5, 3.0],
+                task_difficulties: vec![2.0, 2.5],
+                standardization_iterations: 4,
+                regularized: false,
+                reduced_to_core: false,
+            },
+            task_names: vec!["t1".to_string(), "t2".to_string()],
+            machine_names: vec!["m1".to_string(), "m2".to_string()],
+            stats: RecomputeStats {
+                sinkhorn_iterations: 4,
+                svd_iterations: 2,
+                warm: true,
+                fallback: false,
+                cutover: false,
+            },
+            etc_units: true,
+        }
+    }
+
+    const MEASURES: &str = "{\"mph\":0.5,\"tdh\":0.75,\"tma\":0.125,\
+        \"machine_performances\":{\"m1\":1.5,\"m2\":3},\
+        \"task_difficulties\":{\"t1\":2,\"t2\":2.5},\
+        \"standardization_iterations\":4,\"regularized\":false,\"reduced_to_core\":false}";
+
+    #[test]
+    fn session_documents_are_pinned() {
+        let snap = snapshot();
+        assert_eq!(
+            snapshot_json(&snap),
+            format!(
+                "{{\"id\":\"s-1\",\"version\":3,\"measures\":{MEASURES},\
+                 \"recompute\":{{\"warm\":true,\"fallback\":false,\
+                 \"sinkhorn_iterations\":4,\"svd_iterations\":2}}}}"
+            )
+        );
+        let delta = Delta {
+            version: 3,
+            mph: 0.5,
+            tdh: 0.75,
+            tma: 0.125,
+            d_mph: -0.25,
+            d_tdh: 0.0,
+            d_tma: f64::NAN,
+            stats: RecomputeStats {
+                sinkhorn_iterations: 7,
+                svd_iterations: 1,
+                warm: false,
+                fallback: true,
+                cutover: false,
+            },
+        };
+        assert_eq!(
+            changed_json(&snap, &[delta], true),
+            format!(
+                "{{\"id\":\"s-1\",\"version\":3,\"timed_out\":false,\"truncated\":true,\
+                 \"deltas\":[{{\"version\":3,\"mph\":0.5,\"tdh\":0.75,\"tma\":0.125,\
+                 \"d_mph\":-0.25,\"d_tdh\":0,\"d_tma\":null,\"recompute\":{{\"warm\":false,\
+                 \"fallback\":true,\"sinkhorn_iterations\":7,\"svd_iterations\":1}}}}],\
+                 \"measures\":{MEASURES}}}"
+            )
+        );
+        assert_eq!(
+            changed_json(&snap, &[], false),
+            format!(
+                "{{\"id\":\"s-1\",\"version\":3,\"timed_out\":false,\"truncated\":false,\
+                 \"deltas\":[],\"measures\":{MEASURES}}}"
+            )
+        );
+    }
+
+    #[test]
+    fn version_conflict_body_is_pinned() {
+        assert_eq!(
+            body(session_error(SessionError::VersionConflict { current: 7 })),
+            "{\"error\":\"If-Match version does not match current version 7\",\
+             \"code\":\"version_conflict\",\"current_version\":7}"
+        );
+        assert_eq!(
+            body(session_error(SessionError::NotFound)),
+            "{\"error\":\"no such session (unknown id, expired, or deleted)\",\
+             \"code\":\"session_not_found\"}"
+        );
     }
 }

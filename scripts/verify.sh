@@ -10,6 +10,19 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
+echo "== no hand-written JSON =="
+# Every JSON document is written through hc_obs::json, which escapes keys and
+# strings and writes non-finite floats as null; no other production source
+# spells JSON punctuation itself. A file's trailing #[cfg(test)] module may
+# hold expected bodies, so the scan stops there.
+HAND_JSON=$(find crates/{core,obs,serve,session,cli,spec}/src -name '*.rs' \
+        ! -path crates/obs/src/json.rs -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' \
+    | grep -F -e 'push_str("{\"' -e 'push_str(",\"' -e 'format!("{{\"' -e '"{{\"' \
+        -e '"{\"' -e 'JsonObject' -e 'JsonArray' || true)
+[ -z "$HAND_JSON" ] || { echo "hand-written JSON outside hc_obs::json:"; echo "$HAND_JSON"; exit 1; }
+echo "no hand-written JSON outside hc_obs::json"
+
 echo "== clippy =="
 cargo clippy -q --workspace --all-targets -- -D warnings
 
