@@ -27,6 +27,7 @@
 //! Eqs. 4 and 6, what-if deltas, and the worked example matrices from Figures 1–4.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod analyzer;

@@ -28,6 +28,7 @@
 
 use crate::budget::Budget;
 use crate::error::LinAlgError;
+use crate::isa;
 use crate::matrix::Matrix;
 use crate::vecops;
 use crate::view::MatRef;
@@ -75,6 +76,7 @@ pub(crate) type Factors = Option<(Matrix, Matrix)>;
 /// Sweep 1: `w = vᵀA` over rows `row0..row0 + v.len()` and the last
 /// `w.len()` columns of `a`, four rows per pass over `w`. Each entry adds its
 /// rows in order, exactly as one axpy per row would.
+#[inline(always)]
 fn reflect_rows(a: &Matrix, v: &[f64], row0: usize, w: &mut [f64]) {
     let n = a.cols();
     let col0 = n - w.len();
@@ -83,6 +85,9 @@ fn reflect_rows(a: &Matrix, v: &[f64], row0: usize, w: &mut [f64]) {
     let mut quads = rows.chunks_exact(4 * n);
     let mut vs = v.chunks_exact(4);
     for (quad, vk) in (&mut quads).zip(&mut vs) {
+        // Held in registers: inlined, `w` could alias `v` as far as LLVM
+        // knows, and a reload per entry keeps the loop from vectorizing.
+        let (v0, v1, v2, v3) = (vk[0], vk[1], vk[2], vk[3]);
         let (r0, rest) = quad.split_at(n);
         let (r1, rest) = rest.split_at(n);
         let (r2, r3) = rest.split_at(n);
@@ -93,7 +98,7 @@ fn reflect_rows(a: &Matrix, v: &[f64], row0: usize, w: &mut [f64]) {
             .zip(&r2[col0..])
             .zip(&r3[col0..]);
         for ((((wc, a0), a1), a2), a3) in lanes {
-            *wc = (((*wc + vk[0] * a0) + vk[1] * a1) + vk[2] * a2) + vk[3] * a3;
+            *wc = (((*wc + v0 * a0) + v1 * a1) + v2 * a2) + v3 * a3;
         }
     }
     for (row, &vk) in quads.remainder().chunks_exact(n).zip(vs.remainder()) {
@@ -106,6 +111,7 @@ fn reflect_rows(a: &Matrix, v: &[f64], row0: usize, w: &mut [f64]) {
 /// last `w.len()` columns of `a`, as the rank-2 update
 /// `aᵢ ← aᵢ − vᵢ·w − rbeta·(aᵢᵀu − vᵢ·wᵀu)·u`, two rows per pass. Each
 /// updated row's first entry — the next column's — lands in `next`.
+#[inline(always)]
 fn update_rows(
     a: &mut Matrix,
     v: &[f64],
@@ -257,6 +263,14 @@ pub fn bidiagonalize_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Bidiag> {
     Ok(Bidiag { u, v, d, e })
 }
 
+/// Reductions with at least this many columns run their column loop in the
+/// AVX2 frame ([`isa::wide`]) when the CPU has it. A same-binary comparison
+/// of the two frames on this reduction (medians of nine alternating runs on
+/// a 2-vCPU Xeon): 17×5 took 2.3 µs in the baseline frame and 2.7 µs in the
+/// AVX2 frame, 32×32 took 34 and 35 µs, and 48² to 256² took 0.68–0.84× as
+/// long in the AVX2 frame.
+const WIDE_MIN_COLS: usize = 32;
+
 /// The one Householder reduction behind [`bidiagonalize_in`] and the SVD:
 /// returns `B`'s diagonal and superdiagonal, plus `(U, V)` when `factors` is
 /// set. Polls `budget` once per column (op `golub-reinsch-bidiag`, with the
@@ -293,6 +307,40 @@ pub(crate) fn reduce_in(
     let mut u = ws.take_vec(n, 0.0);
     let mut w = ws.take_vec(n, 0.0);
     let mut store = factors.then(|| Reflectors::take(m, n, ws));
+    let scratch = [&mut x[..], &mut next[..], &mut u[..], &mut w[..]];
+    let reduced = if n >= WIDE_MIN_COLS {
+        isa::wide(
+            #[inline(always)]
+            || reduce_columns(&mut work, (&mut d, &mut e), store.as_mut(), budget, scratch),
+        )
+    } else {
+        reduce_columns(&mut work, (&mut d, &mut e), store.as_mut(), budget, scratch)
+    };
+    reduced?;
+
+    let factors = store.map(|s| s.accumulate(m, n, &mut w, ws));
+    ws.recycle_matrix(work);
+    ws.recycle_vec(x);
+    ws.recycle_vec(next);
+    ws.recycle_vec(u);
+    ws.recycle_vec(w);
+    Ok((d, e, factors))
+}
+
+/// The column loop of [`reduce_in`]: reduces `work` (`m × n`, `m ≥ n ≥ 1`)
+/// in place, writing `B`'s diagonal to `d` (`n` entries) and superdiagonal
+/// to `e` (`n − 1`), and every reflector to `store` when it is given. The
+/// scratch `[x, next, u, w]` holds `m`, `m`, `n` and `n` entries. Always
+/// inlined, so it is compiled into whichever instruction-set frame calls it.
+#[inline(always)]
+fn reduce_columns(
+    work: &mut Matrix,
+    (d, e): (&mut [f64], &mut [f64]),
+    mut store: Option<&mut Reflectors>,
+    budget: Option<&Budget>,
+    [mut x, mut next, u, w]: [&mut [f64]; 4],
+) -> Result<()> {
+    let (m, n) = work.shape();
     for (xi, row) in x.iter_mut().zip(work.row_iter()) {
         *xi = row[0];
     }
@@ -316,7 +364,7 @@ pub(crate) fn reduce_in(
         if beta == 0.0 {
             w.fill(0.0);
         } else {
-            reflect_rows(&work, v, j, w);
+            reflect_rows(work, v, j, w);
             vecops::scale(beta, w);
         }
         // Row j after the left update (v₀ = 1) is the right reflector's
@@ -336,25 +384,10 @@ pub(crate) fn reduce_in(
             e[j] = u[0];
             0.0
         };
-        update_rows(
-            &mut work,
-            &v[1..],
-            w,
-            u,
-            rbeta,
-            j + 1,
-            &mut next[..m - j - 1],
-        );
+        update_rows(work, &v[1..], w, u, rbeta, j + 1, &mut next[..m - j - 1]);
         std::mem::swap(&mut x, &mut next);
     }
-
-    let factors = store.map(|s| s.accumulate(m, n, &mut w, ws));
-    ws.recycle_matrix(work);
-    ws.recycle_vec(x);
-    ws.recycle_vec(next);
-    ws.recycle_vec(u);
-    ws.recycle_vec(w);
-    Ok((d, e, factors))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -470,6 +503,99 @@ mod tests {
         assert_eq!(warm.v, owned.v);
         assert_eq!(warm.d, owned.d);
         assert_eq!(warm.e, owned.e);
+    }
+
+    /// A seeded `m × n` matrix with entries in `[-1, 1)` (SplitMix64).
+    fn seeded(m: usize, n: usize, seed: u64) -> Matrix {
+        let mut state = seed;
+        Matrix::from_fn(m, n, |_, _| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        })
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The bits of `d` and `e` after `run` reduces a copy of `a` with
+    /// [`reduce_columns`]'s buffers.
+    fn columns_of(
+        a: &Matrix,
+        run: impl FnOnce(&mut Matrix, (&mut [f64], &mut [f64]), [&mut [f64]; 4]) -> Result<()>,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let (m, n) = a.shape();
+        let mut work = a.clone();
+        let (mut d, mut e) = (vec![0.0; n], vec![0.0; n - 1]);
+        let (mut x, mut next, mut u, mut w) =
+            (vec![0.0; m], vec![0.0; m], vec![0.0; n], vec![0.0; n]);
+        let scratch = [&mut x[..], &mut next[..], &mut u[..], &mut w[..]];
+        run(&mut work, (&mut d, &mut e), scratch).unwrap();
+        (bits(&d), bits(&e))
+    }
+
+    /// The column loop returns the same `d` and `e` bits in both frames.
+    /// Called directly it is compiled for the baseline frame, since this test
+    /// function enables no target feature; through `reduce_in` it runs in the
+    /// AVX2 frame from `WIDE_MIN_COLS` columns on, and through `isa::wide`
+    /// at every size. On a host without AVX2 every call uses the baseline
+    /// frame. The frames vectorize differently only in optimized builds, so
+    /// the check has teeth under `cargo test --release`. Every reduction
+    /// ends on the k = 2 and k = 1 tails; the shapes straddle the threshold
+    /// and the 4- and 8-lane remainders.
+    #[test]
+    fn frames_agree_bit_for_bit() {
+        let mut inputs: Vec<(String, Matrix)> = [
+            (31, 31),
+            (32, 32),
+            (33, 33),
+            (37, 37),
+            (64, 64),
+            (67, 35),
+            (130, 129),
+            (200, 64),
+            (9, 3),
+            (5, 2),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(m, n))| (format!("{m}x{n}"), seeded(m, n, i as u64 + 1)))
+        .collect();
+        // An all-zero first column: the first left reflector has β = 0.
+        let mut zero_col = seeded(48, 40, 11);
+        for i in 0..48 {
+            zero_col[(i, 0)] = 0.0;
+        }
+        inputs.push(("zero column".into(), zero_col));
+        let (p, q) = (seeded(72, 1, 12), seeded(1, 36, 13));
+        let rank1 = Matrix::from_fn(72, 36, |i, j| p[(i, 0)] * q[(0, j)]);
+        inputs.push(("rank 1".into(), rank1));
+
+        for (name, a) in &inputs {
+            let baseline = columns_of(a, |work, de, scratch| {
+                reduce_columns(work, de, None, None, scratch)
+            });
+            let wide = columns_of(a, |work, de, scratch| {
+                isa::wide(
+                    #[inline(always)]
+                    || reduce_columns(work, de, None, None, scratch),
+                )
+            });
+            assert_eq!(
+                wide, baseline,
+                "{name}: isa::wide against the baseline frame"
+            );
+            let (d, e, _) = reduce_in(a.view(), false, None, &mut Workspace::new()).unwrap();
+            assert_eq!(
+                (bits(&d), bits(&e)),
+                baseline,
+                "{name}: reduce_in against the baseline frame"
+            );
+        }
     }
 
     #[test]

@@ -34,11 +34,13 @@
 //! *Matrix Computations*) and cross-validated against each other in the test suite.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod bidiag;
 pub mod budget;
 pub mod error;
+pub mod isa;
 pub mod matmul;
 pub mod matrix;
 pub mod norms;

@@ -13,7 +13,7 @@
 ///
 /// # Panics
 /// Panics when the slices have different lengths.
-#[inline]
+#[inline(always)]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     let mut l = [0.0; 8];
@@ -60,7 +60,7 @@ pub fn norm_inf(x: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics when the slices have different lengths.
-#[inline]
+#[inline(always)]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     for (yi, xi) in y.iter_mut().zip(x) {
@@ -69,7 +69,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// Scales `x` by `alpha` in place.
-#[inline]
+#[inline(always)]
 pub fn scale(alpha: f64, x: &mut [f64]) {
     for v in x {
         *v *= alpha;
@@ -87,6 +87,7 @@ pub fn normalize(x: &mut [f64]) -> f64 {
 }
 
 /// Stable hypotenuse `sqrt(a² + b²)` without intermediate overflow.
+#[inline(always)]
 pub fn hypot(a: f64, b: f64) -> f64 {
     let (a, b) = (a.abs(), b.abs());
     let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
@@ -105,6 +106,7 @@ pub fn hypot(a: f64, b: f64) -> f64 {
 ///
 /// # Panics
 /// Panics when `v` is empty.
+#[inline(always)]
 pub fn householder_in_place(v: &mut [f64]) -> (f64, f64) {
     let n = v.len();
     assert!(n > 0, "householder: empty input");

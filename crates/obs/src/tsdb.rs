@@ -296,21 +296,26 @@ impl Tsdb {
     }
 }
 
-/// Turns cumulative counter samples into per-step rates: `(v[i] − v[i−1]) /
-/// step`, clamped at zero so a process restart (counter reset) renders as a
-/// quiet second rather than a negative spike. The first point (no
-/// predecessor) and gaps yield `None`.
+/// Turns cumulative counter samples into per-second rates: each present
+/// point's rise over the last present point before it, divided by the time
+/// between them (`k · step` across `k − 1` missing points), clamped at zero so
+/// a process restart (counter reset) renders as a quiet second rather than a
+/// negative spike. The first point (no predecessor) and gaps yield `None`.
 pub fn rate(points: &[Option<f64>], step_s: u64) -> Vec<Option<f64>> {
     let step = step_s.max(1) as f64;
     let mut out = Vec::with_capacity(points.len());
-    let mut prev: Option<f64> = None;
+    // The last present value and how many steps back it lies.
+    let mut prev: Option<(f64, f64)> = None;
     for p in points {
+        if let Some((_, steps)) = prev.as_mut() {
+            *steps += 1.0;
+        }
         out.push(match (prev, p) {
-            (Some(a), Some(b)) => Some(((b - a) / step).max(0.0)),
+            (Some((a, steps)), Some(b)) => Some(((b - a) / (steps * step)).max(0.0)),
             _ => None,
         });
-        if p.is_some() {
-            prev = *p;
+        if let Some(b) = p {
+            prev = Some((*b, 0.0));
         }
     }
     out
@@ -449,6 +454,15 @@ mod tests {
         assert_eq!(r, vec![None, Some(60.0), None, Some(0.0), Some(30.0)]);
         let r10 = rate(&[Some(0.0), Some(600.0)], 10);
         assert_eq!(r10, vec![None, Some(60.0)]);
+        // A rise across missing points is spread over every step it spans.
+        assert_eq!(
+            rate(&[Some(2.0), None, Some(8.0)], 1),
+            vec![None, None, Some(3.0)]
+        );
+        assert_eq!(
+            rate(&[Some(0.0), None, None, Some(600.0), Some(660.0)], 10),
+            vec![None, None, None, Some(20.0), Some(6.0)]
+        );
     }
 
     #[test]

@@ -661,15 +661,18 @@ fn write_slo_series(w: &mut PromWriter, s: &SloSnapshot) {
     );
 }
 
-/// Build identity written into `/metrics` and `/healthz`: crate version plus
-/// the `git describe` output captured at compile time via the
-/// `HC_GIT_DESCRIBE` environment variable (absent in plain `cargo build`, so
-/// it degrades to `"unknown"`).
+/// Build identity written into `/metrics` and `/healthz`: crate version, the
+/// `git describe` output captured at compile time via the `HC_GIT_DESCRIBE`
+/// environment variable (absent in plain `cargo build`, so it degrades to
+/// `"unknown"`), and the instruction-set frame the linear algebra runs in on
+/// this CPU (`"avx2"` or `"baseline"`).
 pub(crate) fn write_build_info(o: &mut Object<'_>) {
-    o.str("version", env!("CARGO_PKG_VERSION")).str(
-        "git_describe",
-        option_env!("HC_GIT_DESCRIBE").unwrap_or("unknown"),
-    );
+    o.str("version", env!("CARGO_PKG_VERSION"))
+        .str(
+            "git_describe",
+            option_env!("HC_GIT_DESCRIBE").unwrap_or("unknown"),
+        )
+        .str("linalg_frame", hc_linalg::isa::name());
 }
 
 #[cfg(test)]

@@ -341,6 +341,8 @@ fn metrics_merge_library_registry_and_report_build_info() {
     assert!(m.contains("\"uptime_seconds\":"), "{m}");
     assert!(m.contains("\"build\":{\"version\":"), "{m}");
     assert!(m.contains("\"git_describe\":"), "{m}");
+    let frame = format!("\"linalg_frame\":\"{}\"", hc_linalg::isa::name());
+    assert!(m.contains(&frame), "{m}");
     assert!(m.contains("\"requests_in_flight\":"), "{m}");
     assert!(m.contains("\"latency_histogram_us\""), "{m}");
     assert!(m.contains("\"service_histogram_us\""), "{m}");
@@ -357,6 +359,7 @@ fn metrics_merge_library_registry_and_report_build_info() {
     assert!(hz.contains("\"ok\":true"), "{hz}");
     assert!(hz.contains("\"uptime_seconds\":"), "{hz}");
     assert!(hz.contains("\"build\":{\"version\":"), "{hz}");
+    assert!(hz.contains(&frame), "{hz}");
     assert!(hz.contains("\"requests_in_flight\":"), "{hz}");
 
     handle.shutdown();

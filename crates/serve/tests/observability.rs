@@ -557,7 +557,11 @@ fn metrics_documents_keep_their_shape() {
     ];
     let window = ["seconds", "total", "bad", "error_rate", "burn_rate"];
     let mut want: Vec<String> = vec!["uptime_seconds".into()];
-    nest(&mut want, "build", &["version", "git_describe"]);
+    nest(
+        &mut want,
+        "build",
+        &["version", "git_describe", "linalg_frame"],
+    );
     want.extend(["requests_total".into(), "requests_in_flight".into()]);
     want.push("endpoints".into());
     for e in ["healthz", "measure", "session", "session_etc", "session_id"] {

@@ -26,6 +26,8 @@
 //! The HTTP surface lives in `hc-serve`; `hcm session` in the CLI runs an
 //! offline demo of the same engine.
 
+#![forbid(unsafe_code)]
+
 pub mod edits;
 pub mod engine;
 pub mod store;

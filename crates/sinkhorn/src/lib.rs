@@ -28,6 +28,7 @@
 //!   for exact balanceability of the pattern, and implies uniqueness of the scaling.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod balance;

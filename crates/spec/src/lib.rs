@@ -28,6 +28,7 @@
 //! plain CSV format so users can load real SPEC data when they have it.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod csv;

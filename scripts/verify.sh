@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: formatting, lint and doc-link gates, offline release
-# build, release-mode tests of the numeric crates, full test suite, the
+# build, a byte-exact check of `repro --all` against repro_output.txt,
+# release-mode tests of the numeric crates, full test suite, the
 # benchmark's build, tests and a 1-second run of each gated workload, and a
 # live smoke test of the `hcm serve` daemon (start, POST /measure, GET
 # /metrics, graceful shutdown). Exits non-zero on the first failure.
@@ -33,6 +34,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== build (release) =="
 cargo build --release --workspace
+
+echo "== golden: repro --all =="
+# The paper's numbers, byte for byte: every printed digit of the reproduction
+# must equal the committed repro_output.txt, whichever instruction-set frame
+# (hc_linalg::isa) the linear algebra runs in on this CPU.
+./target/release/repro --all | cmp - repro_output.txt \
+    || { echo "repro --all differs from repro_output.txt"; exit 1; }
+echo "repro --all matches repro_output.txt"
 
 echo "== release-mode tests of the numeric crates =="
 # Optimized code runs the same arithmetic without the debug_assert!s (such as
