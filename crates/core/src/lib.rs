@@ -39,7 +39,6 @@ pub mod measures;
 pub mod report;
 pub mod sensitivity;
 pub mod standard;
-pub mod stats;
 pub mod weights;
 pub mod whatif;
 

@@ -3,13 +3,12 @@
 //! Two independent algorithms with identical output contracts, cross-validated
 //! against each other in the test suite:
 //!
-//! * **Golub–Reinsch** ([`SvdAlgorithm::GolubReinsch`], and the default
-//!   [`SvdAlgorithm::Auto`]) — Householder bidiagonalization followed by a
-//!   bidiagonal phase: implicit-shift QR when `U` and `V` are built (the
-//!   classic LAPACK-style dense SVD), dqds when only σ is wanted. Its
-//!   singular values are accurate to a few ulps of σ₁, which is all TMA
-//!   needs: the standard form's spectrum lies in [0, 1] with σ₁ = 1
-//!   (Theorem 2).
+//! * **Golub–Reinsch** (the default, [`SvdAlgorithm::Auto`]) — Householder
+//!   bidiagonalization followed by a bidiagonal phase: implicit-shift QR
+//!   when `U` and `V` are built (the classic LAPACK-style dense SVD), dqds
+//!   when only σ is wanted. Its singular values are accurate to a few ulps
+//!   of σ₁, which is all TMA needs: the standard form's spectrum lies in
+//!   [0, 1] with σ₁ = 1 (Theorem 2).
 //! * **One-sided Jacobi** ([`SvdAlgorithm::Jacobi`]) — orthogonalizes the
 //!   columns of a working copy with plane rotations, and computes small
 //!   singular values to high *relative* accuracy. It shares no code with
@@ -58,8 +57,6 @@ pub enum SvdAlgorithm {
     /// One-sided Jacobi: high relative accuracy on small σ; the differential
     /// oracle for the default.
     Jacobi,
-    /// Golub–Reinsch bidiagonal QR.
-    GolubReinsch,
     /// The default: Golub–Reinsch.
     Auto,
 }
@@ -228,10 +225,8 @@ fn run_in(
     validate(a)?;
     let tall = |t: MatRef<'_>, ws: &mut Workspace| match alg {
         SvdAlgorithm::Jacobi => jacobi_tall(t, budget, ws),
-        SvdAlgorithm::GolubReinsch | SvdAlgorithm::Auto if factors => {
-            golub_reinsch_tall(t, budget, ws)
-        }
-        SvdAlgorithm::GolubReinsch | SvdAlgorithm::Auto => dqds_tall(t, budget, ws),
+        SvdAlgorithm::Auto if factors => golub_reinsch_tall(t, budget, ws),
+        SvdAlgorithm::Auto => dqds_tall(t, budget, ws),
     };
     let amax = a.row_iter().map(vecops::norm_inf).fold(0.0, f64::max);
     if amax == 0.0 || (SAFE_MIN..=SAFE_MAX).contains(&amax) {
@@ -1645,7 +1640,7 @@ mod tests {
     fn gr_known_2x2() {
         let (a, b, c, d) = (2.0, 0.5, -1.0, 1.5);
         let m = Matrix::from_rows(&[&[a, b], &[c, d]]).unwrap();
-        let s = svd_with(&m, SvdAlgorithm::GolubReinsch).unwrap();
+        let s = svd_with(&m, SvdAlgorithm::Auto).unwrap();
         let (s1, s2) = det2_sigma(a, b, c, d);
         assert!((s.singular_values[0] - s1).abs() < 1e-10);
         assert!((s.singular_values[1] - s2).abs() < 1e-10);
@@ -1655,7 +1650,7 @@ mod tests {
     #[test]
     fn diagonal_matrix_exact() {
         let m = Matrix::from_diag(&[5.0, 1.0, 3.0]);
-        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
             let s = svd_with(&m, alg).unwrap();
             assert!((s.singular_values[0] - 5.0).abs() < 1e-12, "{alg:?}");
             assert!((s.singular_values[1] - 3.0).abs() < 1e-12);
@@ -1667,7 +1662,7 @@ mod tests {
     fn rank_one_matrix() {
         // xyᵀ has a single nonzero singular value ‖x‖‖y‖.
         let m = Matrix::from_fn(4, 3, |i, j| ((i + 1) * (j + 1)) as f64);
-        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
             let s = svd_with(&m, alg).unwrap();
             let x: f64 = (1..=4).map(|v| (v * v) as f64).sum::<f64>().sqrt();
             let y: f64 = (1..=3).map(|v| (v * v) as f64).sum::<f64>().sqrt();
@@ -1685,7 +1680,7 @@ mod tests {
                 0.1 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
             });
             let sj = svd_with(&a, SvdAlgorithm::Jacobi).unwrap();
-            let sg = svd_with(&a, SvdAlgorithm::GolubReinsch).unwrap();
+            let sg = svd_with(&a, SvdAlgorithm::Auto).unwrap();
             assert_valid_svd(&a, &sj, 1e-10);
             assert_valid_svd(&a, &sg, 1e-10);
             for (x, y) in sj.singular_values.iter().zip(&sg.singular_values) {
@@ -1704,7 +1699,7 @@ mod tests {
             let a = Matrix::from_fn(m, n, |i, j| {
                 0.1 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
             });
-            for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
+            for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
                 let owned = svd_with(&a, alg).unwrap();
                 let (pooled, _) = svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws).unwrap();
                 assert_eq!(owned.singular_values, pooled.singular_values);
@@ -1716,36 +1711,23 @@ mod tests {
     }
 
     #[test]
-    fn auto_runs_golub_reinsch_bitwise() {
+    fn auto_spectrum_within_1e13_of_full_kernel() {
+        // The values-only kernel runs dqds where the full kernel runs the QR
+        // loop, and lands within 1e-13·σ₁ of it.
         let mut ws = Workspace::new();
         for (m, n) in [(4, 4), (8, 4), (3, 8), (12, 5), (64, 64), (80, 70)] {
             let a = Matrix::from_fn(m, n, |i, j| {
                 0.1 + ((i * 131 + j * 31 + 7) % 97) as f64 / 97.0
             });
-            let (auto, auto_iters) =
+            let (full, _) =
                 svd_with_stats_budgeted_in(a.view(), SvdAlgorithm::Auto, None, &mut ws).unwrap();
-            let (gr, gr_iters) =
-                svd_with_stats_budgeted_in(a.view(), SvdAlgorithm::GolubReinsch, None, &mut ws)
-                    .unwrap();
-            assert_eq!(auto_iters, gr_iters, "{m}x{n}");
-            assert_eq!(auto.singular_values, gr.singular_values, "{m}x{n}");
-            assert_eq!(auto.u, gr.u);
-            assert_eq!(auto.v, gr.v);
-            // The values-only kernel: Auto and GolubReinsch run the same
-            // dqds, and land within 1e-13·σ₁ of the full kernel's QR loop.
-            let (sigma, iters) = spectrum_in(a.view(), SvdAlgorithm::Auto, None, &mut ws).unwrap();
-            let (gr_sigma, gr_iters) =
-                spectrum_in(a.view(), SvdAlgorithm::GolubReinsch, None, &mut ws).unwrap();
-            assert_eq!(iters, gr_iters, "{m}x{n}");
-            assert_eq!(sigma, gr_sigma, "{m}x{n}");
-            let tol = 1e-13 * auto.singular_values[0];
-            for (x, y) in sigma.iter().zip(&auto.singular_values) {
+            let (sigma, _) = spectrum_in(a.view(), SvdAlgorithm::Auto, None, &mut ws).unwrap();
+            let tol = 1e-13 * full.singular_values[0];
+            for (x, y) in sigma.iter().zip(&full.singular_values) {
                 assert!((x - y).abs() <= tol, "{m}x{n}: σ {x} vs full kernel {y}");
             }
             ws.recycle_vec(sigma);
-            ws.recycle_vec(gr_sigma);
-            auto.recycle(&mut ws);
-            gr.recycle(&mut ws);
+            full.recycle(&mut ws);
         }
     }
 
@@ -1756,7 +1738,7 @@ mod tests {
         // exactly 2^k times the spectrum of the original, with the same
         // factors; the values-only kernel likewise gives 2^k times its own σ.
         let a = Matrix::from_fn(7, 5, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
-        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
             let base = svd_with(&a, alg).unwrap();
             let (values, _) = spectrum_in(a.view(), alg, None, &mut Workspace::new()).unwrap();
             for k in [-700, -230, 230, 700] {
@@ -1804,7 +1786,7 @@ mod tests {
     fn warm_workspace_svd_is_allocation_free() {
         let a = Matrix::from_fn(9, 6, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
         let mut ws = Workspace::new();
-        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
             svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws)
                 .unwrap()
                 .0
@@ -1826,7 +1808,7 @@ mod tests {
     #[test]
     fn wide_matrix_transposition_path() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[0.5, -1.0, 2.0, 0.0]]).unwrap();
-        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
             let s = svd_with(&a, alg).unwrap();
             assert_valid_svd(&a, &s, 1e-10);
         }
@@ -1855,7 +1837,7 @@ mod tests {
     #[test]
     fn zero_matrix() {
         let m = Matrix::zeros(3, 2);
-        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
             let s = svd_with(&m, alg).unwrap();
             assert!(s.singular_values.iter().all(|&v| v == 0.0), "{alg:?}");
             assert_eq!(s.rank(1e-12), 0);
@@ -1884,11 +1866,7 @@ mod tests {
         tall[(2, 1)] = f64::NAN;
         let mut wide = clean_wide.clone();
         wide[(1, 2)] = f64::NAN;
-        for alg in [
-            SvdAlgorithm::Jacobi,
-            SvdAlgorithm::GolubReinsch,
-            SvdAlgorithm::Auto,
-        ] {
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
             assert!(
                 matches!(
                     svd_with_stats_budgeted_in(empty.view(), alg, None, &mut ws),
@@ -1976,7 +1954,7 @@ mod tests {
         let a = Matrix::from_fn(9, 6, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
         let mut ws = Workspace::new();
         let generous = Budget::with_deadline(std::time::Duration::from_secs(600));
-        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::GolubReinsch] {
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
             let (plain, _) = svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws).unwrap();
             let (budgeted, _) =
                 svd_with_stats_budgeted_in(a.view(), alg, Some(&generous), &mut ws).unwrap();
@@ -2005,7 +1983,6 @@ mod tests {
         let expired = Budget::with_deadline(std::time::Duration::ZERO);
         for (alg, want) in [
             (SvdAlgorithm::Jacobi, "jacobi-svd"),
-            (SvdAlgorithm::GolubReinsch, "golub-reinsch-bidiag"),
             (SvdAlgorithm::Auto, "golub-reinsch-bidiag"),
         ] {
             let full = svd_with_stats_budgeted_in(a.view(), alg, Some(&expired), &mut ws);

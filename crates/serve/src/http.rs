@@ -5,13 +5,12 @@
 //! transfer, no TLS. Connections are persistent by default (`HTTP/1.1`
 //! semantics): [`RequestParser`] accumulates bytes across partial reads and
 //! yields complete requests one at a time, preserving pipelined leftovers, so
-//! the epoll reactor can parse without ever blocking. [`read_request`] wraps
-//! the same parser over a blocking `Read` for tests and simple clients.
-//! Limits are enforced while reading so a slow or hostile peer cannot balloon
-//! memory: header block ≤ 16 KiB, body ≤ the server's configured maximum.
+//! the epoll reactor can parse without ever blocking; [`render_head`] writes
+//! the response head the reactor sends ahead of the body. Limits are
+//! enforced while reading so a slow or hostile peer cannot balloon memory:
+//! header block ≤ 16 KiB, body ≤ the server's configured maximum.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Maximum accepted size of the request line + headers.
@@ -572,31 +571,6 @@ fn parse_head(raw: &[u8], max_body: usize) -> Result<PendingHead, HttpError> {
     })
 }
 
-/// Reads and parses one request from a blocking `stream`.
-///
-/// `max_body` bounds the accepted `Content-Length`; larger requests get `413`.
-/// A thin blocking wrapper over [`RequestParser`] for tests and clients; the
-/// server itself feeds the parser from the nonblocking reactor.
-pub fn read_request<S: Read>(stream: &mut S, max_body: usize) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new(max_body);
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some((request, _keep_alive)) = parser.poll()? {
-            return Ok(request);
-        }
-        let n = stream.read(&mut chunk).map_err(|e| HttpError {
-            status: 408,
-            message: format!("read error or timeout: {e}"),
-            code: None,
-            details: None,
-        })?;
-        if n == 0 {
-            return Err(parser.eof_error());
-        }
-        parser.feed(&chunk[..n]);
-    }
-}
-
 fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -621,21 +595,29 @@ pub fn render_head(response: &Response, close: bool) -> String {
     head
 }
 
-/// Serializes `response` to a blocking `stream` (HTTP/1.1,
-/// `Connection: close`) — the one-shot form used by tests and the CLI.
-pub fn write_response<S: Write>(stream: &mut S, response: &Response) -> std::io::Result<()> {
-    stream.write_all(render_head(response, true).as_bytes())?;
-    stream.write_all(response.body.as_slice())?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses one request from `raw` with a body limit of `max_body`, as if
+    /// the peer then closed the connection.
+    fn parse_limited(raw: &[u8], max_body: usize) -> Result<Request, HttpError> {
+        let mut parser = RequestParser::new(max_body);
+        parser.feed(raw);
+        match parser.poll()? {
+            Some((request, _keep_alive)) => Ok(request),
+            None => Err(parser.eof_error()),
+        }
+    }
+
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
-        let mut cursor = std::io::Cursor::new(raw.to_vec());
-        read_request(&mut cursor, 1024 * 1024)
+        parse_limited(raw, 1024 * 1024)
+    }
+
+    /// The bytes the reactor writes for `response` on a closing connection.
+    fn wire(response: &Response) -> String {
+        let body = String::from_utf8(response.body.as_slice().to_vec()).unwrap();
+        render_head(response, true) + &body
     }
 
     #[test]
@@ -680,8 +662,7 @@ mod tests {
     #[test]
     fn rejects_oversized_body() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 999\r\n\r\n";
-        let mut cursor = std::io::Cursor::new(raw.to_vec());
-        let err = read_request(&mut cursor, 10).unwrap_err();
+        let err = parse_limited(raw, 10).unwrap_err();
         assert_eq!(err.status, 413);
         assert_eq!(err.code, Some("body_too_large"));
         let body = String::from_utf8(err.to_response().body.as_slice().to_vec()).unwrap();
@@ -760,9 +741,7 @@ mod tests {
             "{\"error\":\"out of time\",\"code\":\"deadline_exceeded\",\
              \"op\":\"svd\",\"iterations_completed\":12,\"residual\":1e-3}"
         );
-        let mut out = Vec::new();
-        write_response(&mut out, &resp).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = wire(&resp);
         assert!(
             text.starts_with("HTTP/1.1 504 Gateway Timeout\r\n"),
             "{text}"
@@ -770,11 +749,7 @@ mod tests {
         // Untyped errors keep the legacy single-field shape.
         let plain = Response::error(422, "too big");
         assert_eq!(plain.body.as_slice(), b"{\"error\":\"too big\"}");
-        let mut out = Vec::new();
-        write_response(&mut out, &plain).unwrap();
-        assert!(String::from_utf8(out)
-            .unwrap()
-            .starts_with("HTTP/1.1 422 Unprocessable Entity\r\n"));
+        assert!(wire(&plain).starts_with("HTTP/1.1 422 Unprocessable Entity\r\n"));
     }
 
     #[test]
@@ -805,8 +780,7 @@ mod tests {
         assert!(parse(b"GET\r\n\r\n").is_err());
         assert!(parse(b"GET / SPDY/3\r\n\r\n").is_err());
         // Closed before the header terminator.
-        let mut cursor = std::io::Cursor::new(b"GET / HT".to_vec());
-        assert!(read_request(&mut cursor, 10).is_err());
+        assert!(parse_limited(b"GET / HT", 10).is_err());
     }
 
     #[test]
@@ -822,10 +796,8 @@ mod tests {
 
     #[test]
     fn response_serialization() {
-        let mut out = Vec::new();
         let r = Response::json("{\"ok\":true}".into()).with_header("X-Cache", "hit");
-        write_response(&mut out, &r).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = wire(&r);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
@@ -849,18 +821,14 @@ mod tests {
         }
         assert_eq!(b.as_slice(), b"hello");
         // A shared body serializes identically to an owned one.
-        let mut out = Vec::new();
         let mut r = Response::json("{\"ok\":true}".into());
         r.body = Body::Shared(first);
-        write_response(&mut out, &r).unwrap();
-        assert!(String::from_utf8(out).unwrap().ends_with("hello"));
+        assert!(wire(&r).ends_with("hello"));
     }
 
     #[test]
     fn overloaded_has_retry_after() {
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::overloaded(1)).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = wire(&Response::overloaded(1));
         assert!(text.starts_with("HTTP/1.1 503"));
         assert!(text.contains("Retry-After: 1\r\n"));
     }

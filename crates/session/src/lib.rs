@@ -35,6 +35,5 @@ pub mod store;
 pub use edits::{parse_edits, to_ecs_value, Edit, EditParseError};
 pub use engine::{RecomputeStats, SessionEngine};
 pub use store::{
-    Delta, SessionConfig, SessionError, SessionSnapshot, SessionStore, TryWatch, WatchOutcome,
-    WatchWaker,
+    Delta, SessionConfig, SessionError, SessionSnapshot, SessionStore, TryWatch, WatchWaker,
 };

@@ -3,8 +3,8 @@
 //!
 //! Sessions live in 8 hash shards, each guarded by its own mutex so
 //! independent sessions never contend. Every session is an
-//! `Arc<SessionSlot>` holding its own state mutex + condvar: lookups clone
-//! the `Arc` out of the shard and drop the shard lock before touching the
+//! `Arc<SessionSlot>` holding its own state mutex: lookups clone the `Arc`
+//! out of the shard and drop the shard lock before touching the
 //! (potentially long-held) state lock, so a slow recompute on one session
 //! never blocks creates or lookups of others.
 //!
@@ -12,10 +12,11 @@
 //!   removed and reported as not-found — plus a sweep on every create.
 //! * **LRU** eviction kicks in when `max_sessions` is reached: the slot with
 //!   the globally oldest `last_used` stamp is dropped.
-//! * **Watch** long-polls on the slot condvar in short slices until the
-//!   version advances, the store drains, the session dies, or the caller's
-//!   deadline expires.
-//! * **Drain** flips a flag and wakes every watcher so shutdown never waits
+//! * **Watch** never blocks: [`SessionStore::try_watch`] answers at once,
+//!   and a watcher with nothing to see yet parks a [`WatchWaker`] through
+//!   [`SessionStore::add_waker`], fired when the version advances, the
+//!   session dies, or the store drains. The caller owns the deadline.
+//! * **Drain** flips a flag and fires every waker so shutdown never waits
 //!   out a long-poll deadline.
 //!
 //! All locks go through `hc_obs::sync` poison-recovering helpers: a worker
@@ -25,14 +26,14 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hc_core::ecs::Ecs;
 use hc_core::error::MeasureError;
 use hc_core::report::MeasureReport;
 use hc_linalg::Budget;
-use hc_obs::sync::{lock_recover, wait_timeout_recover};
+use hc_obs::sync::lock_recover;
 
 use crate::edits::{to_ecs_value, Edit};
 use crate::engine::{RecomputeStats, SessionEngine};
@@ -40,8 +41,6 @@ use crate::engine::{RecomputeStats, SessionEngine};
 const SHARDS: usize = 8;
 /// Deltas retained per session; watchers further behind get `truncated`.
 const DELTA_RING: usize = 32;
-/// Condvar wait slice — bounds how stale a drain/deadline check can be.
-const WATCH_SLICE: Duration = Duration::from_millis(100);
 
 /// One retained measure delta (the diff a watcher receives).
 #[derive(Debug, Clone, PartialEq)]
@@ -68,25 +67,11 @@ pub struct SessionSnapshot {
     pub etc_units: bool,
 }
 
-/// Outcome of a watch long-poll.
-#[derive(Debug, Clone)]
-pub enum WatchOutcome {
-    /// The version advanced past the watermark; deltas since it (oldest
-    /// first). `truncated` means the ring dropped some intermediate versions.
-    Changed {
-        snapshot: Box<SessionSnapshot>,
-        deltas: Vec<Delta>,
-        truncated: bool,
-    },
-    /// Deadline expired with no change.
-    TimedOut { version: u64 },
-}
-
 /// Outcome of a non-blocking watch attempt ([`SessionStore::try_watch`]).
 #[derive(Debug, Clone)]
 pub enum TryWatch {
-    /// The version already advanced; same payload as
-    /// [`WatchOutcome::Changed`].
+    /// The version advanced past the watermark; deltas since it (oldest
+    /// first). `truncated` means the ring dropped some intermediate versions.
     Changed {
         snapshot: Box<SessionSnapshot>,
         deltas: Vec<Delta>,
@@ -182,7 +167,6 @@ struct SessionState {
 struct SessionSlot {
     id: String,
     state: Mutex<SessionState>,
-    cond: Condvar,
     /// Microseconds since store boot; drives TTL and LRU.
     last_used: AtomicU64,
 }
@@ -305,7 +289,6 @@ impl SessionStore {
         let slot = Arc::new(SessionSlot {
             id: id.clone(),
             state: Mutex::new(state),
-            cond: Condvar::new(),
             last_used: AtomicU64::new(self.now_micros()),
         });
         let mut shard = lock_recover(&self.shards[shard_of(&id)]);
@@ -410,7 +393,6 @@ impl SessionStore {
         // version bump) and fired after it is dropped.
         let wakers = std::mem::take(&mut state.wakers);
         drop(state);
-        slot.cond.notify_all();
         for waker in wakers {
             waker.fire();
         }
@@ -424,48 +406,6 @@ impl SessionStore {
             return false;
         };
         self.remove_slot(&slot, "session_deleted_total")
-    }
-
-    /// Long-polls until the session's version exceeds `since` or `deadline`
-    /// passes. Returns `Err(NotFound)` if the session dies while waiting and
-    /// `Err(Draining)` if the store starts shutting down.
-    pub fn watch(
-        &self,
-        id: &str,
-        since: u64,
-        deadline: Instant,
-    ) -> Result<WatchOutcome, SessionError> {
-        hc_obs::obs_counter!("session_watch_total").inc();
-        let slot = self.slot(id).ok_or(SessionError::NotFound)?;
-        let mut state = lock_recover(&slot.state);
-        loop {
-            if state.closed {
-                return Err(SessionError::NotFound);
-            }
-            if self.is_draining() {
-                return Err(SessionError::Draining);
-            }
-            if state.version > since {
-                hc_obs::obs_counter!("session_watch_wake_total").inc();
-                let (snapshot, deltas, truncated) = changed_locked(&slot.id, &state, since);
-                return Ok(WatchOutcome::Changed {
-                    snapshot,
-                    deltas,
-                    truncated,
-                });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(WatchOutcome::TimedOut {
-                    version: state.version,
-                });
-            }
-            let slice = WATCH_SLICE.min(deadline - now);
-            let (g, _timed_out) = wait_timeout_recover(&slot.cond, state, slice);
-            state = g;
-            // Keep the watcher's session alive while it is being watched.
-            slot.last_used.store(self.now_micros(), Ordering::Relaxed);
-        }
     }
 
     /// One non-blocking watch attempt: returns what a watcher past watermark
@@ -545,7 +485,6 @@ impl SessionStore {
             let slots: Vec<Arc<SessionSlot>> = lock_recover(shard).values().cloned().collect();
             for slot in slots {
                 let wakers = std::mem::take(&mut lock_recover(&slot.state).wakers);
-                slot.cond.notify_all();
                 for waker in wakers {
                     waker.fire();
                 }
@@ -566,7 +505,6 @@ impl SessionStore {
             state.closed = true;
             let wakers = std::mem::take(&mut state.wakers);
             drop(state);
-            slot.cond.notify_all();
             for waker in wakers {
                 waker.fire();
             }
@@ -800,50 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn watch_sees_patches_and_times_out_quietly() {
-        let s = Arc::new(store(8, Duration::from_secs(60)));
-        let snap = s.create(ecs(4, 4), false, None).unwrap();
-        // Timeout path first.
-        match s
-            .watch(&snap.id, 1, Instant::now() + Duration::from_millis(30))
-            .unwrap()
-        {
-            WatchOutcome::TimedOut { version } => assert_eq!(version, 1),
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        // Concurrent patch wakes the watcher.
-        let s2 = Arc::clone(&s);
-        let id = snap.id.clone();
-        let patcher = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            let edits = [Edit::Cell {
-                task: 1,
-                machine: 1,
-                value: 3.0,
-            }];
-            s2.patch(&id, &edits, None, None).unwrap();
-        });
-        match s
-            .watch(&snap.id, 1, Instant::now() + Duration::from_secs(5))
-            .unwrap()
-        {
-            WatchOutcome::Changed {
-                snapshot,
-                deltas,
-                truncated,
-            } => {
-                assert_eq!(snapshot.version, 2);
-                assert_eq!(deltas.len(), 1);
-                assert_eq!(deltas[0].version, 2);
-                assert!(!truncated);
-            }
-            other => panic!("expected change, got {other:?}"),
-        }
-        patcher.join().unwrap();
-    }
-
-    #[test]
-    fn watch_reports_truncation_when_ring_overflows() {
+    fn try_watch_reports_truncation_when_ring_overflows() {
         let s = store(8, Duration::from_secs(60));
         let snap = s.create(ecs(3, 3), false, None).unwrap();
         for i in 0..(DELTA_RING + 4) {
@@ -854,8 +749,8 @@ mod tests {
             }];
             s.patch(&snap.id, &edits, None, None).unwrap();
         }
-        match s.watch(&snap.id, 1, Instant::now()).unwrap() {
-            WatchOutcome::Changed {
+        match s.try_watch(&snap.id, 1, true).unwrap() {
+            TryWatch::Changed {
                 deltas, truncated, ..
             } => {
                 assert!(truncated, "watermark older than the ring must truncate");
@@ -866,24 +761,10 @@ mod tests {
     }
 
     #[test]
-    fn drain_refuses_writes_and_wakes_watchers() {
-        let s = Arc::new(store(8, Duration::from_secs(60)));
+    fn drain_refuses_creates_and_patches() {
+        let s = store(8, Duration::from_secs(60));
         let snap = s.create(ecs(3, 3), false, None).unwrap();
-        let s2 = Arc::clone(&s);
-        let id = snap.id.clone();
-        let watcher =
-            std::thread::spawn(move || s2.watch(&id, 1, Instant::now() + Duration::from_secs(30)));
-        std::thread::sleep(Duration::from_millis(30));
-        let t0 = Instant::now();
         s.drain();
-        assert!(matches!(
-            watcher.join().unwrap(),
-            Err(SessionError::Draining)
-        ));
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "drain must not wait out the watch deadline"
-        );
         assert!(matches!(
             s.create(ecs(3, 3), false, None),
             Err(SessionError::Draining)

@@ -25,7 +25,9 @@ HAND_JSON=$(find crates/{core,obs,serve,session,cli,spec}/src -name '*.rs' \
 echo "no hand-written JSON outside hc_obs::json"
 
 echo "== clippy =="
-cargo clippy -q --workspace --all-targets -- -D warnings
+# --all-features: a target behind a Cargo feature is linted, and so compiled,
+# like any other, so it cannot rot unseen (the workspace has no features now).
+cargo clippy -q --workspace --all-targets --all-features -- -D warnings
 
 echo "== doc =="
 # Broken, ambiguous, or private intra-doc links fail here, so a doc link to a

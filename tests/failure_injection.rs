@@ -76,11 +76,7 @@ fn svd_rejects_poison_but_survives_extremes() {
         ),
     ];
     for (a, want) in &cases {
-        for alg in [
-            SvdAlgorithm::Jacobi,
-            SvdAlgorithm::GolubReinsch,
-            SvdAlgorithm::Auto,
-        ] {
+        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
             let full = svd_with(a, alg)
                 .unwrap_or_else(|e| panic!("{alg:?} on {a:?}: {e}"))
                 .singular_values;

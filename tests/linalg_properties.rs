@@ -1,12 +1,5 @@
-//! Seeded properties of the dense linear-algebra substrate.
-//!
-//! Each property runs over [`CASES`] inputs drawn from the in-tree
-//! `hc_gen::rng` generator, one seed per case. A failure names the property
-//! and the seed, and `HC_PROP_SEED=<seed>` replays that one case:
-//!
-//! ```text
-//! HC_PROP_SEED=17 cargo test --test linalg_properties svd_algorithms_agree
-//! ```
+//! Seeded properties of the dense linear-algebra substrate, on the runner in
+//! `common` (`HC_PROP_SEED=<seed>` replays one case).
 //!
 //! The two SVD algorithms are each other's differential oracle: one-sided
 //! Jacobi and Golub–Reinsch share no code past input validation. The
@@ -29,47 +22,14 @@ use hetero_measures::linalg::vecops;
 use hetero_measures::linalg::{Matrix, Workspace};
 use hetero_measures::sinkhorn::balance::{standard_targets, standardize_in, BalanceOptions};
 
-/// Inputs per property.
-const CASES: u64 = 300;
-
-/// Runs `prop` once per seed in `0..CASES` (or only on `$HC_PROP_SEED`),
-/// panicking with the property name and the failing seed.
-fn check(name: &str, prop: impl Fn(&mut StdRng) -> Result<(), String>) {
-    let seeds = match std::env::var("HC_PROP_SEED") {
-        Ok(s) => {
-            let seed = s.parse().expect("HC_PROP_SEED must be an integer");
-            seed..seed + 1
-        }
-        Err(_) => 0..CASES,
-    };
-    for seed in seeds {
-        let mut rng = StdRng::seed_from_u64(seed);
-        if let Err(msg) = prop(&mut rng) {
-            panic!("{name} failed for seed {seed} (replay: HC_PROP_SEED={seed}): {msg}");
-        }
-    }
-}
-
-/// Fails with `msg` unless `ok`.
-fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(msg())
-    }
-}
+mod common;
+use common::{check, ensure, matrix_of};
 
 /// An `m × n` matrix, shapes up to `max × max`, entries uniform in `lo..hi`.
 fn matrix(rng: &mut StdRng, max: usize, lo: f64, hi: f64) -> Matrix {
     let m = rng.gen_range(1..max + 1);
     let n = rng.gen_range(1..max + 1);
     matrix_of(rng, m, n, lo, hi)
-}
-
-/// An `m × n` matrix with entries uniform in `lo..hi`.
-fn matrix_of(rng: &mut StdRng, m: usize, n: usize, lo: f64, hi: f64) -> Matrix {
-    let data = (0..m * n).map(|_| rng.gen_range(lo..hi)).collect();
-    Matrix::from_vec(m, n, data).expect("shape matches data")
 }
 
 /// A general matrix: shapes up to 9×9, entries in [-10, 10).
@@ -173,7 +133,7 @@ fn svd_algorithms_agree() {
     check("svd_algorithms_agree", |rng| {
         let a = positive_matrix(rng);
         let sj = sigma(&a, SvdAlgorithm::Jacobi)?;
-        let sg = sigma(&a, SvdAlgorithm::GolubReinsch)?;
+        let sg = sigma(&a, SvdAlgorithm::Auto)?;
         let f = norms::frobenius(&a);
         for (x, y) in sj.iter().zip(&sg) {
             ensure((x - y).abs() < 1e-8 * (1.0 + f), || {

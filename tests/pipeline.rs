@@ -114,7 +114,7 @@ fn svd_cross_validation_on_generated_environments() {
         let sf =
             hetero_measures::core::standard::standard_form(&e, &TmaOptions::default()).unwrap();
         let j = svd_with(&sf.matrix, SvdAlgorithm::Jacobi).unwrap();
-        let g = svd_with(&sf.matrix, SvdAlgorithm::GolubReinsch).unwrap();
+        let g = svd_with(&sf.matrix, SvdAlgorithm::Auto).unwrap();
         for (a, b) in j.singular_values.iter().zip(&g.singular_values) {
             assert!((a - b).abs() < 1e-8, "σ mismatch: {a} vs {b}");
         }

@@ -1,0 +1,598 @@
+//! Seeded properties of the paper's claims and of the crates built on them,
+//! on the runner in `common` (`HC_PROP_SEED=<seed>` replays one case):
+//!
+//! * the measures (Sec. I): ranges, unit-scale invariance (property 2), TMA's
+//!   independence of row and column scaling (property 3), permutation
+//!   invariance, transposition, the ETC↔ECS round trip, and rank 1 ⇒ TMA 0;
+//! * the standard form: existence and uniqueness (Theorem 1), σ₁ = 1
+//!   (Theorem 2), and the zero-pattern classes of Sec. VI;
+//! * the generators, the mapping heuristics and the simulator.
+//!
+//! Properties that draw from one input domain share a `check`; every
+//! failure message starts with the name of the property that failed.
+
+use hetero_measures::core::ecs::Ecs;
+use hetero_measures::core::measures::{adjacent_ratio_homogeneity, mph, tdh};
+use hetero_measures::core::standard::{standard_form, tma, TmaOptions};
+use hetero_measures::gen::rng::{Rng, StdRng};
+use hetero_measures::gen::targeted::{synth2x2, targeted, TargetSpec};
+use hetero_measures::gen::{
+    classify, consistency_degree, make_consistent, range_based, Consistency, RangeParams,
+};
+use hetero_measures::linalg::svd::{svd_with, SvdAlgorithm};
+use hetero_measures::linalg::Matrix;
+use hetero_measures::sched::exact::{optimal, simulated_annealing, SaParams};
+use hetero_measures::sched::ga::{ga, GaParams};
+use hetero_measures::sched::problem::{makespan_lower_bound, MappingProblem};
+use hetero_measures::sched::{all_heuristics, Heuristic, HeuristicKind};
+use hetero_measures::sim::workload::generate;
+use hetero_measures::sim::{simulate, BatchPolicy, OnlinePolicy, Policy, SimConfig, WorkloadSpec};
+use hetero_measures::sinkhorn::balance::{
+    balance_with, standard_targets, standardize, BalanceOptions, BalanceOutcome,
+};
+use hetero_measures::sinkhorn::structure::{
+    analyze_square, fully_indecomposable_exhaustive, total_support_core,
+};
+use hetero_measures::sinkhorn::Balanceability;
+
+mod common;
+use common::{check, ensure, matrix_of};
+
+/// `r` with its error rendered, for `?` inside a property.
+fn ok<T, E: std::fmt::Display>(r: Result<T, E>) -> Result<T, String> {
+    r.map_err(|e| e.to_string())
+}
+
+/// Fails, naming `property` and `what`, unless `got` is within `tol` of `want`.
+fn near(property: &str, what: &str, got: f64, want: f64, tol: f64) -> Result<(), String> {
+    ensure((got - want).abs() < tol, || {
+        format!("{property}: {what} {got} vs {want} (tolerance {tol:e})")
+    })
+}
+
+/// A random ECS matrix: 2–7 × 2–7, entries in [0.05, 20).
+fn ecs(rng: &mut StdRng) -> Ecs {
+    let (t, m) = (rng.gen_range(2..8), rng.gen_range(2..8));
+    Ecs::new(matrix_of(rng, t, m, 0.05, 20.0)).expect("a positive matrix is an ECS")
+}
+
+/// MPH, TDH and TMA of the ECS matrix `m`.
+fn measures(m: Matrix) -> Result<[f64; 3], String> {
+    let e = ok(Ecs::new(m))?;
+    Ok([ok(mph(&e))?, ok(tdh(&e))?, ok(tma(&e))?])
+}
+
+#[test]
+fn measures_on_random_ecs() {
+    check("measures_on_random_ecs", |rng| {
+        let e = ecs(rng);
+        let a = e.matrix();
+        let [mph0, tdh0, tma0] = measures(a.clone())?;
+        let unit = |v: f64| v > 0.0 && v <= 1.0 + 1e-12;
+        let in_range = unit(mph0) && unit(tdh0) && (-1e-9..=1.0 + 1e-9).contains(&tma0);
+        ensure(in_range, || {
+            format!("measures_in_range: MPH {mph0}, TDH {tdh0}, TMA {tma0}")
+        })?;
+
+        // Property 2: a change of units moves no measure.
+        let p = "scale_invariance_second_property";
+        let [m, t, x] = measures(a.scaled(rng.gen_range(0.001..1000.0)))?;
+        near(p, "MPH", m, mph0, 1e-10)?;
+        near(p, "TDH", t, tdh0, 1e-10)?;
+        near(p, "TMA", x, tma0, 1e-6)?;
+
+        // Property 3: scaling a row moves TDH and scaling a column moves MPH,
+        // but neither moves TMA.
+        let (mut rows, mut cols) = (a.clone(), a.clone());
+        rows.scale_row(0, rng.gen_range(0.05..20.0));
+        cols.scale_col(0, rng.gen_range(0.05..20.0));
+        let p = "tma_invariant_under_row_scaling";
+        near(p, "TMA", measures(rows)?[2], tma0, 1e-5)?;
+        let p = "tma_invariant_under_col_scaling";
+        near(p, "TMA", measures(cols)?[2], tma0, 1e-5)?;
+
+        let reversed = |n: usize| (0..n).rev().collect::<Vec<_>>();
+        let p = "mph_permutation_invariant";
+        let [m, _, x] = measures(ok(a.permute_cols(&reversed(a.cols())))?)?;
+        near(p, "MPH", m, mph0, 1e-12)?;
+        near(p, "TMA", x, tma0, 1e-6)?;
+        let p = "tdh_permutation_invariant";
+        let [_, t, x] = measures(ok(a.permute_rows(&reversed(a.rows())))?)?;
+        near(p, "TDH", t, tdh0, 1e-12)?;
+        near(p, "TMA", x, tma0, 1e-6)?;
+
+        // Transposing exchanges tasks and machines: MPH and TDH swap, and TMA
+        // is symmetric.
+        let p = "transpose_swaps_mph_tdh";
+        let [m, t, x] = measures(a.transpose())?;
+        near(p, "MPH of the transpose vs TDH", m, tdh0, 1e-12)?;
+        near(p, "TDH of the transpose vs MPH", t, mph0, 1e-12)?;
+        near(p, "TMA", x, tma0, 1e-6)?;
+
+        let p = "etc_ecs_round_trip_preserves_measures";
+        let round = e.to_etc().to_ecs();
+        near(p, "MPH", ok(mph(&round))?, mph0, 1e-9)?;
+        near(p, "TDH", ok(tdh(&round))?, tdh0, 1e-9)
+    });
+}
+
+#[test]
+fn rank_one_always_zero_tma() {
+    // ECS(i, j) = a_i · b_j has proportional columns, so TMA = 0 whatever MPH
+    // and TDH are: the constructive half of measure independence.
+    check("rank_one_always_zero_tma", |rng| {
+        let (t, m) = (rng.gen_range(2..7), rng.gen_range(2..7));
+        let (a, b) = (
+            matrix_of(rng, t, 1, 0.1, 10.0),
+            matrix_of(rng, 1, m, 0.1, 10.0),
+        );
+        let x = measures(Matrix::from_fn(t, m, |i, j| a[(i, 0)] * b[(0, j)]))?[2];
+        ensure(x < 1e-6, || {
+            format!("rank_one_always_zero_tma: TMA {x}, {a:?}·{b:?}")
+        })
+    });
+}
+
+#[test]
+fn theorem1_on_random_positive_matrices() {
+    let opts = BalanceOptions::default();
+    check("theorem1_on_random_positive_matrices", |rng| {
+        let (t, m) = (rng.gen_range(1..9), rng.gen_range(1..9));
+        let a = matrix_of(rng, t, m, 0.05, 50.0);
+        let out = ok(standardize(&a, &opts))?;
+
+        // Existence: every positive rectangular matrix reaches the standard
+        // form, and stays positive.
+        let p = "theorem1_positive_matrices_balance";
+        ensure(out.is_converged(), || format!("{p}: {:?}", out.status))?;
+        let (rt, ct) = standard_targets(t, m);
+        let (rows, cols) = (out.matrix.row_sums(), out.matrix.col_sums());
+        for (s, want) in rows.iter().zip(&rt).chain(cols.iter().zip(&ct)) {
+            ensure((s - want).abs() / want < 1e-7, || {
+                format!("{p}: sum {s} vs {want}")
+            })?;
+        }
+        ensure(out.matrix.is_positive(), || format!("{p}: a zero entry"))?;
+
+        // The paper saw 6–7 iterations on real data; random inputs get a
+        // loose multiple.
+        let (p, k) = ("iteration_counts_small_for_positive", out.iterations);
+        ensure(k <= 500, || format!("{p}: {k} iterations"))?;
+
+        // Uniqueness: pre-scaling a row and a column leaves the standard form.
+        let mut pre = a.clone();
+        pre.scale_row(0, rng.gen_range(0.1..10.0));
+        pre.scale_col(0, rng.gen_range(0.1..10.0));
+        let pre_form = ok(standardize(&pre, &opts))?.matrix;
+        let p = "theorem1_uniqueness_under_diag_scaling";
+        near(p, "max |Δ|", pre_form.max_abs_diff(&out.matrix), 0.0, 1e-5)
+    });
+}
+
+#[test]
+fn theorem2_standard_form_has_unit_sigma1() {
+    let opts = TmaOptions::default();
+    check("theorem2_standard_form_has_unit_sigma1", |rng| {
+        let sf = ok(standard_form(&ecs(rng), &opts))?.matrix;
+        let sigma1 = ok(svd_with(&sf, SvdAlgorithm::Jacobi))?.singular_values[0];
+        let p = "theorem2_standard_form_has_unit_sigma1";
+        ensure((sigma1 - 1.0).abs() <= 1e-7, || {
+            format!("{p}: σ₁ = {sigma1}")
+        })?;
+        let (rt, _) = standard_targets(sf.rows(), sf.cols());
+        for (s, want) in sf.row_sums().into_iter().zip(rt) {
+            let off = (s - want).abs() / want;
+            ensure(off <= opts.balance.tol, || {
+                format!("{p}: row sum {s} vs √(M/T) {want}")
+            })?;
+        }
+        Ok(())
+    });
+}
+
+/// A square pattern, `n` uniform in `2..=max_n`, each entry positive with
+/// probability `density` and then drawn by `weight`; redrawn, size included,
+/// until no row or column is zero, as in an ECS matrix.
+fn square_pattern(
+    rng: &mut StdRng,
+    max_n: usize,
+    density: f64,
+    weight: impl Fn(&mut StdRng) -> f64,
+) -> Matrix {
+    loop {
+        let n = rng.gen_range(2..max_n + 1);
+        let a = Matrix::from_fn(n, n, |_, _| {
+            if rng.gen_bool(density) {
+                weight(rng)
+            } else {
+                0.0
+            }
+        });
+        if a.row_sums().iter().chain(&a.col_sums()).all(|&s| s > 0.0) {
+            return a;
+        }
+    }
+}
+
+/// Balances `a` to unit marginals, with stall detection off.
+fn balance(a: &Matrix, tol: f64, max_iters: usize) -> Result<BalanceOutcome, String> {
+    let ones = vec![1.0; a.rows()];
+    let opts = BalanceOptions {
+        tol,
+        max_iters,
+        stall_window: usize::MAX,
+        ..BalanceOptions::default()
+    };
+    ok(balance_with(a, &ones, &ones, &opts))
+}
+
+#[test]
+fn zero_pattern_structure() {
+    check("zero_pattern_structure", |rng| {
+        let a = square_pattern(rng, 5, 0.7, |_| 1.0);
+        let n = a.rows();
+
+        // Row and column scaling never create or destroy a zero (Sec. VI).
+        let b = balance(&a, 1e-6, 500)?.matrix;
+        let same_zero = |(&x, &y): (&f64, &f64)| (x == 0.0 && y == 0.0) || (x > 0.0 && y > 0.0);
+        let kept = a.as_slice().iter().zip(b.as_slice()).all(same_zero);
+        ensure(kept, || {
+            format!("balance_preserves_zero_pattern: {a:?} → {b:?}")
+        })?;
+
+        let rep = analyze_square(&a);
+        use Balanceability::{ExactlyBalanceable, Positive};
+        if matches!(rep.balanceability, ExactlyBalanceable | Positive) {
+            let p = "total_support_patterns_balance_within_budget";
+            let out = balance(&a, 1e-8, 20_000)?;
+            ensure(out.is_converged(), || {
+                format!("{p}: {a:?}: {:?}", out.status)
+            })?;
+        }
+
+        // Total support ⇒ support; fully indecomposable ⇒ total support
+        // (n ≥ 2); and the exhaustive check of the definition agrees.
+        let slow = fully_indecomposable_exhaustive(&a, 6);
+        let consistent = (rep.has_support || !rep.has_total_support)
+            && (rep.has_total_support || !rep.fully_indecomposable)
+            && slow == Some(rep.fully_indecomposable);
+        ensure(consistent, || {
+            format!("structure_flags_are_consistent: {rep:?}, exhaustively {slow:?}")
+        })?;
+
+        let perm: Vec<usize> = (0..n).rev().collect();
+        let q = analyze_square(&ok(ok(a.permute_rows(&perm))?.permute_cols(&perm))?);
+        let (x, y) = (&rep, &q);
+        let invariant = x.has_support == y.has_support
+            && x.has_total_support == y.has_total_support
+            && x.fully_indecomposable == y.fully_indecomposable;
+        ensure(invariant, || {
+            format!("permutation_invariance_of_structure: {x:?} vs {y:?}")
+        })
+    });
+}
+
+#[test]
+fn section6_zero_pattern_classes() {
+    // Sec. VI: a pattern without support never balances; one with support but
+    // not total support balances only in the limit, where every entry off the
+    // total-support core decays to zero; one with total support balances.
+    check("section6_zero_pattern_classes", |rng| {
+        let a = square_pattern(rng, 6, 0.5, |rng| rng.gen_range(0.1..10.0));
+        match analyze_square(&a).balanceability {
+            Balanceability::NotBalanceable => {
+                let out = balance(&a, 1e-8, 5_000)?;
+                ensure(!out.is_converged(), || {
+                    format!("no support, yet converged: {a:?}")
+                })
+            }
+            Balanceability::LimitOnly => {
+                let core = total_support_core(&a).ok_or("support without a core")?;
+                // The largest entry off the core, relative to the largest one.
+                let off_core = |iters| -> Result<f64, String> {
+                    let b = balance(&a, 1e-8, iters)?.matrix;
+                    let off = (b.as_slice().iter().zip(core.as_slice()))
+                        .filter(|(_, &c)| c == 0.0)
+                        .fold(0.0, |m: f64, (&x, _)| m.max(x));
+                    Ok(off / b.max().unwrap_or(1.0))
+                };
+                let (early, late) = (off_core(50)?, off_core(2_000)?);
+                ensure(late < early && late < 0.05, || {
+                    format!("limit only: off the core {early} after 50, {late} after 2000: {a:?}")
+                })
+            }
+            _ => {
+                let out = balance(&a, 1e-8, 20_000)?;
+                ensure(out.is_converged(), || {
+                    format!("total support, yet {:?}", out.status)
+                })
+            }
+        }
+    });
+}
+
+#[test]
+fn targeted_hits_arbitrary_targets() {
+    check("targeted_hits_arbitrary_targets", |rng| {
+        let spec = TargetSpec {
+            tasks: rng.gen_range(3..7),
+            machines: rng.gen_range(3..6),
+            mph: rng.gen_range(0.15..1.0),
+            tdh: rng.gen_range(0.15..1.0),
+            tma: rng.gen_range(0.0..0.5),
+            jitter: 0.4,
+        };
+        let e = ok(targeted(&spec, rng.gen_range(0..50)))?;
+        let [m, t, x] = measures(e.matrix().clone())?;
+        let p = "targeted_hits_arbitrary_targets";
+        near(p, "MPH", m, spec.mph, 1e-5)?;
+        near(p, "TDH", t, spec.tdh, 1e-5)?;
+        near(p, "TMA", x, spec.tma, 1e-4)
+    });
+}
+
+#[test]
+fn synth2x2_exact_everywhere() {
+    check("synth2x2_exact_everywhere", |rng| {
+        let (mph_t, tdh_t) = (rng.gen_range(0.05..1.0), rng.gen_range(0.05..1.0));
+        let tma_t = rng.gen_range(0.0..0.95);
+        let [m, t, x] = measures(ok(synth2x2(mph_t, tdh_t, tma_t))?.matrix().clone())?;
+        let p = "synth2x2_exact_everywhere";
+        near(p, "MPH", m, mph_t, 1e-7)?;
+        near(p, "TDH", t, tdh_t, 1e-7)?;
+        near(p, "TMA", x, tma_t, 1e-5)
+    });
+}
+
+#[test]
+fn consistency_transforms() {
+    check("consistency_transforms", |rng| {
+        let etc = ok(range_based(
+            &RangeParams::hi_hi(8, 5),
+            rng.gen_range(0..200),
+        ))?;
+        let (a, c) = (etc.matrix(), make_consistent(etc.matrix()));
+        // Consistent with degree 1, each row's entries kept, and idempotent.
+        let sorted = |row: &[f64]| {
+            let mut v = row.to_vec();
+            v.sort_by(f64::total_cmp);
+            v
+        };
+        let (class, degree) = (classify(&c), consistency_degree(&c));
+        let kept = (0..c.rows()).all(|i| sorted(a.row(i)) == sorted(c.row(i)));
+        let holds = class == Consistency::Consistent && degree == 1.0 && kept;
+        ensure(holds && make_consistent(&c) == c, || {
+            format!("make_consistent_properties: {class:?}, degree {degree}, rows kept {kept}")
+        })?;
+
+        let etc = ok(range_based(
+            &RangeParams::lo_lo(6, 4),
+            rng.gen_range(0..200),
+        ))?;
+        let d = consistency_degree(etc.matrix());
+        ensure((0.0..=1.0).contains(&d), || {
+            format!("consistency_degree_bounded: {d}")
+        })
+    });
+}
+
+#[test]
+fn consistency_never_raises_mean_tma() {
+    // Statistical, so one fixed ensemble rather than a per-seed property.
+    let mut raw_sum = 0.0;
+    let mut cons_sum = 0.0;
+    for seed in 0..16 {
+        let etc = range_based(&RangeParams::hi_hi(9, 5), seed).unwrap();
+        let raw_ecs = Ecs::new(etc.matrix().map(|v| 1.0 / v)).unwrap();
+        let cons = make_consistent(etc.matrix());
+        let cons_ecs = Ecs::new(cons.map(|v| 1.0 / v)).unwrap();
+        raw_sum += tma(&raw_ecs).unwrap();
+        cons_sum += tma(&cons_ecs).unwrap();
+    }
+    assert!(
+        cons_sum < raw_sum,
+        "mean TMA must drop under consistency: {cons_sum} vs {raw_sum}"
+    );
+}
+
+#[test]
+fn generated_marginal_homogeneities_are_valid() {
+    // A targeted matrix's sorted row sums have adjacent-ratio homogeneity
+    // equal to the target TDH.
+    check("generated_marginal_homogeneities_are_valid", |rng| {
+        let (n, h) = (rng.gen_range(2..9), rng.gen_range(0.05..1.0));
+        let e = ok(targeted(&TargetSpec::exact(n, 3, 0.5, h, 0.1), 0))?;
+        let got = ok(adjacent_ratio_homogeneity(&e.matrix().row_sums()))?;
+        let p = "generated_marginal_homogeneities_are_valid";
+        near(p, "adjacent-ratio homogeneity", got, h, 1e-9)
+    });
+}
+
+#[test]
+fn range_based_entries_within_ranges() {
+    let params = RangeParams {
+        tasks: 6,
+        machines: 4,
+        r_task: 50.0,
+        r_mach: 20.0,
+    };
+    check("range_based_entries_within_ranges", |rng| {
+        let etc = ok(range_based(&params, rng.gen_range(0..100)))?;
+        let lo = etc.matrix().min().unwrap_or(f64::NAN);
+        let hi = etc.matrix().max().unwrap_or(f64::NAN);
+        ensure(lo >= 1.0 && hi <= 50.0 * 20.0, || {
+            format!("range_based_entries_within_ranges: entries {lo}..{hi}")
+        })
+    });
+}
+
+/// An ETC matrix for the mapping and simulation properties: 2–`max_tasks`
+/// tasks × 2–4 machines, entries in [0.5, 20).
+fn etc_matrix(rng: &mut StdRng, max_tasks: usize) -> Matrix {
+    let (t, m) = (rng.gen_range(2..max_tasks + 1), rng.gen_range(2..5));
+    matrix_of(rng, t, m, 0.5, 20.0)
+}
+
+/// The makespan of `h`'s schedule for `p`.
+fn makespan(h: &impl Heuristic, p: &MappingProblem) -> Result<f64, String> {
+    ok(ok(h.map(p))?.makespan(p))
+}
+
+#[test]
+fn mapping_heuristics_on_random_problems() {
+    check("mapping_heuristics_on_random_problems", |rng| {
+        let p = ok(MappingProblem::new(etc_matrix(rng, 6)))?;
+        let lb = makespan_lower_bound(&p);
+        let opt = ok(ok(optimal(&p, 1e6))?.makespan(&p))?;
+        for h in all_heuristics() {
+            let (name, s) = (h.name(), ok(h.map(&p))?);
+            let (n, mk) = (s.assignment.len(), ok(s.makespan(&p))?);
+            ensure(
+                n == p.num_tasks() && mk.is_finite() && mk >= lb - 1e-9,
+                || {
+                    format!(
+                        "heuristics_valid_and_above_lower_bound: {name}: {n} tasks, {mk} < {lb}"
+                    )
+                },
+            )?;
+            ensure(opt >= lb - 1e-9 && mk >= opt - 1e-9, || {
+                format!("optimal_dominates_heuristics: {name} {mk}, optimum {opt}, bound {lb}")
+            })?;
+        }
+
+        // The GA and SA start from Min-Min and MCT and keep the best state.
+        let minmin = makespan(&HeuristicKind::MinMin, &p)?;
+        let params = GaParams {
+            generations: 150,
+            ..GaParams::default()
+        };
+        let g = ok(ok(ga(&p, &params))?.makespan(&p))?;
+        ensure(g >= opt - 1e-9 && g <= minmin + 1e-9, || {
+            format!("ga_dominated_by_optimum_dominates_minmin: {g}, {opt}, Min-Min {minmin}")
+        })?;
+        let mct = makespan(&HeuristicKind::Mct, &p)?;
+        let params = SaParams {
+            iterations: 3000,
+            ..SaParams::default()
+        };
+        let sa = ok(ok(simulated_annealing(&p, &params))?.makespan(&p))?;
+        ensure(sa >= opt - 1e-9 && sa <= mct + 1e-9, || {
+            format!("sa_dominated_by_optimum_dominates_mct: {sa}, optimum {opt}, MCT {mct}")
+        })?;
+
+        // Slowing every machine uniformly scales every makespan by the factor.
+        let factor = rng.gen_range(1.1..3.0);
+        let slow = ok(MappingProblem::new(p.etc().scaled(factor)))?;
+        for h in all_heuristics() {
+            let (a, b) = (makespan(&h, &p)?, makespan(&h, &slow)?);
+            let name = h.name();
+            let p = "makespan_monotone_under_slowdown";
+            near(p, name, b, a * factor, 1e-6 * b.max(1.0))?;
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn incompatibilities_always_respected() {
+    check("incompatibilities_always_respected", |rng| {
+        let mut etc = etc_matrix(rng, 5);
+        for i in 0..etc.rows() {
+            for j in 0..etc.cols() {
+                if rng.gen_bool(0.25) {
+                    etc[(i, j)] = f64::INFINITY;
+                }
+            }
+            // Every task stays runnable somewhere.
+            if etc.row(i).iter().all(|v| v.is_infinite()) {
+                etc[(i, 0)] = 1.0;
+            }
+        }
+        let p = ok(MappingProblem::new(etc))?;
+        let params = GaParams {
+            generations: 60,
+            ..GaParams::default()
+        };
+        let heuristics = all_heuristics().into_iter().map(|h| (h.name(), h.map(&p)));
+        for (name, s) in heuristics.chain([("GA", ga(&p, &params))]) {
+            for (i, &j) in ok(s)?.assignment.iter().enumerate() {
+                ensure(p.time(i, j).is_finite(), || {
+                    format!("incompatibilities_always_respected: {name}: task {i} on {j}")
+                })?;
+            }
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn simulator_on_random_workloads() {
+    use BatchPolicy::{MinMin, Sufferage};
+    use OnlinePolicy::{Kpb, Mct, Met, Olb};
+    let online = [Olb, Met, Mct, Kpb { percent: 50 }].map(Policy::Immediate);
+    let batch = [MinMin, Sufferage].map(|policy| Policy::Batch {
+        policy,
+        interval: 3.0,
+    });
+    let policies: Vec<Policy> = online.into_iter().chain(batch).collect();
+    check("simulator_on_random_workloads", |rng| {
+        let etc = etc_matrix(rng, 6);
+        let (seed, rate) = (rng.gen_range(0..1000), rng.gen_range(0.2..3.0));
+        let workload = |n, rate| ok(generate(&WorkloadSpec::uniform(n, rate, etc.rows(), seed)));
+        let run = |wl, policy| ok(simulate(&etc, wl, &SimConfig { policy }));
+
+        // Every task runs once, after it arrives, for exactly its ETC entry.
+        let wl = workload(60, rate)?;
+        for &policy in &policies {
+            let records = run(&wl, policy)?.records;
+            let bad = records.iter().find(|rec| {
+                let expect = etc[(rec.task_type, rec.machine)];
+                !(rec.start >= rec.arrival - 1e-9
+                    && rec.finish > rec.start
+                    && (rec.finish - rec.start - expect).abs() < 1e-9)
+            });
+            ensure(records.len() == 60 && bad.is_none(), || {
+                let (name, n) = (policy.name(), records.len());
+                format!("physical_consistency: {name}: {n} records, first bad {bad:?}")
+            })?;
+        }
+
+        // Tasks on one machine never overlap in time (FIFO queues).
+        let wl = workload(50, 1.0)?;
+        for &policy in &policies {
+            let mut spans: Vec<_> = (run(&wl, policy)?.records.iter())
+                .map(|rec| (rec.machine, rec.start, rec.finish))
+                .collect();
+            spans.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            for w in spans.windows(2).filter(|w| w[0].0 == w[1].0) {
+                ensure(w[1].1 >= w[0].2 - 1e-9, || {
+                    format!("no_machine_overlap: {}: {w:?}", policy.name())
+                })?;
+            }
+        }
+
+        // Total busy time is the sum of the executed ETC entries.
+        let wl = workload(40, 1.0)?;
+        let records = run(&wl, Policy::Immediate(Mct))?.records;
+        let busy: f64 = records.iter().map(|rec| rec.finish - rec.start).sum();
+        let expect: f64 = records.iter().map(|r| etc[(r.task_type, r.machine)]).sum();
+        near("busy_time_conservation", "busy time", busy, expect, 1e-6)?;
+
+        // No schedule finishes before a task's arrival plus its fastest runtime.
+        let wl = workload(30, 1.5)?;
+        let fastest = |i: usize| etc.row(i).iter().fold(f64::INFINITY, |m, &v| m.min(v));
+        let bound = (wl.arrivals.iter())
+            .map(|a| a.time + fastest(a.task_type))
+            .fold(0.0, f64::max);
+        for &policy in &policies {
+            let mk = run(&wl, policy)?.makespan();
+            ensure(mk >= bound - 1e-9, || {
+                format!(
+                    "makespan_at_least_critical_path: {}: {mk} < {bound}",
+                    policy.name()
+                )
+            })?;
+        }
+        Ok(())
+    });
+}
