@@ -67,10 +67,16 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// hiccup cannot skew a snapshot.
 const RUNS: usize = 7;
 
-/// Shapes of the `linalg.spectrum` lane, up to the largest `hcbench`
-/// ensemble member.
-const SPECTRUM_SIZES: [(usize, usize); 5] =
-    [(64, 64), (128, 128), (256, 256), (512, 128), (512, 512)];
+/// Shapes of the `linalg.spectrum` lane: up to the largest `hcbench`
+/// ensemble member, and 1024², four times the L2 of a typical core.
+const SPECTRUM_SIZES: [(usize, usize); 6] = [
+    (64, 64),
+    (128, 128),
+    (256, 256),
+    (512, 128),
+    (512, 512),
+    (1024, 1024),
+];
 
 fn median_ns(mut samples: Vec<u128>) -> u128 {
     samples.sort_unstable();

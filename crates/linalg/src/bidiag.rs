@@ -5,19 +5,30 @@
 //! orthogonal, and `B` is upper bidiagonal (diagonal `d`, superdiagonal `e`). This is
 //! stage one of the Golub–Reinsch SVD in [`crate::svd`].
 //!
-//! One reduction serves every caller, and each column costs it one read
-//! sweep and one write sweep of the row-major trailing matrix, in the spirit
-//! of LAPACK's fused one-sided updates (Dongarra, Sorensen & Hammarling,
-//! 1989). Sweep 1 reads the rows to form `w = β·vᵀA` for the left reflector
-//! `v`, four rows per pass over `w`, adding each column's rows in order.
-//! Row `j` minus `w` then yields the right reflector `u`, and sweep 2 applies
+//! One reduction serves every caller, and each column costs it one sweep of
+//! the row-major trailing matrix that reads and writes every entry once, in
+//! the spirit of LAPACK's fused one-sided updates (Dongarra, Sorensen &
+//! Hammarling, 1989). Column `j`'s left reflector `v` needs `w = β·vᵀA`.
+//! Row `j` minus `w` yields the right reflector `u`, and the sweep applies
 //! both reflectors to every lower row as one rank-2 update,
-//! `aᵢ ← aᵢ − vᵢ·w − β_r·(aᵢᵀu − vᵢ·wᵀu)·u`, two rows per pass, collecting
-//! the next column's reflector as it writes, so nothing strides down a
-//! column. The right reflector's dot products thus read each row before its
-//! left update, so `B` matches a reduction that applies the reflectors one
+//! `aᵢ ← aᵢ − vᵢ·w − β_r·(aᵢᵀu − vᵢ·wᵀu)·u`, two rows per pass (their dot
+//! products with `u` in one pass, [`vecops::dot2`]). As it writes each row
+//! it takes the row's first entry `xᵢ` (column `j + 1`, the next left
+//! reflector's source) and adds `xᵢ·aᵢ` over the rest of the row into `z`.
+//! The next column's `w` is then `β'·(a_{j+1} + z/v₀)`, where `v₀` is the
+//! divisor that took `x` to the reflector, so no sweep reads the matrix just
+//! to form `w` except column 0's. The right reflector's dot products read
+//! each row before its left update, and `w` is formed from unscaled
+//! entries, so `B` matches a reduction that applies the reflectors one
 //! after the other only up to rounding: the singular values agree to a few
 //! ulps of σ₁, while `d` and `e` past the numerical rank may differ.
+//!
+//! Tall inputs (`m ≥ 1.8·n`, `QR_MIN_ASPECT`) go through a Householder QR
+//! first, as LAPACK's xGESVD does (Chan, ACM TOMS 8(1), 1982): a rank-1
+//! sweep per column collects the next column's `vᵀA` the same way, at 4
+//! flops per trailing entry instead of the bidiagonalization's 8, and the
+//! bidiagonalization then runs on the `n × n` factor `R`. With factors,
+//! `U = Q·[U_R; 0]` and `V = V_R`.
 //!
 //! The reduction's arithmetic never depends on whether `U` and `V` are
 //! wanted, so both SVD entry points share one reduction. [`bidiagonalize_in`]
@@ -73,9 +84,9 @@ impl Bidiag {
 /// asked for them.
 pub(crate) type Factors = Option<(Matrix, Matrix)>;
 
-/// Sweep 1: `w = vᵀA` over rows `row0..row0 + v.len()` and the last
-/// `w.len()` columns of `a`, four rows per pass over `w`. Each entry adds its
-/// rows in order, exactly as one axpy per row would.
+/// `w = vᵀA` over rows `row0..row0 + v.len()` and the last `w.len()` columns
+/// of `a`, four rows per pass over `w`. Each entry adds its rows in order,
+/// exactly as one axpy per row would.
 #[inline(always)]
 fn reflect_rows(a: &Matrix, v: &[f64], row0: usize, w: &mut [f64]) {
     let n = a.cols();
@@ -106,13 +117,31 @@ fn reflect_rows(a: &Matrix, v: &[f64], row0: usize, w: &mut [f64]) {
     }
 }
 
-/// Sweep 2: applies the left reflector's tail `v` (with `w = β·vᵀA` from
-/// sweep 1) and the right reflector `(u, rbeta)` to rows `row0..` over the
-/// last `w.len()` columns of `a`, as the rank-2 update
-/// `aᵢ ← aᵢ − vᵢ·w − rbeta·(aᵢᵀu − vᵢ·wᵀu)·u`, two rows per pass. Each
-/// updated row's first entry — the next column's — lands in `next`.
+/// Column 0's setup, the one read-only sweep of a reduction: loads column 0
+/// into `x` and sets `z = Σ_{i ≥ 1} xᵢ·aᵢ` over columns `1..n`, which
+/// [`update_rows`] accumulates for every later column.
 #[inline(always)]
-fn update_rows(
+fn first_column(a: &Matrix, x: &mut [f64], z: &mut [f64]) {
+    let (m, n) = a.shape();
+    for (xi, row) in x.iter_mut().zip(a.row_iter()) {
+        *xi = row[0];
+    }
+    if n > 1 {
+        reflect_rows(a, &x[1..m], 1, &mut z[..n - 1]);
+    }
+}
+
+/// The one sweep of a column: applies the left reflector's tail `v` (with
+/// `w = β·vᵀA`) to rows `row0..` over the last `w.len()` columns of `a`,
+/// together with the right reflector `(u, rbeta)` when `RANK2`, as
+/// `aᵢ ← aᵢ − vᵢ·w − rbeta·(aᵢᵀu − vᵢ·wᵀu)·u`, two rows per pass. Without
+/// `RANK2` (the QR stage) `u` and `rbeta` are ignored and the update is
+/// `aᵢ ← aᵢ − vᵢ·w`. Each updated row's first entry `xᵢ` — the next
+/// column's — lands in `next`, and every row but the first (the next pivot
+/// row) adds `xᵢ·aᵢ` over its other entries into `z`, rows in order.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn update_rows<const RANK2: bool>(
     a: &mut Matrix,
     v: &[f64],
     w: &[f64],
@@ -120,34 +149,66 @@ fn update_rows(
     rbeta: f64,
     row0: usize,
     next: &mut [f64],
+    z: &mut [f64],
 ) {
     let n = a.cols();
     let col0 = n - w.len();
-    let wu = if rbeta == 0.0 { 0.0 } else { vecops::dot(w, u) };
-    // The right reflector's coefficient for a row, from its entries before
-    // the left update.
-    let coef = |row: &[f64], vi: f64| {
-        if rbeta == 0.0 {
-            0.0
+    let right = RANK2 && rbeta != 0.0;
+    let wu = if right { vecops::dot(w, u) } else { 0.0 };
+    // The right reflector's coefficient for a row, from the row's dot
+    // product with `u` before the left update.
+    let coef = |ru: f64, vi: f64| rbeta * (ru - vi * wu);
+    let coef1 = |row: &[f64], vi: f64| {
+        if right {
+            coef(vecops::dot(row, u), vi)
         } else {
-            rbeta * (vecops::dot(row, u) - vi * wu)
+            0.0
         }
     };
-    let rows = &mut a.as_mut_slice()[row0 * n..];
-    let mut pairs = rows.chunks_exact_mut(2 * n);
-    let mut vs = v.chunks_exact(2);
-    let mut outs = next.chunks_exact_mut(2);
+    let update = |ac: f64, vi: f64, wc: f64, s: f64, uc: f64| {
+        if RANK2 {
+            ac - vi * wc - s * uc
+        } else {
+            ac - vi * wc
+        }
+    };
+    z.fill(0.0);
+    let (first, rest) = a.as_mut_slice()[row0 * n..].split_at_mut(n);
+    let r = &mut first[col0..];
+    let s = coef1(r, v[0]);
+    for ((ac, &wc), &uc) in r.iter_mut().zip(w).zip(u) {
+        *ac = update(*ac, v[0], wc, s, uc);
+    }
+    next[0] = r[0];
+
+    let mut pairs = rest.chunks_exact_mut(2 * n);
+    let mut vs = v[1..].chunks_exact(2);
+    let mut outs = next[1..].chunks_exact_mut(2);
     for ((pair, vp), out) in (&mut pairs).zip(&mut vs).zip(&mut outs) {
         let (r0, r1) = pair.split_at_mut(n);
         let (r0, r1) = (&mut r0[col0..], &mut r1[col0..]);
         let (v0, v1) = (vp[0], vp[1]);
-        let (s0, s1) = (coef(r0, v0), coef(r1, v1));
-        for (((a0, a1), wc), uc) in r0.iter_mut().zip(r1.iter_mut()).zip(w).zip(u) {
-            *a0 = *a0 - v0 * wc - s0 * uc;
-            *a1 = *a1 - v1 * wc - s1 * uc;
+        let (s0, s1) = if right {
+            let (p0, p1) = vecops::dot2(r0, r1, u);
+            (coef(p0, v0), coef(p1, v1))
+        } else {
+            (0.0, 0.0)
+        };
+        let x0 = update(r0[0], v0, w[0], s0, u[0]);
+        let x1 = update(r1[0], v1, w[0], s1, u[0]);
+        (r0[0], r1[0]) = (x0, x1);
+        (out[0], out[1]) = (x0, x1);
+        let lanes = r0[1..]
+            .iter_mut()
+            .zip(&mut r1[1..])
+            .zip(&w[1..])
+            .zip(&u[1..])
+            .zip(z.iter_mut());
+        for ((((a0, a1), &wc), &uc), zc) in lanes {
+            *a0 = update(*a0, v0, wc, s0, uc);
+            *a1 = update(*a1, v1, wc, s1, uc);
+            *zc = (*zc + x0 * *a0) + x1 * *a1;
         }
-        out[0] = r0[0];
-        out[1] = r1[0];
     }
     for ((row, &vi), out) in pairs
         .into_remainder()
@@ -156,17 +217,25 @@ fn update_rows(
         .zip(outs.into_remainder())
     {
         let r = &mut row[col0..];
-        let s = coef(r, vi);
-        for ((ac, wc), uc) in r.iter_mut().zip(w).zip(u) {
-            *ac = *ac - vi * wc - s * uc;
+        let s = coef1(r, vi);
+        let xi = update(r[0], vi, w[0], s, u[0]);
+        r[0] = xi;
+        *out = xi;
+        let lanes = r[1..]
+            .iter_mut()
+            .zip(&w[1..])
+            .zip(&u[1..])
+            .zip(z.iter_mut());
+        for (((ac, &wc), &uc), zc) in lanes {
+            *ac = update(*ac, vi, wc, s, uc);
+            *zc += xi * *ac;
         }
-        *out = r[0];
     }
 }
 
 /// Applies the left reflector `(v, β)` spanning rows `row0..row0 + v.len()`
-/// to columns `col0..` of `a`: `w = β·vᵀA` by sweep 1, then each row takes
-/// `−v_k·w`. `w` is scratch of at least `a.cols() − col0` entries.
+/// to columns `col0..` of `a`: `w = β·vᵀA`, then each row takes `−v_k·w`.
+/// `w` is scratch of at least `a.cols() − col0` entries.
 fn apply_left(a: &mut Matrix, v: &[f64], beta: f64, row0: usize, col0: usize, w: &mut [f64]) {
     if beta == 0.0 {
         return;
@@ -179,108 +248,98 @@ fn apply_left(a: &mut Matrix, v: &[f64], beta: f64, row0: usize, col0: usize, w:
     }
 }
 
-/// Every reflector of a reduction, kept only when `U` and `V` are wanted.
-/// Left reflector `j` spans rows `j..m` and right reflector `j` columns
-/// `j + 1..n` (present only while `j + 2 < n`); each is packed flat after
-/// its predecessors.
+/// Householder reflectors packed flat, each after its predecessors, kept
+/// only when `U` and `V` are wanted: reflector `j` spans rows
+/// `j + shift..rows` of the matrix it reduces.
+struct Packed {
+    rows: usize,
+    shift: usize,
+    dirs: Vec<f64>,
+    betas: Vec<f64>,
+    off: usize,
+}
+
+impl Packed {
+    fn take(rows: usize, shift: usize, count: usize, ws: &mut Workspace) -> Self {
+        let total = (0..count).map(|j| rows - j - shift).sum();
+        Packed {
+            rows,
+            shift,
+            dirs: ws.take_vec(total, 0.0),
+            betas: ws.take_vec(count, 0.0),
+            off: 0,
+        }
+    }
+
+    fn push(&mut self, j: usize, v: &[f64], beta: f64) {
+        self.dirs[self.off..self.off + v.len()].copy_from_slice(v);
+        self.off += v.len();
+        self.betas[j] = beta;
+    }
+
+    /// `q ← H₀·H₁·…·q`, applying the reflectors in reverse, and hands the
+    /// store back to `ws`. When `q` starts as the identity, reflector `j`
+    /// leaves its columns left of `j + shift` untouched, so `from_identity`
+    /// starts each application at that column.
+    fn apply_reverse(self, q: &mut Matrix, from_identity: bool, w: &mut [f64], ws: &mut Workspace) {
+        let mut end = self.dirs.len();
+        for (j, &beta) in self.betas.iter().enumerate().rev() {
+            let row0 = j + self.shift;
+            let v = &self.dirs[end - (self.rows - row0)..end];
+            end -= v.len();
+            let col0 = if from_identity { row0 } else { 0 };
+            apply_left(q, v, beta, row0, col0, w);
+        }
+        ws.recycle_vec(self.dirs);
+        ws.recycle_vec(self.betas);
+    }
+}
+
+/// Every reflector of a bidiagonalization: left reflector `j` spans rows
+/// `j..m` and right reflector `j` columns `j + 1..n` (present only while
+/// `j + 2 < n`).
 struct Reflectors {
-    left: Vec<f64>,
-    right: Vec<f64>,
-    lbeta: Vec<f64>,
-    rbeta: Vec<f64>,
-    loff: usize,
-    roff: usize,
+    left: Packed,
+    right: Packed,
 }
 
 impl Reflectors {
     fn take(m: usize, n: usize, ws: &mut Workspace) -> Self {
-        let left_total: usize = (0..n).map(|j| m - j).sum();
-        let right_total: usize = (0..n.saturating_sub(2)).map(|j| n - j - 1).sum();
         Reflectors {
-            left: ws.take_vec(left_total, 0.0),
-            right: ws.take_vec(right_total, 0.0),
-            lbeta: ws.take_vec(n, 0.0),
-            rbeta: ws.take_vec(n.saturating_sub(2), 0.0),
-            loff: 0,
-            roff: 0,
+            left: Packed::take(m, 0, n, ws),
+            right: Packed::take(n, 1, n.saturating_sub(2), ws),
         }
     }
 
-    fn push_left(&mut self, j: usize, v: &[f64], beta: f64) {
-        self.left[self.loff..self.loff + v.len()].copy_from_slice(v);
-        self.loff += v.len();
-        self.lbeta[j] = beta;
-    }
-
-    fn push_right(&mut self, j: usize, u: &[f64], beta: f64) {
-        self.right[self.roff..self.roff + u.len()].copy_from_slice(u);
-        self.roff += u.len();
-        self.rbeta[j] = beta;
-    }
-
-    /// Accumulates thin `U` (`m × n`) and `V` (`n × n`) by applying the
-    /// reflectors in reverse to the identity, and hands the store back to
-    /// `ws`. Reflector `j` leaves the identity's columns left of its span
-    /// untouched, so each application starts at its own first column.
-    fn accumulate(self, m: usize, n: usize, w: &mut [f64], ws: &mut Workspace) -> (Matrix, Matrix) {
-        let mut u = ws.take_matrix(m, n, 0.0);
+    /// Accumulates `U` (`rows × n`, zero below the reduced matrix's rows)
+    /// and `V` (`n × n`) by applying the reflectors in reverse to the
+    /// identity, and hands the store back to `ws`. Right reflector `j` acts
+    /// on rows/cols `j + 1..n` of the V space; applying from the left
+    /// accumulates `V = H_r0 · H_r1 · …` (each H is symmetric).
+    fn accumulate(
+        self,
+        rows: usize,
+        n: usize,
+        w: &mut [f64],
+        ws: &mut Workspace,
+    ) -> (Matrix, Matrix) {
+        let mut u = ws.take_matrix(rows, n, 0.0);
         for j in 0..n {
             u[(j, j)] = 1.0;
         }
-        let mut off = self.left.len();
-        for j in (0..n).rev() {
-            off -= m - j;
-            let v = &self.left[off..off + (m - j)];
-            apply_left(&mut u, v, self.lbeta[j], j, j, w);
-        }
-
-        // Right reflector j acts on rows/cols (j+1)..n of the V space;
-        // applying from the left accumulates V = H_r0 · H_r1 · … (each H is
-        // symmetric).
+        self.left.apply_reverse(&mut u, true, w, ws);
         let mut v = ws.take_identity(n);
-        let mut off = self.right.len();
-        for j in (0..n.saturating_sub(2)).rev() {
-            off -= n - j - 1;
-            let r = &self.right[off..off + (n - j - 1)];
-            apply_left(&mut v, r, self.rbeta[j], j + 1, j + 1, w);
-        }
-
-        ws.recycle_vec(self.left);
-        ws.recycle_vec(self.right);
-        ws.recycle_vec(self.lbeta);
-        ws.recycle_vec(self.rbeta);
+        self.right.apply_reverse(&mut v, true, w, ws);
         (u, v)
     }
 }
 
-/// Bidiagonalizes `a` (requires `m ≥ n ≥ 1`). All scratch (the working copy,
-/// the packed reflectors, and the accumulation targets) is checked out of
-/// `ws`, and the returned factors are built from pooled buffers the caller may
-/// hand back with [`Workspace::recycle_matrix`]/[`Workspace::recycle_vec`].
+/// Bidiagonalizes `a` (requires `m ≥ n ≥ 1` and finite entries). All scratch
+/// (the working copy, the packed reflectors, and the accumulation targets)
+/// is checked out of `ws`, and the returned factors are built from pooled
+/// buffers the caller may hand back with
+/// [`Workspace::recycle_matrix`]/[`Workspace::recycle_vec`].
 pub fn bidiagonalize_in(a: MatRef<'_>, ws: &mut Workspace) -> Result<Bidiag> {
-    let (d, e, factors) = reduce_in(a, true, None, ws)?;
-    let (u, v) = factors.expect("factors were requested");
-    Ok(Bidiag { u, v, d, e })
-}
-
-/// Reductions with at least this many columns run their column loop in the
-/// AVX2 frame ([`isa::wide`]) when the CPU has it. A same-binary comparison
-/// of the two frames on this reduction (medians of nine alternating runs on
-/// a 2-vCPU Xeon): 17×5 took 2.3 µs in the baseline frame and 2.7 µs in the
-/// AVX2 frame, 32×32 took 34 and 35 µs, and 48² to 256² took 0.68–0.84× as
-/// long in the AVX2 frame.
-const WIDE_MIN_COLS: usize = 32;
-
-/// The one Householder reduction behind [`bidiagonalize_in`] and the SVD:
-/// returns `B`'s diagonal and superdiagonal, plus `(U, V)` when `factors` is
-/// set. Polls `budget` once per column (op `golub-reinsch-bidiag`, with the
-/// columns reduced so far as the iteration count); `None` polls nothing.
-pub(crate) fn reduce_in(
-    a: MatRef<'_>,
-    factors: bool,
-    budget: Option<&Budget>,
-    ws: &mut Workspace,
-) -> Result<(Vec<f64>, Vec<f64>, Factors)> {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return Err(LinAlgError::Empty {
@@ -295,96 +354,236 @@ pub(crate) fn reduce_in(
         });
     }
     a.check_finite("bidiagonalize")?;
+    let (d, e, factors) = reduce_in(a, true, None, ws)?;
+    let (u, v) = factors.expect("factors were requested");
+    Ok(Bidiag { u, v, d, e })
+}
 
+/// Inputs with at least this many rows per column (and at least two
+/// columns) are reduced by QR first. Measured on the values-only reduction
+/// against the same code without QR (2-vCPU Xeon, AVX2 frame; medians of
+/// six alternating rounds of 21 runs at n = 32, 64 and 128): QR first took
+/// 1.12–1.19× as long at m/n = 1.5, 1.05–1.12× at 1.6, 0.93–1.01× at 1.75,
+/// 0.90–0.96× at 2, and 1.2–1.6× on square inputs. LAPACK xGESVD switches
+/// at 1.6; the one-sweep bidiagonalization is cheap enough against QR's
+/// rank-1 sweeps to move the crossover up.
+const QR_MIN_ASPECT: f64 = 1.8;
+
+fn qr_first(m: usize, n: usize) -> bool {
+    n >= 2 && m as f64 >= QR_MIN_ASPECT * n as f64
+}
+
+/// The one Householder reduction behind [`bidiagonalize_in`] and the SVD
+/// (requires `m ≥ n ≥ 1` and finite entries, which the callers check):
+/// returns `B`'s diagonal and superdiagonal, plus `(U, V)` when `factors` is
+/// set. Polls `budget` once per column of each stage (op
+/// `golub-reinsch-bidiag`, with the columns reduced so far, over both
+/// stages, as the iteration count); `None` polls nothing.
+pub(crate) fn reduce_in(
+    a: MatRef<'_>,
+    factors: bool,
+    budget: Option<&Budget>,
+    ws: &mut Workspace,
+) -> Result<(Vec<f64>, Vec<f64>, Factors)> {
+    let (m, n) = a.shape();
+    debug_assert!(m >= n && n >= 1, "reduce_in needs m >= n >= 1");
+    let qr = qr_first(m, n);
     let mut work = ws.take_matrix(m, n, 0.0);
     work.view_mut().copy_from(a);
+    let mut r = qr.then(|| ws.take_matrix(n, n, 0.0));
     let mut d = ws.take_vec(n, 0.0);
     let mut e = ws.take_vec(n - 1, 0.0);
-    // `x` holds column j's entries on rows j..m, which become its left
-    // reflector; sweep 2 collects column j + 1's into `next`.
+    // `x` holds column j's entries, which become its left reflector; each
+    // sweep collects column j + 1's into `next` and its `vᵀA` into `z`.
     let mut x = ws.take_vec(m, 0.0);
     let mut next = ws.take_vec(m, 0.0);
     let mut u = ws.take_vec(n, 0.0);
     let mut w = ws.take_vec(n, 0.0);
-    let mut store = factors.then(|| Reflectors::take(m, n, ws));
-    let scratch = [&mut x[..], &mut next[..], &mut u[..], &mut w[..]];
-    let reduced = if n >= WIDE_MIN_COLS {
-        isa::wide(
-            #[inline(always)]
-            || reduce_columns(&mut work, (&mut d, &mut e), store.as_mut(), budget, scratch),
-        )
-    } else {
-        reduce_columns(&mut work, (&mut d, &mut e), store.as_mut(), budget, scratch)
-    };
-    reduced?;
+    let mut z = ws.take_vec(n, 0.0);
+    let mut qr_store = (factors && qr).then(|| Packed::take(m, 0, n, ws));
+    let mut store = factors.then(|| Reflectors::take(if qr { n } else { m }, n, ws));
+    let scratch = [
+        &mut x[..],
+        &mut next[..],
+        &mut u[..],
+        &mut w[..],
+        &mut z[..],
+    ];
+    let stores = (qr_store.as_mut(), store.as_mut());
+    isa::wide(
+        n >= isa::WIDE_MIN_COLS,
+        #[inline(always)]
+        || {
+            stages(
+                &mut work,
+                r.as_mut(),
+                (&mut d, &mut e),
+                stores,
+                budget,
+                scratch,
+            )
+        },
+    )?;
 
-    let factors = store.map(|s| s.accumulate(m, n, &mut w, ws));
+    let factors = store.map(|s| {
+        let (mut u, v) = s.accumulate(m, n, &mut w, ws);
+        if let Some(q) = qr_store {
+            q.apply_reverse(&mut u, false, &mut w, ws);
+        }
+        (u, v)
+    });
     ws.recycle_matrix(work);
-    ws.recycle_vec(x);
-    ws.recycle_vec(next);
-    ws.recycle_vec(u);
-    ws.recycle_vec(w);
+    if let Some(r) = r {
+        ws.recycle_matrix(r);
+    }
+    for buf in [x, next, u, w, z] {
+        ws.recycle_vec(buf);
+    }
     Ok((d, e, factors))
 }
 
-/// The column loop of [`reduce_in`]: reduces `work` (`m × n`, `m ≥ n ≥ 1`)
-/// in place, writing `B`'s diagonal to `d` (`n` entries) and superdiagonal
-/// to `e` (`n − 1`), and every reflector to `store` when it is given. The
-/// scratch `[x, next, u, w]` holds `m`, `m`, `n` and `n` entries. Always
-/// inlined, so it is compiled into whichever instruction-set frame calls it.
+/// The stages of [`reduce_in`] on its checked-out buffers: with `r` given,
+/// QR on `work` first ([`qr_columns`]), then the column loop
+/// ([`reduce_columns`]) on `r`, which receives the triangular factor;
+/// without it, the column loop on `work`. Always inlined, so both stages
+/// are compiled into whichever instruction-set frame calls it.
 #[inline(always)]
-fn reduce_columns(
+fn stages(
     work: &mut Matrix,
-    (d, e): (&mut [f64], &mut [f64]),
-    mut store: Option<&mut Reflectors>,
+    r: Option<&mut Matrix>,
+    de: (&mut [f64], &mut [f64]),
+    (qr_store, store): (Option<&mut Packed>, Option<&mut Reflectors>),
     budget: Option<&Budget>,
-    [mut x, mut next, u, w]: [&mut [f64]; 4],
+    [x, next, u, w, z]: [&mut [f64]; 5],
+) -> Result<()> {
+    let Some(r) = r else {
+        return reduce_columns(work, de, store, budget, 0, [x, next, u, w, z]);
+    };
+    let n = work.cols();
+    qr_columns(
+        work,
+        qr_store,
+        budget,
+        [&mut *x, &mut *next, &mut *w, &mut *z],
+    )?;
+    let rows = r.as_mut_slice().chunks_exact_mut(n).zip(work.row_iter());
+    for (i, (dst, src)) in rows.enumerate() {
+        dst[..i].fill(0.0);
+        dst[i..].copy_from_slice(&src[i..]);
+    }
+    reduce_columns(r, de, store, budget, n, [x, next, u, w, z])
+}
+
+/// Polls `budget`, when there is one, for the reduction's column `iteration`.
+#[inline(always)]
+fn poll(budget: Option<&Budget>, iteration: usize) -> Result<()> {
+    match budget {
+        Some(b) => b.check("golub-reinsch-bidiag", iteration, f64::NAN),
+        None => Ok(()),
+    }
+}
+
+/// The QR stage: reduces `work` (`m × n`, `m ≥ n ≥ 2`) to `R` in its upper
+/// triangle (the entries below the diagonal are left stale), pushing every
+/// reflector to `store` when it is given. Column `j`'s reflector turns row
+/// `j` into `R`'s row `j`, and one rank-1 sweep updates the rows below,
+/// collecting column `j + 1` and its `vᵀA`. The scratch `[x, next, w, z]`
+/// holds `m`, `m`, `n` and `n` entries; polls count from 0.
+#[inline(always)]
+fn qr_columns(
+    work: &mut Matrix,
+    mut store: Option<&mut Packed>,
+    budget: Option<&Budget>,
+    [mut x, mut next, w, z]: [&mut [f64]; 4],
 ) -> Result<()> {
     let (m, n) = work.shape();
-    for (xi, row) in x.iter_mut().zip(work.row_iter()) {
-        *xi = row[0];
-    }
-
+    first_column(work, x, z);
     for j in 0..n {
-        if let Some(b) = budget {
-            b.check("golub-reinsch-bidiag", j, f64::NAN)?;
-        }
-        // Left reflector: annihilates column j below the diagonal.
+        poll(budget, j)?;
         let v = &mut x[..m - j];
-        let (beta, alpha) = vecops::householder_in_place(v);
-        d[j] = alpha;
+        let (beta, alpha, v0) = vecops::householder_in_place(v);
+        work[(j, j)] = alpha;
         if let Some(s) = store.as_mut() {
-            s.push_left(j, v, beta);
+            s.push(j, v, beta);
         }
         let k = n - j - 1;
         if k == 0 {
             break;
         }
         let w = &mut w[..k];
+        let row = &mut work.row_mut(j)[j + 1..];
         if beta == 0.0 {
             w.fill(0.0);
         } else {
-            reflect_rows(work, v, j, w);
-            vecops::scale(beta, w);
+            for ((wc, ac), zc) in w.iter_mut().zip(row.iter_mut()).zip(z.iter()) {
+                *wc = beta * (*ac + zc / v0);
+                *ac -= *wc;
+            }
         }
-        // Row j after the left update (v₀ = 1) is the right reflector's
-        // source; it annihilates row j right of the superdiagonal.
-        let u = &mut u[..k];
-        for ((uc, ac), wc) in u.iter_mut().zip(&work.row(j)[j + 1..]).zip(w.iter()) {
-            *uc = ac - wc;
+        let (out, z) = (&mut next[..m - j - 1], &mut z[..k - 1]);
+        update_rows::<false>(work, &v[1..], w, w, 0.0, j + 1, out, z);
+        std::mem::swap(&mut x, &mut next);
+    }
+    Ok(())
+}
+
+/// The bidiagonalization's column loop: reduces `work` (`m × n`,
+/// `m ≥ n ≥ 1`) in place, writing `B`'s diagonal to `d` (`n` entries) and
+/// superdiagonal to `e` (`n − 1`), and every reflector to `store` when it is
+/// given. The scratch `[x, next, u, w, z]` holds `m`, `m`, `n`, `n` and `n`
+/// entries; polls count from `polled`. Always inlined, so it is compiled
+/// into whichever instruction-set frame calls it.
+#[inline(always)]
+fn reduce_columns(
+    work: &mut Matrix,
+    (d, e): (&mut [f64], &mut [f64]),
+    mut store: Option<&mut Reflectors>,
+    budget: Option<&Budget>,
+    polled: usize,
+    [mut x, mut next, u, w, z]: [&mut [f64]; 5],
+) -> Result<()> {
+    let (m, n) = work.shape();
+    first_column(work, x, z);
+    for j in 0..n {
+        poll(budget, polled + j)?;
+        // Left reflector: annihilates column j below the diagonal.
+        let v = &mut x[..m - j];
+        let (beta, alpha, v0) = vecops::householder_in_place(v);
+        d[j] = alpha;
+        if let Some(s) = store.as_mut() {
+            s.left.push(j, v, beta);
+        }
+        let k = n - j - 1;
+        if k == 0 {
+            break;
+        }
+        // w = β·vᵀA = β·(row j + z/v₀). Row j after the left update
+        // (v₀ = 1 in the reflector) is the right reflector's source; it
+        // annihilates row j right of the superdiagonal.
+        let (w, u) = (&mut w[..k], &mut u[..k]);
+        let row = &work.row(j)[j + 1..];
+        if beta == 0.0 {
+            w.fill(0.0);
+            u.copy_from_slice(row);
+        } else {
+            for (((wc, uc), ac), zc) in w.iter_mut().zip(u.iter_mut()).zip(row).zip(z.iter()) {
+                *wc = beta * (ac + zc / v0);
+                *uc = ac - *wc;
+            }
         }
         let rbeta = if k >= 2 {
-            let (rbeta, ralpha) = vecops::householder_in_place(u);
+            let (rbeta, ralpha, _) = vecops::householder_in_place(u);
             e[j] = ralpha;
             if let Some(s) = store.as_mut() {
-                s.push_right(j, u, rbeta);
+                s.right.push(j, u, rbeta);
             }
             rbeta
         } else {
             e[j] = u[0];
             0.0
         };
-        update_rows(work, &v[1..], w, u, rbeta, j + 1, &mut next[..m - j - 1]);
+        let (out, z) = (&mut next[..m - j - 1], &mut z[..k - 1]);
+        update_rows::<true>(work, &v[1..], w, u, rbeta, j + 1, out, z);
         std::mem::swap(&mut x, &mut next);
     }
     Ok(())
@@ -488,21 +687,25 @@ mod tests {
 
     #[test]
     fn warm_workspace_reuses_buffers() {
-        let a = Matrix::from_fn(6, 4, |i, j| ((i * 5 + j * 3 + 1) % 13) as f64 - 6.0);
-        let mut ws = Workspace::new();
-        let cold = bidiagonalize_in(a.view(), &mut ws).unwrap();
-        ws.recycle_matrix(cold.u);
-        ws.recycle_matrix(cold.v);
-        ws.recycle_vec(cold.d);
-        ws.recycle_vec(cold.e);
-        ws.reset_stats();
-        let warm = bidiagonalize_in(a.view(), &mut ws).unwrap();
-        assert_eq!(ws.stats().fresh, 0, "warm run must not allocate");
-        let owned = bidiag_of(&a).unwrap();
-        assert_eq!(warm.u, owned.u);
-        assert_eq!(warm.v, owned.v);
-        assert_eq!(warm.d, owned.d);
-        assert_eq!(warm.e, owned.e);
+        // 6×4 runs the column loop alone; 17×5, the paper's shape, takes QR
+        // first and accumulates U through both stages' reflectors.
+        for (m, n) in [(6, 4), (17, 5)] {
+            let a = Matrix::from_fn(m, n, |i, j| ((i * 5 + j * 3 + 1) % 13) as f64 - 6.0);
+            let mut ws = Workspace::new();
+            let cold = bidiagonalize_in(a.view(), &mut ws).unwrap();
+            ws.recycle_matrix(cold.u);
+            ws.recycle_matrix(cold.v);
+            ws.recycle_vec(cold.d);
+            ws.recycle_vec(cold.e);
+            ws.reset_stats();
+            let warm = bidiagonalize_in(a.view(), &mut ws).unwrap();
+            assert_eq!(ws.stats().fresh, 0, "{m}x{n}: warm run must not allocate");
+            let owned = bidiag_of(&a).unwrap();
+            assert_eq!(warm.u, owned.u);
+            assert_eq!(warm.v, owned.v);
+            assert_eq!(warm.d, owned.d);
+            assert_eq!(warm.e, owned.e);
+        }
     }
 
     /// A seeded `m × n` matrix with entries in `[-1, 1)` (SplitMix64).
@@ -522,31 +725,53 @@ mod tests {
         x.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The bits of `d` and `e` after `run` reduces a copy of `a` with
-    /// [`reduce_columns`]'s buffers.
-    fn columns_of(
-        a: &Matrix,
-        run: impl FnOnce(&mut Matrix, (&mut [f64], &mut [f64]), [&mut [f64]; 4]) -> Result<()>,
-    ) -> (Vec<u64>, Vec<u64>) {
+    /// The bits of `d`, `e` and `R` (empty without QR) after [`stages`]
+    /// reduces a copy of `a`, with QR first when `qr`, in the AVX2 frame
+    /// when `wide` and otherwise in the baseline frame: called directly, the
+    /// stages are compiled for the baseline frame, since this function
+    /// enables no target feature.
+    fn stages_bits(a: &Matrix, qr: bool, wide: bool) -> [Vec<u64>; 3] {
         let (m, n) = a.shape();
         let mut work = a.clone();
+        let mut r = qr.then(|| Matrix::zeros(n, n));
         let (mut d, mut e) = (vec![0.0; n], vec![0.0; n - 1]);
-        let (mut x, mut next, mut u, mut w) =
-            (vec![0.0; m], vec![0.0; m], vec![0.0; n], vec![0.0; n]);
-        let scratch = [&mut x[..], &mut next[..], &mut u[..], &mut w[..]];
-        run(&mut work, (&mut d, &mut e), scratch).unwrap();
-        (bits(&d), bits(&e))
+        let (mut x, mut next) = (vec![0.0; m], vec![0.0; m]);
+        let (mut u, mut w, mut z) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let scratch = [
+            &mut x[..],
+            &mut next[..],
+            &mut u[..],
+            &mut w[..],
+            &mut z[..],
+        ];
+        let de = (&mut d[..], &mut e[..]);
+        let stores = (None, None);
+        if wide {
+            isa::wide(
+                true,
+                #[inline(always)]
+                || stages(&mut work, r.as_mut(), de, stores, None, scratch),
+            )
+        } else {
+            stages(&mut work, r.as_mut(), de, stores, None, scratch)
+        }
+        .unwrap();
+        [
+            bits(&d),
+            bits(&e),
+            r.map_or(Vec::new(), |r| bits(r.as_slice())),
+        ]
     }
 
-    /// The column loop returns the same `d` and `e` bits in both frames.
-    /// Called directly it is compiled for the baseline frame, since this test
-    /// function enables no target feature; through `reduce_in` it runs in the
-    /// AVX2 frame from `WIDE_MIN_COLS` columns on, and through `isa::wide`
-    /// at every size. On a host without AVX2 every call uses the baseline
-    /// frame. The frames vectorize differently only in optimized builds, so
-    /// the check has teeth under `cargo test --release`. Every reduction
-    /// ends on the k = 2 and k = 1 tails; the shapes straddle the threshold
-    /// and the 4- and 8-lane remainders.
+    /// Both loops — the QR stage and the bidiagonalization — return the
+    /// same bits in both frames. Through `reduce_in` they run in the AVX2
+    /// frame from `WIDE_MIN_COLS` columns on. On a host without AVX2 every
+    /// call uses the baseline frame. The frames vectorize differently only
+    /// in optimized builds, so the check has teeth under
+    /// `cargo test --release`. Every input runs with and without QR first;
+    /// every reduction ends on the k = 2 and k = 1 tails, and the shapes
+    /// straddle the 32-column and 1.8:1 thresholds and the 2- and 4-row
+    /// remainders of the sweeps.
     #[test]
     fn frames_agree_bit_for_bit() {
         let mut inputs: Vec<(String, Matrix)> = [
@@ -558,8 +783,11 @@ mod tests {
             (67, 35),
             (130, 129),
             (200, 64),
+            (57, 32),
+            (58, 32),
             (9, 3),
             (5, 2),
+            (1, 1),
         ]
         .iter()
         .enumerate()
@@ -575,26 +803,27 @@ mod tests {
         let rank1 = Matrix::from_fn(72, 36, |i, j| p[(i, 0)] * q[(0, j)]);
         inputs.push(("rank 1".into(), rank1));
 
+        let mut ws = Workspace::new();
         for (name, a) in &inputs {
-            let baseline = columns_of(a, |work, de, scratch| {
-                reduce_columns(work, de, None, None, scratch)
-            });
-            let wide = columns_of(a, |work, de, scratch| {
-                isa::wide(
-                    #[inline(always)]
-                    || reduce_columns(work, de, None, None, scratch),
-                )
-            });
-            assert_eq!(
-                wide, baseline,
-                "{name}: isa::wide against the baseline frame"
-            );
-            let (d, e, _) = reduce_in(a.view(), false, None, &mut Workspace::new()).unwrap();
-            assert_eq!(
-                (bits(&d), bits(&e)),
-                baseline,
-                "{name}: reduce_in against the baseline frame"
-            );
+            let (m, n) = a.shape();
+            for qr in [false, true].into_iter().filter(|&qr| !qr || n >= 2) {
+                let baseline = stages_bits(a, qr, false);
+                assert_eq!(
+                    stages_bits(a, qr, true),
+                    baseline,
+                    "{name} (QR first: {qr}): isa::wide against the baseline frame"
+                );
+                if qr == qr_first(m, n) {
+                    let (d, e, _) = reduce_in(a.view(), false, None, &mut ws).unwrap();
+                    assert_eq!(
+                        [bits(&d), bits(&e)],
+                        baseline[..2],
+                        "{name}: reduce_in against the baseline frame"
+                    );
+                    ws.recycle_vec(d);
+                    ws.recycle_vec(e);
+                }
+            }
         }
     }
 

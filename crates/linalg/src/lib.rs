@@ -8,8 +8,8 @@
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual structural and
 //!   arithmetic operations.
 //! * Norms ([`norms`]) — Frobenius, induced 1/∞, max-abs.
-//! * Golub–Kahan Householder bidiagonalization ([`bidiag`]): one read sweep and
-//!   one write sweep of the trailing matrix per column.
+//! * Golub–Kahan Householder bidiagonalization ([`bidiag`]): one sweep of the
+//!   trailing matrix per column, with Householder QR first for tall inputs.
 //! * Two independent SVD algorithms ([`svd`]) behind one validated dispatch:
 //!   Golub–Reinsch (the default at every size) and one-sided Jacobi (high
 //!   relative accuracy), the differential oracle the tests check the default

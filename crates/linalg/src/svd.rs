@@ -222,13 +222,12 @@ fn run_in(
     budget: Option<&Budget>,
     ws: &mut Workspace,
 ) -> Result<Run> {
-    validate(a)?;
+    let amax = validate(a)?;
     let tall = |t: MatRef<'_>, ws: &mut Workspace| match alg {
         SvdAlgorithm::Jacobi => jacobi_tall(t, budget, ws),
         SvdAlgorithm::Auto if factors => golub_reinsch_tall(t, budget, ws),
         SvdAlgorithm::Auto => dqds_tall(t, budget, ws),
     };
-    let amax = a.row_iter().map(vecops::norm_inf).fold(0.0, f64::max);
     if amax == 0.0 || (SAFE_MIN..=SAFE_MAX).contains(&amax) {
         return on_tall(a, ws, tall);
     }
@@ -251,12 +250,27 @@ fn run_in(
     Ok(run)
 }
 
-/// The input checks every public SVD path runs first.
-fn validate(a: MatRef<'_>) -> Result<()> {
+/// The input checks every public SVD path runs first, in one pass over `a`:
+/// non-empty, and finite (the error names the first non-finite entry,
+/// row-major). Returns `max|aᵢⱼ|` for the rescaling.
+fn validate(a: MatRef<'_>) -> Result<f64> {
     if a.is_empty() {
         return Err(LinAlgError::Empty { op: "svd" });
     }
-    a.check_finite("svd")
+    let mut amax = 0.0_f64;
+    for (row, entries) in a.row_iter().enumerate() {
+        for (col, &v) in entries.iter().enumerate() {
+            if !v.is_finite() {
+                return Err(LinAlgError::NonFinite {
+                    op: "svd",
+                    row,
+                    col,
+                });
+            }
+            amax = amax.max(v.abs());
+        }
+    }
+    Ok(amax)
 }
 
 /// Runs `tall` on `a` when `m ≥ n`, or on a pooled copy of `aᵀ` when `m < n`,
@@ -1951,25 +1965,31 @@ mod tests {
     #[test]
     fn budgeted_with_live_budget_matches_unbudgeted_bitwise() {
         use crate::budget::Budget;
-        let a = Matrix::from_fn(9, 6, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
         let mut ws = Workspace::new();
         let generous = Budget::with_deadline(std::time::Duration::from_secs(600));
-        for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
-            let (plain, _) = svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws).unwrap();
-            let (budgeted, _) =
-                svd_with_stats_budgeted_in(a.view(), alg, Some(&generous), &mut ws).unwrap();
-            assert_eq!(plain.singular_values, budgeted.singular_values, "{alg:?}");
-            assert_eq!(plain.u, budgeted.u);
-            assert_eq!(plain.v, budgeted.v);
-            let (values, iters) = spectrum_in(a.view(), alg, None, &mut ws).unwrap();
-            let (sigma, budgeted_iters) =
-                spectrum_in(a.view(), alg, Some(&generous), &mut ws).unwrap();
-            assert_eq!(sigma, values, "{alg:?} values only");
-            assert_eq!(budgeted_iters, iters, "{alg:?} values only");
-            ws.recycle_vec(values);
-            ws.recycle_vec(sigma);
-            plain.recycle(&mut ws);
-            budgeted.recycle(&mut ws);
+        // 9×6 runs the bidiagonalization alone; 40×12 takes QR first.
+        for (m, n) in [(9, 6), (40, 12)] {
+            let a = Matrix::from_fn(m, n, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
+            for alg in [SvdAlgorithm::Jacobi, SvdAlgorithm::Auto] {
+                let (plain, _) = svd_with_stats_budgeted_in(a.view(), alg, None, &mut ws).unwrap();
+                let (budgeted, _) =
+                    svd_with_stats_budgeted_in(a.view(), alg, Some(&generous), &mut ws).unwrap();
+                assert_eq!(
+                    plain.singular_values, budgeted.singular_values,
+                    "{m}x{n} {alg:?}"
+                );
+                assert_eq!(plain.u, budgeted.u);
+                assert_eq!(plain.v, budgeted.v);
+                let (values, iters) = spectrum_in(a.view(), alg, None, &mut ws).unwrap();
+                let (sigma, budgeted_iters) =
+                    spectrum_in(a.view(), alg, Some(&generous), &mut ws).unwrap();
+                assert_eq!(sigma, values, "{m}x{n} {alg:?} values only");
+                assert_eq!(budgeted_iters, iters, "{m}x{n} {alg:?} values only");
+                ws.recycle_vec(values);
+                ws.recycle_vec(sigma);
+                plain.recycle(&mut ws);
+                budgeted.recycle(&mut ws);
+            }
         }
     }
 
@@ -1977,23 +1997,26 @@ mod tests {
     fn expired_budget_returns_deadline_exceeded() {
         use crate::budget::Budget;
         // Golub–Reinsch polls before reducing its first column, so an expired
-        // budget stops it before any O(n³) work.
-        let a = Matrix::from_fn(64, 64, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
+        // budget stops it before any O(n³) work: on 64² in the
+        // bidiagonalization, on 96×40 in the QR stage in front of it.
         let mut ws = Workspace::new();
         let expired = Budget::with_deadline(std::time::Duration::ZERO);
-        for (alg, want) in [
-            (SvdAlgorithm::Jacobi, "jacobi-svd"),
-            (SvdAlgorithm::Auto, "golub-reinsch-bidiag"),
-        ] {
-            let full = svd_with_stats_budgeted_in(a.view(), alg, Some(&expired), &mut ws);
-            let values = spectrum_in(a.view(), alg, Some(&expired), &mut ws);
-            for got in [full.map(|(s, _)| s.singular_values), values.map(|(s, _)| s)] {
-                match got {
-                    Err(LinAlgError::DeadlineExceeded {
-                        op, iterations: 0, ..
-                    }) if op == want => {}
-                    other => {
-                        panic!("{alg:?}: expected DeadlineExceeded from {want}, got {other:?}")
+        for (m, n) in [(64, 64), (96, 40)] {
+            let a = Matrix::from_fn(m, n, |i, j| 0.2 + ((i * 17 + j * 5) % 31) as f64 / 31.0);
+            for (alg, want) in [
+                (SvdAlgorithm::Jacobi, "jacobi-svd"),
+                (SvdAlgorithm::Auto, "golub-reinsch-bidiag"),
+            ] {
+                let full = svd_with_stats_budgeted_in(a.view(), alg, Some(&expired), &mut ws);
+                let values = spectrum_in(a.view(), alg, Some(&expired), &mut ws);
+                for got in [full.map(|(s, _)| s.singular_values), values.map(|(s, _)| s)] {
+                    match got {
+                        Err(LinAlgError::DeadlineExceeded {
+                            op, iterations: 0, ..
+                        }) if op == want => {}
+                        other => panic!(
+                            "{m}x{n} {alg:?}: expected DeadlineExceeded from {want}, got {other:?}"
+                        ),
                     }
                 }
             }

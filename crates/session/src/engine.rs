@@ -372,11 +372,13 @@ mod tests {
                 wr.tma,
                 cr.tma
             );
+            // The saving is Sinkhorn's: the SVD is not warm-started, and its
+            // transform count moves with the last bits of the standard form.
             assert!(
-                ws.total_iterations() < cs.total_iterations(),
-                "warm {} vs cold {} at step {step}",
-                ws.total_iterations(),
-                cs.total_iterations()
+                ws.sinkhorn_iterations < cs.sinkhorn_iterations,
+                "warm {} vs cold {} Sinkhorn iterations at step {step}",
+                ws.sinkhorn_iterations,
+                cs.sinkhorn_iterations
             );
         }
     }

@@ -34,7 +34,7 @@
 //! **NaN.** The residual is a maximum that propagates NaN, which `f64::max`
 //! drops, so an iterate that went bad never reads as converged.
 
-use hc_linalg::{vecops, Budget, LinAlgError, MatRef, Matrix, Workspace};
+use hc_linalg::{isa, vecops, Budget, LinAlgError, MatRef, Matrix, Workspace};
 
 /// Options controlling the balancing iteration.
 #[derive(Debug, Clone)]
@@ -254,6 +254,7 @@ fn col_sums<'a>(
 }
 
 /// `true` while a scaling lies in `[2⁻²⁵⁶, 2²⁵⁶]`; see the module doc.
+#[inline(always)]
 fn tame(s: f64) -> bool {
     const LO: f64 = f64::from_bits(767 << 52);
     const HI: f64 = f64::from_bits(1279 << 52);
@@ -262,8 +263,27 @@ fn tame(s: f64) -> bool {
 
 /// One iteration's row-major pass over `a` under the new column scalings
 /// `v`: sets `uᵢ = rᵢ / (aᵢ·v)` and accumulates `y = aᵀu`. Returns `false`
-/// when some `uᵢ` left the absorption range.
+/// when some `uᵢ` left the absorption range. From [`isa::WIDE_MIN_COLS`]
+/// columns on the pass runs in the AVX2 frame ([`isa::wide`]), with the
+/// same bits: `vecops::dot` adds in its eight fixed lanes in either frame,
+/// and the axpy only vectorizes across independent entries.
 fn row_pass(a: MatRef<'_>, row_targets: &[f64], v: &[f64], u: &mut [f64], y: &mut [f64]) -> bool {
+    isa::wide(
+        a.cols() >= isa::WIDE_MIN_COLS,
+        #[inline(always)]
+        || row_pass_in(a, row_targets, v, u, y),
+    )
+}
+
+/// [`row_pass`] in the frame of its caller.
+#[inline(always)]
+fn row_pass_in(
+    a: MatRef<'_>,
+    row_targets: &[f64],
+    v: &[f64],
+    u: &mut [f64],
+    y: &mut [f64],
+) -> bool {
     y.fill(0.0);
     let mut all_tame = true;
     for ((row, ui), &rt) in a.row_iter().zip(u.iter_mut()).zip(row_targets) {
@@ -1217,6 +1237,65 @@ mod tests {
         assert!(warm.matrix.max_abs_diff(&cold.matrix) < 1e-6);
         warm.recycle(&mut ws);
         cold.recycle(&mut ws);
+    }
+
+    /// The row pass returns the same bits in both frames. Called directly,
+    /// `row_pass_in` is compiled for the baseline frame, since this test
+    /// enables no target feature; through `isa::wide` it runs in the AVX2
+    /// frame at every width, and through `row_pass` from 32 columns on. On a
+    /// host without AVX2 every call uses the baseline frame. The frames
+    /// vectorize differently only in optimized builds, so the check has
+    /// teeth under `cargo test --release`. The widths straddle the
+    /// threshold and the 4- and 8-lane remainders, and one input has zeros.
+    #[test]
+    fn frames_agree_bit_for_bit() {
+        let bits = |x: &[f64]| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
+        let shapes = [
+            (17, 5),
+            (31, 31),
+            (32, 32),
+            (40, 33),
+            (64, 64),
+            (128, 64),
+            (33, 70),
+            (36, 39),
+        ];
+        for (k, &(t, m)) in shapes.iter().enumerate() {
+            let mut a = Matrix::from_fn(t, m, |i, j| {
+                0.05 + ((i * 31 + j * 17 + k) % 97) as f64 / 9.0
+            });
+            if k == shapes.len() - 1 {
+                for i in 0..t {
+                    a[(i, (i * 7) % m)] = 0.0;
+                }
+            }
+            let (rt, _) = standard_targets(t, m);
+            let v: Vec<f64> = (0..m).map(|j| 0.3 + ((j * 13) % 11) as f64 / 5.0).collect();
+            let run = |frame: &str| {
+                let (mut u, mut y) = (vec![0.0; t], vec![0.0; m]);
+                let tame = match frame {
+                    "baseline" => row_pass_in(a.view(), &rt, &v, &mut u, &mut y),
+                    "wide" => isa::wide(
+                        true,
+                        #[inline(always)]
+                        || row_pass_in(a.view(), &rt, &v, &mut u, &mut y),
+                    ),
+                    _ => row_pass(a.view(), &rt, &v, &mut u, &mut y),
+                };
+                (tame, bits(&u), bits(&y))
+            };
+            let baseline = run("baseline");
+            assert_eq!(
+                run("wide"),
+                baseline,
+                "{t}x{m}: isa::wide against the baseline frame"
+            );
+            assert_eq!(
+                run("dispatch"),
+                baseline,
+                "{t}x{m}: row_pass against the baseline frame"
+            );
+        }
     }
 
     #[test]

@@ -162,17 +162,19 @@ pub fn analyze_square(m: &Matrix) -> StructureReport {
 
 /// Analyzes any nonnegative matrix.
 ///
-/// Square matrices get the full square analysis. For rectangular `T × M` matrices
-/// the support notions are evaluated on the doubly-replicated square pattern the
-/// paper's Appendix A constructs (an `M·T × M·T` block array of copies of the
-/// matrix), for which support/total support reduce to: every row and every column
-/// has a positive entry, and the replicated pattern admits the required diagonals.
-/// Equivalently — and this is what we compute — the rectangular matrix is exactly
-/// balanceable iff **no zero submatrix** `R × C` exists with
-/// `|R|·M + |C|·T > (M·T)` covering... in practice: we analyze the square
-/// `lcm`-free replication `tile(A, M, T)` directly when it is small, and otherwise
-/// fall back to the sufficient positive test plus matching-based row/column cover
-/// diagnostics.
+/// Square matrices get the full square analysis ([`analyze_square`]). A
+/// strictly positive rectangular matrix is balanceable by Theorem 1. Any
+/// other rectangular `T × M` pattern is decided on the paper's Appendix-A
+/// tiling: the `(M·T) × (T·M)` square block array of copies of the matrix
+/// ([`tile`]), which can be scaled to doubly stochastic iff the rectangular
+/// matrix can be scaled to constant row and column sums (the standard
+/// form's), gets the square analysis. The tiling is
+/// built only while the matrix has at most 2 048 cells (`T·M ≤ 2 048`).
+/// Above that the pattern is left undecided: the report carries only the
+/// rectangular matching, a necessary condition, with `has_total_support`
+/// and `fully_indecomposable` false, and `balanceability`
+/// [`Balanceability::LimitOnly`] when the matching covers `min(T, M)` lines
+/// and [`Balanceability::NotBalanceable`] when it does not.
 pub fn analyze_structure(m: &Matrix) -> StructureReport {
     if m.is_square() {
         return analyze_square(m);

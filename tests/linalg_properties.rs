@@ -565,7 +565,7 @@ fn unblocked_reduction(a: &Matrix) -> (Vec<f64>, Vec<f64>) {
     let mut w = vec![0.0; n];
     for j in 0..n {
         let mut v: Vec<f64> = (j..m).map(|i| a[(i, j)]).collect();
-        let (beta, alpha) = vecops::householder_in_place(&mut v);
+        let (beta, alpha, _) = vecops::householder_in_place(&mut v);
         a[(j, j)] = alpha;
         if beta != 0.0 {
             let w = &mut w[..n - j - 1];
@@ -580,7 +580,7 @@ fn unblocked_reduction(a: &Matrix) -> (Vec<f64>, Vec<f64>) {
         }
         if j + 2 < n {
             let mut u = a.row(j)[j + 1..].to_vec();
-            let (rbeta, ralpha) = vecops::householder_in_place(&mut u);
+            let (rbeta, ralpha, _) = vecops::householder_in_place(&mut u);
             a[(j, j + 1)] = ralpha;
             for i in j + 1..m {
                 vecops::apply_reflector(&u, rbeta, &mut a.row_mut(i)[j + 1..]);
@@ -594,21 +594,28 @@ fn unblocked_reduction(a: &Matrix) -> (Vec<f64>, Vec<f64>) {
 
 /// A seeded input for the reduction oracle. Shapes: `n ∈ {1, 2, 3}`, any
 /// `m ≥ n` up to 33 (so odd `m` and every `(m − j) mod 4` of both sweeps'
-/// row remainders come up), and 4:1 tall. Contents: uniform entries, zeroed
-/// rows and columns (reflectors with `β = 0`), rank 1, or duplicated rows.
+/// row remainders come up), 4:1 tall, and, one case in 15, `n = 32–48`
+/// (the AVX2 frame) at `m/n ∈ {1, 1.5, 1.6, 1.75, 2, 4}` (both sides of the
+/// QR-first threshold). Contents: uniform entries, zeroed rows and columns
+/// (reflectors with `β = 0`), rank 1, or duplicated rows.
 fn reduction_input(rng: &mut StdRng) -> Matrix {
-    let (m, n) = match rng.gen_range(0..3usize) {
-        0 => {
+    let (m, n) = match rng.gen_range(0..15usize) {
+        0..=4 => {
             let n = rng.gen_range(1..4usize);
             (rng.gen_range(n..n + 13), n)
         }
-        1 => {
+        5..=9 => {
             let m = rng.gen_range(1..34usize);
             (m, rng.gen_range(1..m + 1))
         }
-        _ => {
+        10..=13 => {
             let n = rng.gen_range(1..13usize);
             (4 * n, n)
+        }
+        _ => {
+            let n = rng.gen_range(32..49usize);
+            let aspect = [1.0, 1.5, 1.6, 1.75, 2.0, 4.0][rng.gen_range(0..6usize)];
+            ((aspect * n as f64).round() as usize, n)
         }
     };
     let mut a = matrix_of(rng, m, n, -10.0, 10.0);
@@ -644,13 +651,13 @@ fn reduction_input(rng: &mut StdRng) -> Matrix {
 }
 
 #[test]
-fn fused_reduction_matches_unblocked_oracle() {
-    // The fused two-sweep reduction against the unblocked one it replaced:
-    // the two bidiagonals' singular values agree to 1e-13·σ₁, and the fused
-    // factors reconstruct A to 1e-13·‖A‖_F with orthonormal U and V. `d` and
-    // `e` are not compared entry by entry: past the numerical rank they
-    // legitimately differ.
-    check("fused_reduction_matches_unblocked_oracle", |rng| {
+fn reduction_matches_unblocked_oracle() {
+    // The one-sweep reduction, with QR first on tall inputs, against the
+    // unblocked one it replaced: the two bidiagonals' singular values agree
+    // to 1e-13·σ₁, and the factors reconstruct A to 1e-13·‖A‖_F with
+    // orthonormal U and V. `d` and `e` are not compared entry by entry: past
+    // the numerical rank they legitimately differ.
+    check("reduction_matches_unblocked_oracle", |rng| {
         let a = reduction_input(rng);
         let shape = a.shape();
         let bd = bidiagonalize_in(a.view(), &mut Workspace::new()).map_err(|e| e.to_string())?;
@@ -700,7 +707,7 @@ fn householder_annihilates() {
         let len: usize = rng.gen_range(1..10);
         let x: Vec<f64> = (0..len).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let mut v = x.clone();
-        let (beta, alpha) = vecops::householder_in_place(&mut v);
+        let (beta, alpha, _) = vecops::householder_in_place(&mut v);
         let mut y = x.clone();
         vecops::apply_reflector(&v, beta, &mut y);
         let norm = vecops::norm2(&x);
