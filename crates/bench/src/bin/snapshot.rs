@@ -14,7 +14,8 @@
 //! [`Analyzer`] (steady state of `hcm serve`). `--alloc-check` runs only the
 //! allocation comparison and fails unless the warm lane eliminates at least
 //! 90% of the cold lane's allocations AND the one-shot entry point stays
-//! within [`ONE_SHOT_ALLOC_CAP`] allocs/call — the regression gate
+//! within [`ONE_SHOT_ALLOC_CAP`] allocs/call AND the CSV reader stays within
+//! one allocation per name plus [`CSV_ALLOC_SLACK`] — the regression gate
 //! `scripts/verify.sh` runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -77,6 +78,26 @@ const SPECTRUM_SIZES: [(usize, usize); 6] = [
     (512, 512),
     (1024, 1024),
 ];
+
+/// Shapes of the `spec.csv.parse` lane: the paper's 17×5 and the square
+/// sizes of the bodies `POST /session` and `/measure` take in `hcbench`.
+const CSV_SIZES: [(usize, usize); 3] = [(17, 5), (64, 64), (128, 128)];
+
+/// Allocations `from_csv` may make per call beyond one per task and machine
+/// name: the value buffer, the two name vectors, the reused field list and
+/// `Etc::with_names`'s two duplicate-name maps, with two to spare.
+const CSV_ALLOC_SLACK: u64 = 8;
+
+/// The reader's body at `(t, m)`: a seeded CVB (V = 0.5) matrix as `to_csv`
+/// writes it.
+fn csv_body(t: usize, m: usize) -> String {
+    hc_spec::csv::to_csv(&cvb(&CvbParams::new(t, m, 0.5, 0.5), 1).expect("CVB fixture generates"))
+}
+
+fn parse_csv(body: &str) {
+    let etc = hc_spec::csv::from_csv(body).expect("own CSV parses");
+    assert!(etc.num_tasks() > 0);
+}
 
 fn median_ns(mut samples: Vec<u128>) -> u128 {
     samples.sort_unstable();
@@ -196,10 +217,24 @@ fn alloc_check() -> ! {
         );
         ok &= pass;
     }
+    for &(t, m) in &CSV_SIZES {
+        let body = csv_body(t, m);
+        parse_csv(&body); // registers the parse counter
+        let allocs = allocs_during(|| parse_csv(&body));
+        let cap = (t + m) as u64 + CSV_ALLOC_SLACK;
+        let pass = allocs <= cap;
+        println!(
+            "from_csv {t}x{m}: {allocs} allocs/call (cap {cap}: one per name + \
+             {CSV_ALLOC_SLACK}) {}",
+            if pass { "OK" } else { "FAIL" }
+        );
+        ok &= pass;
+    }
     if !ok {
         eprintln!(
             "alloc-check FAILED: warm characterize must eliminate >= 90% of cold \
-             allocations and one-shot calls must stay within {ONE_SHOT_ALLOC_CAP} allocs"
+             allocations, one-shot calls must stay within {ONE_SHOT_ALLOC_CAP} allocs, \
+             and from_csv within one allocation per name + {CSV_ALLOC_SLACK}"
         );
         std::process::exit(1);
     }
@@ -293,6 +328,16 @@ fn main() {
             samples,
             spectrum_allocs,
         ));
+    }
+
+    // CSV lane: `from_csv`, the reader every `/measure`, `/batch` and
+    // `POST /session` body goes through before any arithmetic.
+    for &(t, m) in &CSV_SIZES {
+        let body = csv_body(t, m);
+        parse_csv(&body);
+        let allocs = allocs_during(|| parse_csv(&body));
+        let samples = time_ns(|| parse_csv(&body));
+        results.push(result_json("spec.csv.parse", t, m, samples, allocs));
     }
 
     // Deadline-overhead lane: the same warm 512×512 characterize with and

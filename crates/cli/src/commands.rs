@@ -75,17 +75,8 @@ fn load_env(args: &Args, input: &dyn InputSource, pos: usize) -> Result<Ecs, Str
         .ok_or_else(|| "missing input file".to_string())?;
     let text = input.read(path)?;
     let etc = csv::from_csv(&text).map_err(|e| e.to_string())?;
-    if args.has("ecs") {
-        // The file holds speeds: reinterpret entries directly as ECS.
-        Ecs::with_names(
-            etc.matrix().map(|v| if v.is_infinite() { 0.0 } else { v }),
-            etc.task_names().to_vec(),
-            etc.machine_names().to_vec(),
-        )
-        .map_err(|e| e.to_string())
-    } else {
-        Ok(etc.to_ecs())
-    }
+    // With --ecs the file holds speeds, not times.
+    Ok(etc.into_ecs(args.has("ecs")))
 }
 
 fn tma_options(args: &Args) -> Result<TmaOptions, String> {
@@ -438,7 +429,7 @@ fn cmd_session(args: &Args, input: &dyn InputSource) -> Result<String, String> {
     let mut engine = hc_session::SessionEngine::new(ecs);
 
     let (report, stats) = engine.recompute(None).map_err(|e| e.to_string())?;
-    let cold_iters = stats.total_iterations();
+    let cold_iters = stats.sinkhorn_iterations;
     let mut out = format!(
         "session demo: {} task types x {} machines (edits in {})\n\
          v1 cold: MPH {:.4}  TDH {:.4}  TMA {:.4}   \
@@ -504,13 +495,13 @@ fn cmd_session(args: &Args, input: &dyn InputSource) -> Result<String, String> {
         ));
         prev = (report.mph, report.tdh, report.tma);
         if stats.warm && !stats.fallback {
-            warm_iters.push(stats.total_iterations());
+            warm_iters.push(stats.sinkhorn_iterations);
         }
     }
     if !warm_iters.is_empty() {
         let mean = warm_iters.iter().sum::<usize>() as f64 / warm_iters.len() as f64;
         out.push_str(&format!(
-            "warm recomputes averaged {mean:.1} solver iterations vs {cold_iters} cold\n"
+            "warm recomputes averaged {mean:.1} Sinkhorn iterations vs {cold_iters} cold\n"
         ));
     }
     Ok(out)
@@ -762,7 +753,13 @@ mod tests {
         assert!(out.contains("v1 cold:"), "{out}");
         assert!(out.contains("v2 warm:"), "{out}");
         assert!(out.contains("v4 warm:"), "{out}");
-        assert!(out.contains("warm recomputes averaged"), "{out}");
+        // Only Sinkhorn starts warm, so the summary compares its iterations.
+        let summary = out.lines().last().unwrap();
+        assert!(
+            summary.starts_with("warm recomputes averaged")
+                && summary.contains("Sinkhorn iterations vs"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -152,13 +152,29 @@ impl Etc {
 
     /// Converts to the ECS representation (Eq. 1): `ECS = 1/ETC`, `∞ ↦ 0`.
     pub fn to_ecs(&self) -> Ecs {
-        let m = self
-            .matrix
-            .map(|v| if v.is_infinite() { 0.0 } else { 1.0 / v });
+        self.clone().into_ecs(false)
+    }
+
+    /// [`Etc::to_ecs`] in this matrix's own buffer, with the names moved.
+    /// With `speeds` the entries already are speeds (a file read with
+    /// `--ecs`), so only `∞ ↦ 0`; the result then holds every
+    /// [`Ecs::with_names`] invariant, since positive-or-∞ entries with no
+    /// all-∞ row or column become finite nonnegative ones with no all-zero
+    /// row or column.
+    pub fn into_ecs(mut self, speeds: bool) -> Ecs {
+        self.matrix.map_inplace(|v| {
+            if v.is_infinite() {
+                0.0
+            } else if speeds {
+                v
+            } else {
+                1.0 / v
+            }
+        });
         Ecs {
-            matrix: m,
-            task_names: self.task_names.clone(),
-            machine_names: self.machine_names.clone(),
+            matrix: self.matrix,
+            task_names: self.task_names,
+            machine_names: self.machine_names,
         }
     }
 }
@@ -327,6 +343,22 @@ impl Ecs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn into_ecs_reads_times_or_speeds() {
+        let etc = Etc::with_names(
+            Matrix::from_rows(&[&[2.0, f64::INFINITY], &[4.0, 0.5]]).unwrap(),
+            vec!["t1".into(), "t2".into()],
+            vec!["m1".into(), "m2".into()],
+        )
+        .unwrap();
+        let times = etc.clone().into_ecs(false);
+        assert_eq!(times.matrix().as_slice(), [0.5, 0.0, 0.25, 2.0]);
+        assert_eq!(times, etc.to_ecs());
+        let speeds = etc.into_ecs(true);
+        assert_eq!(speeds.matrix().as_slice(), [2.0, 0.0, 4.0, 0.5]);
+        assert_eq!(speeds.machine_names(), ["m1", "m2"]);
+    }
 
     #[test]
     fn etc_ecs_round_trip() {

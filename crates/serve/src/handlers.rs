@@ -110,15 +110,6 @@ fn q_req<T: FromStr>(req: &Request, name: &str) -> Result<T, HttpError> {
         .ok_or_else(|| HttpError::bad(format!("missing required query parameter {name:?}")))
 }
 
-/// Estimates the cell count of a CSV matrix body without parsing values: data
-/// lines × commas in the header line. Exact for well-formed input; close
-/// enough on malformed input, which the real parser rejects afterwards anyway.
-fn estimated_csv_cells(text: &str) -> usize {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let machines = lines.next().map_or(0, |header| header.matches(',').count());
-    lines.count().saturating_mul(machines)
-}
-
 /// Rejects matrices above `max_cells` with a typed `422` — before any matrix
 /// allocation, so an oversized request costs parsing-free line counting only.
 fn check_cells(cells: usize, max_cells: usize) -> Result<(), HttpError> {
@@ -139,7 +130,7 @@ pub fn load_ecs(req: &Request, ctx: &ReqCtx<'_>) -> Result<Ecs, HttpError> {
     if text.trim().is_empty() {
         return Err(HttpError::bad("empty body: expected a CSV ETC matrix"));
     }
-    check_cells(estimated_csv_cells(text), ctx.max_cells)?;
+    check_cells(csv::cell_count(text), ctx.max_cells)?;
     // Fail fast when the deadline already expired (e.g. spent in the request
     // queue): answering 504 before the CSV parse keeps the bound on 504
     // latency independent of body size.
@@ -148,16 +139,7 @@ pub fn load_ecs(req: &Request, ctx: &ReqCtx<'_>) -> Result<Ecs, HttpError> {
             .map_err(|e| measure_error(MeasureError::from(e)))?;
     }
     let etc = csv::from_csv(text).map_err(measure_error)?;
-    if req.has_param("ecs") {
-        Ecs::with_names(
-            etc.matrix().map(|v| if v.is_infinite() { 0.0 } else { v }),
-            etc.task_names().to_vec(),
-            etc.machine_names().to_vec(),
-        )
-        .map_err(measure_error)
-    } else {
-        Ok(etc.to_ecs())
-    }
+    Ok(etc.into_ecs(req.has_param("ecs")))
 }
 
 fn tma_options(req: &Request) -> Result<TmaOptions, HttpError> {
@@ -483,12 +465,13 @@ mod tests {
 
     #[test]
     fn oversized_matrix_rejected_before_parsing() {
-        assert_eq!(estimated_csv_cells(SAMPLE), 4);
-        assert_eq!(estimated_csv_cells(""), 0);
-        let small = ReqCtx {
+        let limit = |max_cells| ReqCtx {
             budget: None,
-            max_cells: 3,
+            max_cells,
         };
+        // SAMPLE is 2×2: four cells pass a limit of four.
+        assert!(measure(&post(&[], SAMPLE), &limit(4)).is_ok());
+        let small = limit(3);
         let err = measure(&post(&[], SAMPLE), &small).unwrap_err();
         assert_eq!(err.status, 422);
         assert_eq!(err.code, Some("matrix_too_large"));

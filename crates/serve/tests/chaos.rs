@@ -513,3 +513,37 @@ fn oversized_inputs_rejected_with_typed_errors() {
     handle.shutdown();
     handle.join();
 }
+
+/// `--max-cells` counts the columns the CSV reader reads: a `,` inside a
+/// quoted machine name, as `to_csv` writes it, separates nothing, so a
+/// matrix of exactly the limit is served.
+#[test]
+fn cell_limit_counts_quoted_names_as_one_column() {
+    let _serial = hc_serve::sync::lock_recover(&SERIAL);
+    let etc = hc_core::ecs::Etc::with_names(
+        hc_linalg::Matrix::from_rows(&[&[1.0, 2.0]]).unwrap(),
+        vec!["t1".into()],
+        vec!["a,b".into(), "c".into()],
+    )
+    .unwrap();
+    let body = hc_spec::csv::to_csv(&etc);
+    assert_eq!(body, "task,\"a,b\",c\nt1,1,2\n");
+    let handle = start(Config {
+        max_cells: 2,
+        ..test_config()
+    })
+    .expect("start server");
+    let addr = handle.local_addr();
+
+    let (s, _h, b) = post(addr, "/measure", &body);
+    assert_eq!(s, 200, "{b}");
+    assert!(b.contains("\"a,b\""), "{b}");
+    let (s, _h, b) = post(addr, "/measure", "task,\"a,b\",c,d\nt1,1,2,3\n");
+    assert_eq!(s, 422, "{b}");
+    assert!(
+        b.contains("matrix of ~3 cells exceeds the limit of 2"),
+        "{b}"
+    );
+    handle.shutdown();
+    handle.join();
+}

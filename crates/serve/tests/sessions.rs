@@ -193,7 +193,8 @@ fn session_lifecycle_and_measure_body_golden() {
 }
 
 /// Warm starting is observable on the wire: a single-cell patch reports
-/// `"warm":true` with strictly fewer solver iterations than the cold create.
+/// `"warm":true` with strictly fewer Sinkhorn iterations than the cold
+/// create. Only Sinkhorn starts warm, so the SVD's count is not compared.
 #[test]
 fn patch_recomputes_warm_with_fewer_iterations() {
     let _serial = serial();
@@ -224,17 +225,17 @@ fn patch_recomputes_warm_with_fewer_iterations() {
             .parse()
             .unwrap()
     };
-    let cold = iters(&created, "sinkhorn_iterations") + iters(&created, "svd_iterations");
+    let cold = iters(&created, "sinkhorn_iterations");
     assert!(created.contains("\"warm\":false"), "{created}");
 
     let (ps, _ph, patched) = patch(addr, &format!("/session/{id}/etc"), "cell,t3,m5,9.5\n");
     assert_eq!(ps, 200, "{patched}");
     assert!(patched.contains("\"warm\":true"), "{patched}");
     assert!(patched.contains("\"fallback\":false"), "{patched}");
-    let warm = iters(&patched, "sinkhorn_iterations") + iters(&patched, "svd_iterations");
+    let warm = iters(&patched, "sinkhorn_iterations");
     assert!(
         warm < cold,
-        "warm patch must need fewer iterations ({warm} vs {cold})"
+        "warm patch must need fewer Sinkhorn iterations ({warm} vs {cold})"
     );
 
     handle.shutdown();

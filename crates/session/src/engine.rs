@@ -52,13 +52,6 @@ pub struct RecomputeStats {
     pub cutover: bool,
 }
 
-impl RecomputeStats {
-    /// Total solver iterations (Sinkhorn plus SVD).
-    pub fn total_iterations(&self) -> usize {
-        self.sinkhorn_iterations + self.svd_iterations
-    }
-}
-
 /// Warm state carried between recomputes: the Sinkhorn scalings.
 struct WarmState {
     row_scale: Vec<f64>,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Benchmark snapshot: runs the dependency-free measure/sinkhorn/spectrum
+# Benchmark snapshot: runs the dependency-free measure/sinkhorn/spectrum/CSV
 # timings (see crates/bench/src/bin/snapshot.rs) in release mode and writes
 # them to BENCH_<date>.json at the repository root for trend tracking.
 #
@@ -21,6 +21,7 @@ grep -q '"bench":"measure.characterize"' "$OUT" || { echo "missing measure resul
 grep -q '"bench":"measure.characterize_warm"' "$OUT" || { echo "missing warm measure results"; exit 1; }
 grep -q '"bench":"sinkhorn.balance"' "$OUT" || { echo "missing sinkhorn results"; exit 1; }
 grep -q '"bench":"linalg.spectrum"' "$OUT" || { echo "missing spectrum results"; exit 1; }
+grep -q '"bench":"spec.csv.parse"' "$OUT" || { echo "missing CSV reader results"; exit 1; }
 grep -q '"bench":"deadline_overhead"' "$OUT" || { echo "missing deadline overhead lane"; exit 1; }
 grep -q '"bench":"recorder_overhead"' "$OUT" || { echo "missing recorder overhead lane"; exit 1; }
 grep -q '"bench":"profiler_overhead"' "$OUT" || { echo "missing profiler overhead lane"; exit 1; }

@@ -6,12 +6,16 @@
 //!   invariance, transposition, the ETC↔ECS round trip, and rank 1 ⇒ TMA 0;
 //! * the standard form: existence and uniqueness (Theorem 1), σ₁ = 1
 //!   (Theorem 2), and the zero-pattern classes of Sec. VI;
-//! * the generators, the mapping heuristics and the simulator.
+//! * the generators, the mapping heuristics and the simulator;
+//! * the CSV reader: bit-exact round trips through `to_csv`, and on seeded
+//!   mutations of valid bodies the result of the field-by-field reader kept
+//!   in `csv_oracle`.
 //!
 //! Properties that draw from one input domain share a `check`; every
 //! failure message starts with the name of the property that failed.
 
-use hetero_measures::core::ecs::Ecs;
+use hetero_measures::core::ecs::{Ecs, Etc};
+use hetero_measures::core::error::MeasureError;
 use hetero_measures::core::measures::{adjacent_ratio_homogeneity, mph, tdh};
 use hetero_measures::core::standard::{standard_form, tma, TmaOptions};
 use hetero_measures::gen::rng::{Rng, StdRng};
@@ -34,8 +38,10 @@ use hetero_measures::sinkhorn::structure::{
     analyze_square, fully_indecomposable_exhaustive, total_support_core,
 };
 use hetero_measures::sinkhorn::Balanceability;
+use hetero_measures::spec::csv::{cell_count, from_csv, to_csv};
 
 mod common;
+mod csv_oracle;
 use common::{check, ensure, matrix_of};
 
 /// `r` with its error rendered, for `?` inside a property.
@@ -592,6 +598,137 @@ fn simulator_on_random_workloads() {
                     policy.name()
                 )
             })?;
+        }
+        Ok(())
+    });
+}
+
+/// Characters of generated names: the CSV metacharacters `,` and `"`, spaces
+/// and non-ASCII ones among letters. A name cannot hold a line break.
+const NAME_CHARS: [char; 10] = ['a', 'b', 'Z', '0', ',', '"', ' ', '-', 'é', '\u{a0}'];
+
+/// `n` distinct names of up to six [`NAME_CHARS`].
+fn names(rng: &mut StdRng, n: usize) -> Vec<String> {
+    let mut out: Vec<String> = Vec::with_capacity(n);
+    while out.len() < n {
+        let len = rng.gen_range(0..7usize);
+        let name: String = (0..len)
+            .map(|_| NAME_CHARS[rng.gen_range(0..NAME_CHARS.len())])
+            .collect();
+        if !out.contains(&name) {
+            out.push(name);
+        }
+    }
+    out
+}
+
+/// A labeled ETC matrix, 1–8 × 1–8: entries over 600 decades, the extremes
+/// of `f64` among them, and about one in five `inf`, never a whole row or
+/// column of them.
+fn labeled_etc(rng: &mut StdRng) -> Etc {
+    let (t, m) = (rng.gen_range(1..9usize), rng.gen_range(1..9usize));
+    const EXTREMES: [f64; 4] = [f64::MAX, f64::MIN_POSITIVE, 5e-324, 1.0];
+    let mut cells: Vec<f64> = (0..t * m)
+        .map(|_| match rng.gen_range(0..10usize) {
+            0 | 1 => f64::INFINITY,
+            2 => EXTREMES[rng.gen_range(0..EXTREMES.len())],
+            3 => rng.gen_range(1..1000u64) as f64,
+            _ => 10f64.powf(rng.gen_range(-300.0..300.0)),
+        })
+        .collect();
+    for k in 0..t.max(m) {
+        let (i, j) = (k % t, k % m);
+        if cells[i * m + j].is_infinite() {
+            cells[i * m + j] = 2.5;
+        }
+    }
+    let matrix = Matrix::from_vec(t, m, cells).expect("shape matches data");
+    Etc::with_names(matrix, names(rng, t), names(rng, m)).expect("a valid ETC matrix")
+}
+
+/// `Ok` when both readings hold the same names and matrix bits, or both
+/// fail with the same text.
+fn same_reading(
+    got: &Result<Etc, MeasureError>,
+    want: &Result<Etc, MeasureError>,
+) -> Result<(), String> {
+    let bits = |e: &Etc| {
+        e.matrix()
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    let same = match (got, want) {
+        (Ok(a), Ok(b)) => {
+            a.task_names() == b.task_names()
+                && a.machine_names() == b.machine_names()
+                && a.matrix().shape() == b.matrix().shape()
+                && bits(a) == bits(b)
+        }
+        (Err(a), Err(b)) => a.to_string() == b.to_string(),
+        _ => false,
+    };
+    ensure(same, || format!("{got:?} vs {want:?}"))
+}
+
+#[test]
+fn csv_round_trips_bit_for_bit() {
+    check("csv_round_trips_bit_for_bit", |rng| {
+        let etc = labeled_etc(rng);
+        let text = to_csv(&etc);
+        let back = from_csv(&text);
+        same_reading(&back, &Ok(etc))
+            .and_then(|()| same_reading(&back, &csv_oracle::from_csv(&text)))
+            .map_err(|e| format!("csv_round_trips_bit_for_bit: {text:?}: {e}"))
+    });
+}
+
+/// What a mutation inserts or writes over: CSV metacharacters, line breaks,
+/// the pieces of a number, and whitespace that `trim` removes but `lines`
+/// does not split on (U+00A0, U+0085, U+3000).
+const MUTATION_TOKENS: [&str; 19] = [
+    ",", "\"", "\n", "\r", "\r\n", " ", "\t", "0", "7", "9", "e", "-", ".", "inf", "\u{a0}",
+    "\u{85}", "\u{3000}", "é", "\"\"",
+];
+
+/// `text` with one to three tokens inserted, characters deleted, or
+/// characters replaced by tokens, at seeded positions.
+fn mutate(rng: &mut StdRng, text: &str) -> String {
+    let mut s = text.to_string();
+    for _ in 0..rng.gen_range(1..4usize) {
+        let starts: Vec<usize> = s.char_indices().map(|(i, _)| i).collect();
+        let at = rng.gen_range(0..starts.len() + 1);
+        let pos = starts.get(at).copied().unwrap_or(s.len());
+        let token = MUTATION_TOKENS[rng.gen_range(0..MUTATION_TOKENS.len())];
+        let op = rng.gen_range(0..3usize);
+        if op > 0 && pos < s.len() {
+            s.remove(pos);
+        }
+        if op != 1 {
+            s.insert_str(pos, token);
+        }
+    }
+    s
+}
+
+#[test]
+fn csv_reader_matches_its_oracle_on_mutated_bodies() {
+    check("csv_reader_matches_its_oracle_on_mutated_bodies", |rng| {
+        let text = to_csv(&labeled_etc(rng));
+        for _ in 0..16 {
+            let body = mutate(rng, &text);
+            let got = std::panic::catch_unwind(|| from_csv(&body))
+                .map_err(|_| format!("csv_reader_never_panics: {body:?}"))?;
+            same_reading(&got, &csv_oracle::from_csv(&body))
+                .map_err(|e| format!("csv_reader_matches_its_oracle: {body:?}: {e}"))?;
+            // The server's cell guard counts what the reader reads.
+            if let Ok(etc) = &got {
+                let (cells, want) = (cell_count(&body), etc.num_tasks() * etc.num_machines());
+                ensure(cells == want, || {
+                    format!("csv_cell_count_is_exact: {body:?}: {cells} vs {want}")
+                })?;
+            }
         }
         Ok(())
     });
