@@ -15,11 +15,14 @@
 //! allocation comparison and fails unless the warm lane eliminates at least
 //! 90% of the cold lane's allocations AND the one-shot entry point stays
 //! within [`ONE_SHOT_ALLOC_CAP`] allocs/call AND the CSV reader stays within
-//! one allocation per name plus [`CSV_ALLOC_SLACK`] — the regression gate
+//! one allocation per name plus [`CSV_ALLOC_SLACK`] (and within the slack
+//! alone on a wide header that no data row fills) AND a warm session read
+//! stays within [`SESSION_GET_ALLOC_CAP`] — the regression gate
 //! `scripts/verify.sh` runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use hc_bench::{dense_fixture, ecs_fixture, ABLATION_SIZES};
@@ -29,6 +32,7 @@ use hc_core::weights::Weights;
 use hc_core::Analyzer;
 use hc_gen::{cvb, CvbParams};
 use hc_linalg::svd::{spectrum_in, SvdAlgorithm};
+use hc_session::{SessionConfig, SessionStore};
 use hc_sinkhorn::balance::{balance_with, standard_targets, BalanceOptions};
 
 /// `System` wrapped with an allocation counter, so the snapshot can report
@@ -97,6 +101,52 @@ fn csv_body(t: usize, m: usize) -> String {
 fn parse_csv(body: &str) {
     let etc = hc_spec::csv::from_csv(body).expect("own CSV parses");
     assert!(etc.num_tasks() > 0);
+}
+
+/// Columns of the header-only body `--alloc-check` reads: a body that no
+/// data row fills must fail within [`CSV_ALLOC_SLACK`] allocations, however
+/// wide its header.
+const HEADER_ONLY_COLUMNS: usize = 100_000;
+
+/// Allocations `from_csv` makes refusing a header of
+/// [`HEADER_ONLY_COLUMNS`] machine columns and no data row.
+fn header_only_allocs() -> u64 {
+    let body = format!("task{}\n", ",m".repeat(HEADER_ONLY_COLUMNS));
+    let refuse = || assert!(hc_spec::csv::from_csv(&body).is_err());
+    refuse(); // registers the parse counter
+    allocs_during(refuse)
+}
+
+/// Shapes of the `session.get` lane: the sizes of the sessions hcbench's
+/// `session_edits` edits and reads.
+const SESSION_GET_SIZES: [(usize, usize); 2] = [(64, 64), (128, 128)];
+
+/// Allocations a warm session read (`GET /session/{id}` below the router)
+/// may make: it hands out the published version's bytes, so none, with two
+/// to spare.
+const SESSION_GET_ALLOC_CAP: u64 = 2;
+
+/// Reads per timed sample of the `session.get` lane: one read takes well
+/// under a microsecond, too little to time alone.
+const SESSION_GETS_PER_SAMPLE: u128 = 1_000;
+
+/// A store holding one session of a seeded CVB (V = 0.5) ETC matrix at
+/// `(t, m)`, and the session's id.
+fn session_fixture(t: usize, m: usize) -> (SessionStore, Arc<str>) {
+    let store = SessionStore::new(SessionConfig::default());
+    let etc = cvb(&CvbParams::new(t, m, 0.5, 0.5), 1).expect("CVB fixture generates");
+    let id = store
+        .create(etc.to_ecs(), true, None)
+        .expect("fixture session characterizes")
+        .id
+        .clone();
+    (store, id)
+}
+
+/// One warm session read: what `GET /session/{id}` does below the router.
+fn read_session(store: &SessionStore, id: &str) {
+    let resp = hc_serve::session::get(store, id).expect("fixture session is live");
+    assert!(!resp.body.is_empty());
 }
 
 fn median_ns(mut samples: Vec<u128>) -> u128 {
@@ -230,11 +280,32 @@ fn alloc_check() -> ! {
         );
         ok &= pass;
     }
+    let allocs = header_only_allocs();
+    let pass = allocs <= CSV_ALLOC_SLACK;
+    println!(
+        "from_csv header of {HEADER_ONLY_COLUMNS} columns, no data row: {allocs} \
+         allocs/call (cap {CSV_ALLOC_SLACK}) {}",
+        if pass { "OK" } else { "FAIL" }
+    );
+    ok &= pass;
+    for &(t, m) in &SESSION_GET_SIZES {
+        let (store, id) = session_fixture(t, m);
+        read_session(&store, &id);
+        let allocs = allocs_during(|| read_session(&store, &id));
+        let pass = allocs <= SESSION_GET_ALLOC_CAP;
+        println!(
+            "session.get {t}x{m}: {allocs} allocs/call (cap {SESSION_GET_ALLOC_CAP}) {}",
+            if pass { "OK" } else { "FAIL" }
+        );
+        ok &= pass;
+    }
     if !ok {
         eprintln!(
             "alloc-check FAILED: warm characterize must eliminate >= 90% of cold \
              allocations, one-shot calls must stay within {ONE_SHOT_ALLOC_CAP} allocs, \
-             and from_csv within one allocation per name + {CSV_ALLOC_SLACK}"
+             from_csv within one allocation per name + {CSV_ALLOC_SLACK} ({CSV_ALLOC_SLACK} \
+             on a header no row fills), and a warm session read within \
+             {SESSION_GET_ALLOC_CAP}"
         );
         std::process::exit(1);
     }
@@ -338,6 +409,24 @@ fn main() {
         let allocs = allocs_during(|| parse_csv(&body));
         let samples = time_ns(|| parse_csv(&body));
         results.push(result_json("spec.csv.parse", t, m, samples, allocs));
+    }
+
+    // Session read lane: a warm `GET /session/{id}` below the router, the
+    // request `session_edits` sends most, on the sizes it reads. Each sample
+    // times SESSION_GETS_PER_SAMPLE reads and reports the time per read.
+    for &(t, m) in &SESSION_GET_SIZES {
+        let (store, id) = session_fixture(t, m);
+        read_session(&store, &id);
+        let allocs = allocs_during(|| read_session(&store, &id));
+        let samples = time_ns(|| {
+            for _ in 0..SESSION_GETS_PER_SAMPLE {
+                read_session(&store, &id);
+            }
+        })
+        .into_iter()
+        .map(|ns| ns / SESSION_GETS_PER_SAMPLE)
+        .collect();
+        results.push(result_json("session.get", t, m, samples, allocs));
     }
 
     // Deadline-overhead lane: the same warm 512×512 characterize with and

@@ -148,8 +148,9 @@ pub struct Response {
 }
 
 impl Response {
-    /// A `200 OK` JSON response.
-    pub fn json(body: String) -> Self {
+    /// A `200 OK` JSON response: a rendered document, or bytes shared with
+    /// their owner (the result cache, a published session version).
+    pub fn json(body: impl Into<Body>) -> Self {
         Self {
             status: 200,
             content_type: "application/json",
@@ -796,7 +797,7 @@ mod tests {
 
     #[test]
     fn response_serialization() {
-        let r = Response::json("{\"ok\":true}".into()).with_header("X-Cache", "hit");
+        let r = Response::json(String::from("{\"ok\":true}")).with_header("X-Cache", "hit");
         let text = wire(&r);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
@@ -821,7 +822,7 @@ mod tests {
         }
         assert_eq!(b.as_slice(), b"hello");
         // A shared body serializes identically to an owned one.
-        let mut r = Response::json("{\"ok\":true}".into());
+        let mut r = Response::json(String::from("{\"ok\":true}"));
         r.body = Body::Shared(first);
         assert!(wire(&r).ends_with("hello"));
     }
@@ -835,7 +836,7 @@ mod tests {
 
     #[test]
     fn render_head_picks_connection_header() {
-        let r = Response::json("{}".into());
+        let r = Response::json(String::from("{}"));
         assert!(render_head(&r, true).contains("Connection: close\r\n"));
         assert!(render_head(&r, false).contains("Connection: keep-alive\r\n"));
     }

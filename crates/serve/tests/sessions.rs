@@ -1,5 +1,6 @@
 //! Socket-level tests for the live-session subsystem: lifecycle and the
-//! shared measure-body golden, TTL expiry, LRU eviction under
+//! shared measure-body golden, reads answering with the bytes their
+//! version's write answered, TTL expiry, LRU eviction under
 //! `--max-sessions`, `If-Match` optimistic concurrency, version monotonicity
 //! across panic-respawned workers, and watch/drain semantics.
 
@@ -289,6 +290,61 @@ fn if_match_conflicts_are_typed_409s() {
     );
     assert_eq!(s, 200, "{b}");
     assert_eq!(version_of(&b), 3);
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// A read answers with the bytes the write of its version answered: the
+/// create and four patches, each read back twice, byte for byte. Refused
+/// writes (a stale `If-Match`, a bad edit line) leave the read bytes as
+/// they were.
+#[test]
+fn reads_answer_the_bytes_their_version_was_written_with() {
+    let _serial = serial();
+    let handle = start(test_config()).expect("start server");
+    let addr = handle.local_addr();
+    let (s, _h, mut written) = post(addr, "/session", SAMPLE);
+    assert_eq!(s, 200, "{written}");
+    let id = session_id(&written);
+    let etc = format!("/session/{id}/etc");
+    let read = || {
+        let (s, _h, b) = get(addr, &format!("/session/{id}"));
+        assert_eq!(s, 200, "{b}");
+        b
+    };
+    let edits = [
+        "cell,t1,m2,7.5\n",
+        "row,t2,5,3.5,5\n",
+        "col,m3,4,4.5,4.25\n",
+        "cell,3,1,3.9\n",
+    ];
+    for version in 1..=5u64 {
+        assert_eq!(version_of(&written), version, "{written}");
+        for _ in 0..2 {
+            assert_eq!(read(), written, "GET of version {version}");
+        }
+        let stale = (version + 1).to_string();
+        let (s, _h, b) = request_with_headers(
+            addr,
+            "PATCH",
+            &etc,
+            &[("If-Match", &stale)],
+            "cell,t1,m1,2\n",
+        );
+        assert_eq!(s, 409, "{b}");
+        let (s, _h, b) = patch(addr, &etc, "cell,t1,m1,2\ncell,t1,nope,2\n");
+        assert_eq!(s, 400, "{b}");
+        assert!(b.contains("edit line 2"), "{b}");
+        assert_eq!(read(), written, "refused writes leave version {version}");
+        if let Some(edit) = edits.get(version as usize - 1) {
+            let current = version.to_string();
+            let (s, _h, b) =
+                request_with_headers(addr, "PATCH", &etc, &[("If-Match", &current)], edit);
+            assert_eq!(s, 200, "{b}");
+            written = b;
+        }
+    }
 
     handle.shutdown();
     handle.join();

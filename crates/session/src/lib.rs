@@ -22,6 +22,9 @@
 //!   used by `PATCH /session/{id}/etc` (the stack has no JSON parser).
 //! * [`store`] — the sharded, TTL'd, LRU-bounded session store with
 //!   long-poll watch and drain support, shared across server workers.
+//! * [`snapshot`] — the immutable [`SessionSnapshot`] each write publishes
+//!   for its version, and the one format of the session documents: each
+//!   version is rendered once, by its write, and every read shares the bytes.
 //!
 //! The HTTP surface lives in `hc-serve`; `hcm session` in the CLI runs an
 //! offline demo of the same engine.
@@ -30,10 +33,10 @@
 
 pub mod edits;
 pub mod engine;
+pub mod snapshot;
 pub mod store;
 
 pub use edits::{parse_edits, to_ecs_value, Edit, EditParseError};
 pub use engine::{RecomputeStats, SessionEngine};
-pub use store::{
-    Delta, SessionConfig, SessionError, SessionSnapshot, SessionStore, TryWatch, WatchWaker,
-};
+pub use snapshot::SessionSnapshot;
+pub use store::{Delta, SessionConfig, SessionError, SessionStore, TryWatch, WatchWaker};

@@ -132,6 +132,12 @@ fn invalid(reason: String) -> MeasureError {
     MeasureError::InvalidEnvironment { reason }
 }
 
+/// The error of data row `row` (1-based over non-blank lines, the header
+/// being row 1) with `got` fields where the header has `want`.
+fn wrong_width(row: usize, got: usize, want: usize) -> MeasureError {
+    invalid(format!("CSV row {row} has {got} fields, expected {want}"))
+}
+
 /// The number of cells a CSV body declares, without reading a value: its
 /// data lines times the machine columns of its header, split as
 /// [`from_csv`] splits them (a `,` inside a quoted name separates nothing).
@@ -151,17 +157,31 @@ pub fn cell_count(text: &str) -> usize {
 /// reading order: a data row with the wrong field count, then a value
 /// that is not a number (`inf` reads as `+∞`), then whatever
 /// [`Etc::with_names`] refuses.
+///
+/// The header and the first data row are counted before anything is
+/// allocated for them, so a body that no data row fills (none at all, or a
+/// first one of another width) fails after a constant number of
+/// allocations, however wide its header.
 pub fn from_csv(text: &str) -> Result<Etc, MeasureError> {
     hc_obs::obs_counter!("spec_csv_parses_total").inc();
     let mut lines = content_lines(text);
     let header = lines.next().ok_or_else(|| invalid("CSV is empty".into()))?;
-    let mut fields = Vec::with_capacity(fields_in(header));
-    split_into(header, &mut fields);
-    if fields.len() < 2 {
+    let width = fields_in(header);
+    if width < 2 {
         return Err(invalid(
             "CSV header needs at least one machine column".into(),
         ));
     }
+    let first = lines
+        .clone()
+        .next()
+        .ok_or_else(|| invalid("CSV has no data rows".into()))?;
+    let got = fields_in(first);
+    if got != width {
+        return Err(wrong_width(2, got, width));
+    }
+    let mut fields = Vec::with_capacity(width);
+    split_into(header, &mut fields);
     let machine_names: Vec<String> = fields.drain(1..).map(Cow::into_owned).collect();
     let m = machine_names.len();
 
@@ -171,12 +191,7 @@ pub fn from_csv(text: &str) -> Result<Etc, MeasureError> {
     for (lineno, line) in lines.enumerate() {
         split_into(line, &mut fields);
         if fields.len() != m + 1 {
-            return Err(invalid(format!(
-                "CSV row {} has {} fields, expected {}",
-                lineno + 2,
-                fields.len(),
-                m + 1
-            )));
+            return Err(wrong_width(lineno + 2, fields.len(), m + 1));
         }
         let mut cells = fields.drain(..);
         task_names.push(cells.next().unwrap_or_default().into_owned());
@@ -187,9 +202,6 @@ pub fn from_csv(text: &str) -> Result<Etc, MeasureError> {
                 })?,
             );
         }
-    }
-    if task_names.is_empty() {
-        return Err(invalid("CSV has no data rows".into()));
     }
     let matrix = Matrix::from_vec(task_names.len(), m, data)?;
     Etc::with_names(matrix, task_names, machine_names)
@@ -272,6 +284,21 @@ mod tests {
         assert_eq!(
             reason("task,m1,m2\nt1,\u{a0}x \u{a0},y\n"),
             "invalid HC environment: CSV row 2: bad number \"x\""
+        );
+        // A wide header that no data row fills fails on its counts alone; a
+        // quoted `,` in the first row separates nothing there either.
+        let header = format!("task{}\n", ",m".repeat(100_000));
+        assert_eq!(
+            reason(&header),
+            "invalid HC environment: CSV has no data rows"
+        );
+        assert_eq!(
+            reason(&format!("{header}\"t,1\",2\n")),
+            "invalid HC environment: CSV row 2 has 2 fields, expected 100001"
+        );
+        assert_eq!(
+            reason("task,\"m1,m2\"\n\nt1,1,2\n"),
+            "invalid HC environment: CSV row 2 has 3 fields, expected 2"
         );
     }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Benchmark snapshot: runs the dependency-free measure/sinkhorn/spectrum/CSV
-# timings (see crates/bench/src/bin/snapshot.rs) in release mode and writes
+# Benchmark snapshot: runs the dependency-free measure/sinkhorn/spectrum/CSV/
+# session-read timings (see crates/bench/src/bin/snapshot.rs) in release mode and writes
 # them to BENCH_<date>.json at the repository root for trend tracking.
 #
 # Usage: scripts/bench_snapshot.sh [output-file]
@@ -22,6 +22,7 @@ grep -q '"bench":"measure.characterize_warm"' "$OUT" || { echo "missing warm mea
 grep -q '"bench":"sinkhorn.balance"' "$OUT" || { echo "missing sinkhorn results"; exit 1; }
 grep -q '"bench":"linalg.spectrum"' "$OUT" || { echo "missing spectrum results"; exit 1; }
 grep -q '"bench":"spec.csv.parse"' "$OUT" || { echo "missing CSV reader results"; exit 1; }
+grep -q '"bench":"session.get"' "$OUT" || { echo "missing session read lane"; exit 1; }
 grep -q '"bench":"deadline_overhead"' "$OUT" || { echo "missing deadline overhead lane"; exit 1; }
 grep -q '"bench":"recorder_overhead"' "$OUT" || { echo "missing recorder overhead lane"; exit 1; }
 grep -q '"bench":"profiler_overhead"' "$OUT" || { echo "missing profiler overhead lane"; exit 1; }

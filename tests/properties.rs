@@ -9,11 +9,18 @@
 //! * the generators, the mapping heuristics and the simulator;
 //! * the CSV reader: bit-exact round trips through `to_csv`, and on seeded
 //!   mutations of valid bodies the result of the field-by-field reader kept
-//!   in `csv_oracle`.
+//!   in `csv_oracle`;
+//! * the session edit language: valid documents read back to the edits
+//!   they were written from, index 0 and one past the end are refused on
+//!   their line, and on seeded mutations of valid documents the parser
+//!   never panics, accepts only in-range edits without NaN, names a line
+//!   inside the document in every error, and accepts a canonical
+//!   re-rendering of what it accepted as the same edits, bit for bit.
 //!
 //! Properties that draw from one input domain share a `check`; every
 //! failure message starts with the name of the property that failed.
 
+use hc_session::{parse_edits, Edit};
 use hetero_measures::core::ecs::{Ecs, Etc};
 use hetero_measures::core::error::MeasureError;
 use hetero_measures::core::measures::{adjacent_ratio_homogeneity, mph, tdh};
@@ -695,12 +702,17 @@ const MUTATION_TOKENS: [&str; 19] = [
 /// `text` with one to three tokens inserted, characters deleted, or
 /// characters replaced by tokens, at seeded positions.
 fn mutate(rng: &mut StdRng, text: &str) -> String {
+    mutate_with(rng, text, &MUTATION_TOKENS)
+}
+
+/// [`mutate`] with `tokens` to insert or write over.
+fn mutate_with(rng: &mut StdRng, text: &str, tokens: &[&str]) -> String {
     let mut s = text.to_string();
     for _ in 0..rng.gen_range(1..4usize) {
         let starts: Vec<usize> = s.char_indices().map(|(i, _)| i).collect();
         let at = rng.gen_range(0..starts.len() + 1);
         let pos = starts.get(at).copied().unwrap_or(s.len());
-        let token = MUTATION_TOKENS[rng.gen_range(0..MUTATION_TOKENS.len())];
+        let token = tokens[rng.gen_range(0..tokens.len())];
         let op = rng.gen_range(0..3usize);
         if op > 0 && pos < s.len() {
             s.remove(pos);
@@ -728,6 +740,220 @@ fn csv_reader_matches_its_oracle_on_mutated_bodies() {
                 ensure(cells == want, || {
                     format!("csv_cell_count_is_exact: {body:?}: {cells} vs {want}")
                 })?;
+            }
+        }
+        Ok(())
+    });
+}
+
+/// Characters of edit-language names after their leading letter: none
+/// separates, comments or trims, and no name is a plain integer, so an
+/// index token always means an index.
+const EDIT_NAME_CHARS: [char; 7] = ['a', 'Z', '0', '7', '-', '_', 'é'];
+
+/// `n` distinct names: `lead`, then up to three [`EDIT_NAME_CHARS`].
+fn edit_names(rng: &mut StdRng, lead: char, n: usize) -> Vec<String> {
+    let mut out: Vec<String> = Vec::with_capacity(n);
+    while out.len() < n {
+        let len = rng.gen_range(0..4usize);
+        let name: String = std::iter::once(lead)
+            .chain((0..len).map(|_| EDIT_NAME_CHARS[rng.gen_range(0..EDIT_NAME_CHARS.len())]))
+            .collect();
+        if !out.contains(&name) {
+            out.push(name);
+        }
+    }
+    out
+}
+
+/// An edit value: `inf` or one digit about one time in six each (short
+/// fields, which one mutation can turn into `nan` or an empty field), else
+/// over 600 decades.
+fn edit_value(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..6usize) {
+        0 => f64::INFINITY,
+        1 => rng.gen_range(1..10u64) as f64,
+        _ => 10f64.powf(rng.gen_range(-300.0..300.0)),
+    }
+}
+
+/// `edits` written by 1-based index, one per line, values as `{:?}` writes
+/// them (the shortest text that reads back to the same bits).
+fn canonical_edits(edits: &[Edit]) -> String {
+    let values = |vs: &[f64]| vs.iter().map(|v| format!(",{v:?}")).collect::<String>();
+    edits
+        .iter()
+        .map(|e| match e {
+            Edit::Cell {
+                task,
+                machine,
+                value,
+            } => format!("cell,{},{},{value:?}\n", task + 1, machine + 1),
+            Edit::Row { task, values: vs } => format!("row,{}{}\n", task + 1, values(vs)),
+            Edit::Col {
+                machine,
+                values: vs,
+            } => format!("col,{}{}\n", machine + 1, values(vs)),
+        })
+        .collect()
+}
+
+/// `Ok` when both edit lists are the same edits, values bit for bit:
+/// `{:?}` writes each value as the shortest text that reads back to its
+/// bits, so for values other than NaN equal texts are equal bits.
+fn same_edits(got: &[Edit], want: &[Edit]) -> Result<(), String> {
+    let (got, want) = (format!("{got:?}"), format!("{want:?}"));
+    ensure(got == want, || format!("{got} vs {want}"))
+}
+
+/// A valid edit document over `tasks` × `machines` and the edits it holds:
+/// one to four `cell`/`row`/`col` lines addressing rows and columns by name
+/// or by 1-based index, with comment and blank lines and `\r\n` ends among
+/// them.
+fn edit_document(rng: &mut StdRng, tasks: &[String], machines: &[String]) -> (String, Vec<Edit>) {
+    let token = |rng: &mut StdRng, names: &[String], i: usize| {
+        if rng.gen_bool(0.5) {
+            names[i].clone()
+        } else {
+            (i + 1).to_string()
+        }
+    };
+    let (mut text, mut edits) = (String::new(), Vec::new());
+    for _ in 0..rng.gen_range(1..5usize) {
+        if rng.gen_bool(0.2) {
+            text.push_str(if rng.gen_bool(0.5) { "# note\n" } else { " \n" });
+        }
+        let kind = rng.gen_range(0..3usize);
+        if kind == 0 {
+            let (task, machine) = (
+                rng.gen_range(0..tasks.len()),
+                rng.gen_range(0..machines.len()),
+            );
+            let value = edit_value(rng);
+            let (t, m) = (token(rng, tasks, task), token(rng, machines, machine));
+            text.push_str(&format!("cell,{t},{m},{value}"));
+            edits.push(Edit::Cell {
+                task,
+                machine,
+                value,
+            });
+        } else {
+            // A row holds one value per machine, a column one per task.
+            let (op, names, len) = match kind {
+                1 => ("row", tasks, machines.len()),
+                _ => ("col", machines, tasks.len()),
+            };
+            let i = rng.gen_range(0..names.len());
+            text.push_str(&format!("{op},{}", token(rng, names, i)));
+            let values: Vec<f64> = (0..len).map(|_| edit_value(rng)).collect();
+            values.iter().for_each(|v| text.push_str(&format!(",{v}")));
+            edits.push(match kind {
+                1 => Edit::Row { task: i, values },
+                _ => Edit::Col { machine: i, values },
+            });
+        }
+        text.push_str(if rng.gen_bool(0.3) { "\r\n" } else { "\n" });
+    }
+    (text, edits)
+}
+
+/// What a mutation of an edit document inserts or writes over: separators,
+/// line breaks, the comment mark, the pieces of a number, an empty field,
+/// and U+00A0, which `trim` removes.
+const EDIT_MUTATION_TOKENS: [&str; 15] = [
+    ",", "\n", "\r\n", "#", "0", "1", "7", "-", ".", "e", "inf", "nan", "\u{a0}", ",,", "",
+];
+
+/// Every edit `parse_edits` accepts addresses an existing row or column
+/// with a full row or column of values and no NaN.
+fn edits_in_range(edits: &[Edit], t: usize, m: usize) -> bool {
+    edits.iter().all(|e| match e {
+        Edit::Cell {
+            task,
+            machine,
+            value,
+        } => *task < t && *machine < m && !value.is_nan(),
+        Edit::Row { task, values } => {
+            *task < t && values.len() == m && !values.iter().any(|v| v.is_nan())
+        }
+        Edit::Col { machine, values } => {
+            *machine < m && values.len() == t && !values.iter().any(|v| v.is_nan())
+        }
+    })
+}
+
+/// Each of five broken parsers tried in a scratch copy (no value-count
+/// check, NaN accepted, 0-based error lines, index one past the end
+/// accepted, index 0 read as 1) fails this property.
+#[test]
+fn edit_language_survives_mutated_documents() {
+    check("edit_language_survives_mutated_documents", |rng| {
+        let (t, m) = (rng.gen_range(1..7usize), rng.gen_range(1..7usize));
+        let (tasks, machines) = (edit_names(rng, 't', t), edit_names(rng, 'm', m));
+        let (text, written) = edit_document(rng, &tasks, &machines);
+        let read = ok(parse_edits(&text, &tasks, &machines))
+            .map_err(|e| format!("edit_documents_parse: {text:?}: {e}"))?;
+        same_edits(&read, &written).map_err(|e| format!("edit_documents_parse: {text:?}: {e}"))?;
+        // Index 0 and one past the end are refused, on their line, wherever
+        // they address a row or a column.
+        let k = rng.gen_range(0..written.len());
+        let bound = match written[k] {
+            Edit::Col { .. } => m,
+            _ => t,
+        };
+        let index = if rng.gen_bool(0.5) { 0 } else { bound + 1 };
+        let index = index.to_string();
+        let doc: String = canonical_edits(&written)
+            .lines()
+            .enumerate()
+            .map(|(i, line)| {
+                let mut fields: Vec<&str> = line.split(',').collect();
+                if i == k {
+                    fields[1] = &index;
+                }
+                fields.join(",") + "\n"
+            })
+            .collect();
+        match parse_edits(&doc, &tasks, &machines) {
+            Err(e) if e.line == k + 1 && e.reason.contains("out of range") => {}
+            other => {
+                return Err(format!(
+                    "edit_indices_are_bounded: {doc:?}: {other:?} (line {})",
+                    k + 1
+                ))
+            }
+        }
+        // Indices 0 and one past the end, for tasks and for machines.
+        let past = [(t + 1).to_string(), (m + 1).to_string()];
+        let mut tokens = EDIT_MUTATION_TOKENS.to_vec();
+        tokens.extend(past.iter().map(String::as_str));
+        for _ in 0..16 {
+            let doc = mutate_with(rng, &text, &tokens);
+            let parsed = std::panic::catch_unwind(|| parse_edits(&doc, &tasks, &machines))
+                .map_err(|_| format!("edit_parser_never_panics: {doc:?}"))?;
+            match parsed {
+                Ok(edits) => {
+                    ensure(edits_in_range(&edits, t, m), || {
+                        format!("edits_in_range: {doc:?}: {edits:?} over {t}x{m}")
+                    })?;
+                    let canonical = canonical_edits(&edits);
+                    let again = ok(parse_edits(&canonical, &tasks, &machines))
+                        .map_err(|e| format!("edits_render_canonically: {canonical:?}: {e}"))?;
+                    same_edits(&again, &edits)
+                        .map_err(|e| format!("edits_render_canonically: {doc:?}: {e}"))?;
+                }
+                Err(e) => {
+                    let lines = doc.lines().count();
+                    let no_edits = e.reason == "edit body contains no edits";
+                    ensure(
+                        if no_edits {
+                            e.line == 0
+                        } else {
+                            (1..=lines).contains(&e.line)
+                        },
+                        || format!("edit_errors_name_a_line: {doc:?}: {e} ({lines} lines)"),
+                    )?;
+                }
             }
         }
         Ok(())
