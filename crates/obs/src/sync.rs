@@ -10,7 +10,7 @@
 //! and count every recovery in the global metrics registry under
 //! `lock_poison_recovered_total` so operators can see that a panic happened.
 
-use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+use std::sync::{Condvar, Mutex, MutexGuard, TryLockError, WaitTimeoutResult};
 use std::time::Duration;
 
 fn note_recovery() {
@@ -28,6 +28,19 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
             note_recovery();
             m.clear_poison();
             poisoned.into_inner()
+        }
+    }
+}
+
+/// [`lock_recover`] that never waits: `None` while another holder has `m`.
+pub fn try_lock_recover<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(g) => Some(g),
+        Err(TryLockError::WouldBlock) => None,
+        Err(TryLockError::Poisoned(poisoned)) => {
+            note_recovery();
+            m.clear_poison();
+            Some(poisoned.into_inner())
         }
     }
 }
@@ -122,6 +135,25 @@ mod tests {
         g.push(4);
         drop(g);
         assert_eq!(lock_recover_then(&m, |v| v.clear()).as_slice(), &[4]);
+    }
+
+    #[test]
+    fn try_lock_recover_reports_a_held_lock_and_recovers_poison() {
+        let m = Arc::new(Mutex::new(1u32));
+        let held = lock_recover(&m);
+        assert!(
+            try_lock_recover(&m).is_none(),
+            "a held lock is reported, not awaited"
+        );
+        drop(held);
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock().unwrap();
+            panic!("poison it");
+        })
+        .join();
+        assert_eq!(try_lock_recover(&m).map(|g| *g), Some(1));
+        assert!(!m.is_poisoned());
     }
 
     #[test]

@@ -409,6 +409,11 @@ impl RequestParser {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Bytes fed and not yet consumed by a returned request.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
     /// `true` when no bytes of a next request have arrived — an EOF here is a
     /// clean connection close, not a truncated request.
     pub fn is_idle(&self) -> bool {
@@ -432,18 +437,23 @@ impl RequestParser {
     /// `Ok(None)` when more bytes are needed, and `Err` on a framing error
     /// (bad request line, unparsable or oversized `Content-Length`, header
     /// block past [`MAX_HEADER_BYTES`]).
+    ///
+    /// The outcome depends on the bytes alone, not on how they were split
+    /// across feeds: a header block is too large at the same length whether
+    /// its terminator arrived with it or not.
     pub fn poll(&mut self) -> Result<Option<(Request, bool)>, HttpError> {
         if self.pending.is_none() {
+            let too_large = || HttpError::typed(413, "body_too_large", "header block too large");
             let Some(header_end) = find_header_end(&self.buf) else {
-                if self.buf.len() > MAX_HEADER_BYTES {
-                    return Err(HttpError::typed(
-                        413,
-                        "body_too_large",
-                        "header block too large",
-                    ));
+                // Up to three trailing bytes may be a terminator's start.
+                if self.buf.len() > MAX_HEADER_BYTES + 3 {
+                    return Err(too_large());
                 }
                 return Ok(None);
             };
+            if header_end > MAX_HEADER_BYTES {
+                return Err(too_large());
+            }
             let head = parse_head(&self.buf[..header_end], self.max_body)?;
             self.buf.drain(..header_end + 4);
             self.pending = Some(head);

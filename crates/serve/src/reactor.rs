@@ -6,7 +6,11 @@
 //! worker pool, and finished work comes back over a [`CompletionQueue`] whose
 //! notify callback writes one byte into a wakeup pipe registered with the
 //! same epoll — so a completion interrupts `epoll_wait` exactly like socket
-//! readiness.
+//! readiness. The one exception is a read of a published session version
+//! (`GET /session/{id}`): when the store can answer it without waiting
+//! ([`hc_session::SessionStore::try_get`]), the reactor runs the attempt
+//! itself and writes the shared document, one such read per connection per
+//! event-loop pass.
 //!
 //! Connection state machine:
 //!
@@ -20,7 +24,8 @@
 //! ```
 //!
 //! * **Reading** — interest `EPOLLIN|EPOLLRDHUP`; bytes feed the resumable
-//!   [`RequestParser`]. A complete head+body dispatches to the pool.
+//!   [`RequestParser`]. A complete head+body dispatches to the pool, or, for
+//!   a session read the store resolves at once, goes straight to Writing.
 //! * **Dispatched** — a worker owns the request; interest drops to `0`
 //!   (errors and hangups are still delivered). The socket is untouched.
 //! * **Waiting** — a parked `GET /session/{id}/watch` long-poll: the task is
@@ -123,6 +128,9 @@ struct Conn {
     served: u64,
     /// Keep-alive decision parsed from the current request's headers.
     cur_keep_alive: bool,
+    /// Event-loop pass in which this connection last had a read answered on
+    /// the reactor: one per pass, so a pipelining client cannot hold it.
+    inline_pass: u64,
 }
 
 /// What the worker pool hands back to the reactor.
@@ -163,18 +171,22 @@ impl Drop for CompletionGuard {
             return;
         }
         self.state.faults.panics.fetch_add(1, Ordering::Relaxed);
-        let response = HttpError::typed(
-            500,
-            "internal_panic",
-            "internal panic while dispatching request",
-        )
-        .to_response();
         self.completions.push(Completion::Respond {
             token: self.token,
-            response,
+            response: dispatch_panic_response(),
             started: self.started,
         });
     }
+}
+
+/// The `500` for a panic that escaped [`run_attempt`]'s own catch.
+fn dispatch_panic_response() -> Response {
+    HttpError::typed(
+        500,
+        "internal_panic",
+        "internal panic while dispatching request",
+    )
+    .to_response()
 }
 
 /// One sweep decision, computed under the connection borrow and acted on
@@ -223,6 +235,13 @@ struct Reactor {
     draining_since: Option<Instant>,
     /// Last overload control-loop tick (throttles to [`CONTROL_TICK`]).
     last_control_tick: Instant,
+    /// The one socket read buffer, shared by every connection.
+    read_buf: Box<[u8]>,
+    /// Event-loop passes so far (see [`Conn::inline_pass`]).
+    pass: u64,
+    /// Connections whose parser may hold a complete request that this pass
+    /// did not take; the next pass polls them, without sleeping first.
+    revisit: Vec<u64>,
 }
 
 impl Reactor {
@@ -250,6 +269,9 @@ impl Reactor {
             wake_rx,
             draining_since: None,
             last_control_tick: Instant::now(),
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
+            pass: 0,
+            revisit: Vec::new(),
         })
     }
 
@@ -272,7 +294,17 @@ impl Reactor {
     fn event_loop(&mut self) {
         let mut events = vec![EpollEvent::default(); EVENTS_PER_WAIT];
         loop {
-            let n = self.epoll.wait(&mut events, TICK_MS).unwrap_or(0);
+            let timeout = if self.revisit.is_empty() { TICK_MS } else { 0 };
+            let n = self.epoll.wait(&mut events, timeout).unwrap_or(0);
+            self.pass += 1;
+            // Buffered requests first: a connection answered from its buffer
+            // does not read more from its socket in the same pass.
+            for token in std::mem::take(&mut self.revisit) {
+                let (idx, gen) = split_token(token);
+                if self.valid(idx, gen) {
+                    self.advance_parse(idx);
+                }
+            }
             for ev in &events[..n] {
                 let (mask, token) = (ev.events, ev.data);
                 match token {
@@ -365,6 +397,7 @@ impl Reactor {
                         req_start: now,
                         served: 0,
                         cur_keep_alive: true,
+                        inline_pass: 0,
                     });
                     self.state
                         .conns
@@ -381,14 +414,16 @@ impl Reactor {
         }
     }
 
+    /// Empties the wakeup pipe. A short read means it is empty: the read
+    /// that would say so (`WouldBlock`) is one syscall per wake saved, and
+    /// level-triggered epoll reports any byte a late push leaves.
     fn drain_wakeup_pipe(&mut self) {
         let mut buf = [0u8; 256];
         loop {
             match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => {}
+                Ok(n) if n == buf.len() => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return,
+                _ => return,
             }
         }
     }
@@ -455,16 +490,17 @@ impl Reactor {
     }
 
     fn on_readable(&mut self, idx: usize) {
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
             let read = {
                 let Some(conn) = self.conns[idx].as_mut() else {
                     return;
                 };
-                if !matches!(conn.state, ConnState::Reading) {
+                // A connection that had a read answered this pass reads on
+                // the next one: level-triggered epoll reports it again.
+                if !matches!(conn.state, ConnState::Reading) || conn.inline_pass == self.pass {
                     return;
                 }
-                conn.stream.read(&mut chunk)
+                conn.stream.read(&mut self.read_buf)
             };
             match read {
                 Ok(0) => {
@@ -505,7 +541,7 @@ impl Reactor {
                             conn.req_start = now;
                         }
                         conn.last_activity = now;
-                        conn.parser.feed(&chunk[..n]);
+                        conn.parser.feed(&self.read_buf[..n]);
                     }
                     self.advance_parse(idx);
                     if n < READ_CHUNK {
@@ -523,13 +559,20 @@ impl Reactor {
     }
 
     /// Polls the parser; a complete request dispatches, a malformed one
-    /// answers its typed error and closes.
+    /// answers its typed error and closes. A connection that had a read
+    /// answered on the reactor this pass is polled on the next pass instead,
+    /// so pipelined reads run in a loop, not a recursion, and take turns
+    /// with every other connection.
     fn advance_parse(&mut self, idx: usize) {
         let polled = {
             let Some(conn) = self.conns[idx].as_mut() else {
                 return;
             };
-            if !matches!(conn.state, ConnState::Reading) {
+            if !matches!(conn.state, ConnState::Reading) || conn.parser.is_idle() {
+                return;
+            }
+            if conn.inline_pass == self.pass {
+                self.revisit.push(token_of(idx, self.gens[idx]));
                 return;
             }
             conn.parser.poll()
@@ -600,6 +643,9 @@ impl Reactor {
                 return;
             }
         }
+        // A read of a published session version, when the store can say
+        // without waiting what it sees, is answered right here.
+        let read = crate::session::try_resolve_read(&self.state.sessions, &request);
         let task = Box::new(ReqTask {
             request,
             started,
@@ -608,7 +654,12 @@ impl Reactor {
             park_deadline: None,
             class,
             admit_state,
+            read,
         });
+        if task.read.is_some() {
+            self.answer_inline(idx, task);
+            return;
+        }
         self.state.in_flight.fetch_add(1, Ordering::Relaxed);
         {
             let conn = self.conns[idx].as_mut().unwrap();
@@ -624,6 +675,37 @@ impl Reactor {
             let resp = Response::overloaded(self.state.overload.retry_after_s())
                 .with_header("X-Request-Id", &next_request_id());
             self.write_response(idx, resp, true, started);
+        }
+    }
+
+    /// Runs a resolved session read on the reactor and writes its answer: it
+    /// takes no queue slot, no worker and no completion, and it feeds the
+    /// overload controller nothing (DESIGN.md §14–15). `run_attempt` catches
+    /// a handler panic; anything escaping it answers as [`CompletionGuard`]
+    /// would, and the loop goes on.
+    fn answer_inline(&mut self, idx: usize, mut task: Box<ReqTask>) {
+        if let Some(conn) = self.conns[idx].as_mut() {
+            conn.inline_pass = self.pass;
+        }
+        let started = task.started;
+        let state = &self.state;
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_attempt(state, &mut task)
+        }));
+        match attempt {
+            Ok(AttemptOutcome::Respond(response)) => {
+                self.write_response(idx, response, false, started)
+            }
+            // Only a watch parks; a read that did would run on the pool.
+            Ok(AttemptOutcome::Park(intent)) => {
+                self.state.in_flight.fetch_add(1, Ordering::Relaxed);
+                self.set_interest(idx, 0);
+                self.redispatch(idx, task, intent.deadline);
+            }
+            Err(_) => {
+                self.state.faults.panics.fetch_add(1, Ordering::Relaxed);
+                self.write_response(idx, dispatch_panic_response(), false, started);
+            }
         }
     }
 

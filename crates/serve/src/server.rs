@@ -4,10 +4,11 @@
 //! (nonblocking) listener and every connection, multiplexed over epoll with
 //! HTTP/1.1 keep-alive. This module owns everything around that loop — the
 //! [`Config`] / [`ServerState`] pair, [`start`] / [`ServerHandle`] lifecycle,
-//! and `run_attempt`: the worker-side execution of one parsed request
-//! (request id, trace context, flight recording, panic isolation, phase
-//! timings), returning either a response for the reactor to write or a park
-//! decision for a session watch long-poll.
+//! and `run_attempt`: the execution of one parsed request, on a worker or,
+//! for a session read, on the reactor (request id, trace context, flight
+//! recording, panic isolation, phase timings), returning either a response
+//! for the reactor to write or a park decision for a session watch
+//! long-poll.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -459,6 +460,9 @@ pub(crate) struct ReqTask {
     pub class: crate::overload::Class,
     /// Overload ladder rung at admission ([`crate::overload::STATE_OK`] etc.).
     pub admit_state: u8,
+    /// `Some` for a session read the reactor answers itself, carrying what
+    /// the store found; such an attempt has no queue phase.
+    pub read: Option<crate::session::ResolvedRead>,
 }
 
 /// What one execution attempt of a request produced.
@@ -470,7 +474,8 @@ pub(crate) enum AttemptOutcome {
     Park(crate::session::ParkIntent),
 }
 
-/// Executes one attempt of a request on a worker thread: request id + trace
+/// Executes one attempt of a request on a worker thread, or on the reactor
+/// for a session read it resolved ([`ReqTask::read`]): request id + trace
 /// resolution, flight recording, the panic-isolated route call, and response
 /// decoration (`X-Request-Id`, `traceparent`, `Server-Timing`).
 ///
@@ -482,11 +487,16 @@ pub(crate) fn run_attempt(st: &Arc<ServerState>, task: &mut ReqTask) -> AttemptO
     // Phase clock: queue = dispatch → worker pickup, parse = request arrival
     // + parsing on the reactor, compute = routing + handler, serialize =
     // response assembly. Goes out as `Server-Timing` and into the recorder.
-    let picked_up = Instant::now();
-    let queue_us = picked_up.duration_since(task.dispatched).as_micros() as u64;
-    // Feed the admission controller's EWMA: this sojourn sample is what the
-    // brownout ladder and the autoscaler react to.
-    st.overload.observe_queue_delay(queue_us);
+    let queue_us = if task.read.is_some() {
+        0
+    } else {
+        let queue_us = task.dispatched.elapsed().as_micros() as u64;
+        // Feed the admission controller's EWMA: this sojourn sample is what
+        // the brownout ladder and the autoscaler react to. A read the reactor
+        // answers waited in no queue, so it has no sample to give.
+        st.overload.observe_queue_delay(queue_us);
+        queue_us
+    };
     let started = task.started;
     let id = task
         .request
@@ -517,11 +527,13 @@ pub(crate) fn run_attempt(st: &Arc<ServerState>, task: &mut ReqTask) -> AttemptO
     // poisoned locks.
     let compute_start = Instant::now();
     crate::session::set_park_deadline(task.park_deadline);
+    crate::session::set_resolved_read(task.read.take());
     let request = &task.request;
     let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         router::route(st, request, started, &id)
     }));
     crate::session::set_park_deadline(None);
+    crate::session::set_resolved_read(None);
     let compute_us = compute_start.elapsed().as_micros() as u64;
     // Taken unconditionally: a stale intent must never leak into the next
     // job this pooled worker thread runs.

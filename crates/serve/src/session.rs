@@ -12,14 +12,16 @@
 //! documents' format live in `hc-session`; this module only translates HTTP
 //! to store calls and store results to the wire. `POST`, `PATCH` and `GET`
 //! answer with the document the write of the version rendered
-//! ([`SessionSnapshot::document`]), shared with the store, not copied.
+//! ([`SessionSnapshot::document`]), shared with the store, not copied. The
+//! reactor answers a `GET` itself when [`SessionStore::try_get`] resolves it
+//! without waiting; otherwise a worker does.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hc_session::snapshot::{timed_out_document, watch_document};
-use hc_session::{parse_edits, SessionError, SessionSnapshot, SessionStore, TryWatch};
+use hc_session::{parse_edits, SessionError, SessionSnapshot, SessionStore, TryGet, TryWatch};
 
 use crate::handlers::{self, ReqCtx};
 use crate::http::{ErrorDetails, HttpError, Request, Response};
@@ -53,6 +55,34 @@ thread_local! {
     /// Set by the attempt loop on *re-runs* of a previously parked watch:
     /// the original deadline. `None` means a first attempt.
     static PARK_DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
+    /// Set by the attempt loop for a read the reactor answers itself: what
+    /// [`SessionStore::try_get`] found, which [`get`] answers instead of
+    /// taking the store's locks.
+    static RESOLVED_READ: Cell<Option<ResolvedRead>> = const { Cell::new(None) };
+}
+
+/// A `GET /session/{id}` the store answered without waiting: the current
+/// version, or `None` for a session that does not exist.
+pub(crate) type ResolvedRead = Option<Arc<SessionSnapshot>>;
+
+/// Resolves a `GET /session/{id}` without waiting, for the reactor to
+/// answer itself. `None` (a write holds the session, or it expired and
+/// must be removed) leaves the read to a worker, which waits.
+pub(crate) fn try_resolve_read(sessions: &SessionStore, req: &Request) -> Option<ResolvedRead> {
+    if req.method != "GET" || crate::router::endpoint_name(req) != "session_id" {
+        return None;
+    }
+    match sessions.try_get(req.path.trim_start_matches("/session/")) {
+        TryGet::Ready(snapshot) => Some(Some(snapshot)),
+        TryGet::Missing | TryGet::Closed => Some(None),
+        TryGet::Expired | TryGet::Busy => None,
+    }
+}
+
+/// Hands [`get`] the read the reactor resolved for the current dispatch
+/// (`None` clears it).
+pub(crate) fn set_resolved_read(read: Option<ResolvedRead>) {
+    RESOLVED_READ.with(|r| r.set(read));
 }
 
 /// Takes the park intent left by [`watch`], if any. The attempt loop calls
@@ -123,9 +153,11 @@ pub fn create(state: &ServerState, req: &Request, ctx: &ReqCtx<'_>) -> Result<Re
 
 /// `GET /session/{id}` — current version and measures.
 pub fn get(sessions: &SessionStore, id: &str) -> Result<Response, HttpError> {
-    let snap = sessions
-        .get(id)
-        .ok_or_else(|| session_error(SessionError::NotFound))?;
+    let snap = match RESOLVED_READ.with(Cell::take) {
+        Some(resolved) => resolved,
+        None => sessions.get(id),
+    }
+    .ok_or_else(|| session_error(SessionError::NotFound))?;
     Ok(document(&snap))
 }
 

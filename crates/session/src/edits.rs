@@ -168,19 +168,19 @@ pub fn parse_edits(
 }
 
 /// Converts one registered-units value to ECS space. ETC is reciprocal speed:
-/// `inf` seconds means "cannot run" (ECS 0), and 0 seconds is rejected
+/// `+inf` seconds means "cannot run" (ECS 0), and 0 seconds is rejected
 /// upstream by [`hc_core::ecs::Ecs::set`] validation via the resulting `inf`.
+/// A negative time maps to a negative speed, which that validation refuses;
+/// `-inf` stays `-inf`, because `1 / -inf` is `-0`, which it would accept.
 pub fn to_ecs_value(value: f64, etc_units: bool) -> f64 {
-    if etc_units {
-        if value.is_infinite() {
-            0.0
-        } else if value == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / value
-        }
-    } else {
+    if !etc_units || value == f64::NEG_INFINITY {
         value
+    } else if value == f64::INFINITY {
+        0.0
+    } else if value == 0.0 {
+        f64::INFINITY
+    } else {
+        1.0 / value
     }
 }
 
@@ -245,5 +245,11 @@ mod tests {
         assert_eq!(to_ecs_value(f64::INFINITY, true), 0.0);
         assert_eq!(to_ecs_value(0.0, true), f64::INFINITY);
         assert_eq!(to_ecs_value(4.0, false), 4.0);
+    }
+
+    #[test]
+    fn negative_etc_times_map_to_negative_speeds() {
+        assert_eq!(to_ecs_value(-4.0, true), -0.25);
+        assert_eq!(to_ecs_value(f64::NEG_INFINITY, true), f64::NEG_INFINITY);
     }
 }

@@ -39,4 +39,4 @@ pub mod store;
 pub use edits::{parse_edits, to_ecs_value, Edit, EditParseError};
 pub use engine::{RecomputeStats, SessionEngine};
 pub use snapshot::SessionSnapshot;
-pub use store::{Delta, SessionConfig, SessionError, SessionStore, TryWatch, WatchWaker};
+pub use store::{Delta, SessionConfig, SessionError, SessionStore, TryGet, TryWatch, WatchWaker};

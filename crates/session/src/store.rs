@@ -11,7 +11,9 @@
 //! * **Reads** clone one `Arc`. Each write publishes the version it made as
 //!   one immutable [`SessionSnapshot`] (its document rendered once, by that
 //!   write), and [`SessionStore::get`] hands out that `Arc`: a read neither
-//!   renders nor copies anything.
+//!   renders nor copies anything. [`SessionStore::try_get`] is the same read
+//!   for a thread that must never wait (the server's event loop): it reports
+//!   a held lock or an expired session instead of waiting or removing it.
 //! * **TTL** is enforced lazily — an expired session found on access is
 //!   removed and reported as not-found — plus a sweep on every create.
 //! * **LRU** eviction kicks in when `max_sessions` is reached: the slot with
@@ -36,7 +38,7 @@ use std::time::{Duration, Instant};
 use hc_core::ecs::Ecs;
 use hc_core::error::MeasureError;
 use hc_linalg::Budget;
-use hc_obs::sync::lock_recover;
+use hc_obs::sync::{lock_recover, try_lock_recover};
 
 use crate::edits::{to_ecs_value, Edit};
 use crate::engine::{RecomputeStats, SessionEngine};
@@ -72,6 +74,22 @@ pub enum TryWatch {
     /// Nothing past the watermark yet; the caller may park a
     /// [`WatchWaker`] via [`SessionStore::add_waker`] and retry when fired.
     NotYet { version: u64 },
+}
+
+/// Outcome of a read that does not wait ([`SessionStore::try_get`]).
+#[derive(Debug, Clone)]
+pub enum TryGet {
+    /// The current version, as its write published it.
+    Ready(Arc<SessionSnapshot>),
+    /// No session has this id.
+    Missing,
+    /// The session was removed while the read held its slot.
+    Closed,
+    /// The session sat idle past its TTL; [`SessionStore::get`] removes it.
+    Expired,
+    /// Another thread holds a lock the read needs, such as a write
+    /// recomputing this session; [`SessionStore::get`] waits for it.
+    Busy,
 }
 
 /// A one-shot callback a parked watcher leaves on a session; fired when the
@@ -238,8 +256,10 @@ impl SessionStore {
         self.boot.elapsed().as_micros() as u64
     }
 
-    fn ttl_micros(&self) -> u64 {
-        self.config.ttl.as_micros() as u64
+    /// True when `slot` has sat idle past the TTL at `now`.
+    fn expired(&self, slot: &SessionSlot, now: u64) -> bool {
+        now.saturating_sub(slot.last_used.load(Ordering::Relaxed))
+            > self.config.ttl.as_micros() as u64
     }
 
     fn next_id(&self) -> String {
@@ -310,7 +330,7 @@ impl SessionStore {
         let slot = shard.get(id)?.clone();
         drop(shard);
         let now = self.now_micros();
-        if now.saturating_sub(slot.last_used.load(Ordering::Relaxed)) > self.ttl_micros() {
+        if self.expired(&slot, now) {
             self.remove_slot(&slot, "session_expired_total");
             return None;
         }
@@ -326,6 +346,32 @@ impl SessionStore {
             return None;
         }
         Some(Arc::clone(&state.current))
+    }
+
+    /// [`SessionStore::get`] for a thread that must not wait: it takes the
+    /// shard and state locks only when they are free, and it leaves an
+    /// expired session for a blocking [`SessionStore::get`] to remove. A
+    /// session a write is recomputing reports [`TryGet::Busy`].
+    pub fn try_get(&self, id: &str) -> TryGet {
+        let slot = match try_lock_recover(&self.shards[shard_of(id)]) {
+            None => return TryGet::Busy,
+            Some(shard) => match shard.get(id) {
+                Some(slot) => Arc::clone(slot),
+                None => return TryGet::Missing,
+            },
+        };
+        let now = self.now_micros();
+        if self.expired(&slot, now) {
+            return TryGet::Expired;
+        }
+        let Some(state) = try_lock_recover(&slot.state) else {
+            return TryGet::Busy;
+        };
+        if state.closed {
+            return TryGet::Closed;
+        }
+        slot.last_used.store(now, Ordering::Relaxed);
+        TryGet::Ready(Arc::clone(&state.current))
     }
 
     /// Applies an edit batch atomically: every edit lands and the recompute
@@ -531,11 +577,10 @@ impl SessionStore {
     /// Drops every session whose idle time exceeds the TTL.
     fn sweep_expired(&self) {
         let now = self.now_micros();
-        let ttl = self.ttl_micros();
         for shard in &self.shards {
             let expired: Vec<Arc<SessionSlot>> = lock_recover(shard)
                 .values()
-                .filter(|s| now.saturating_sub(s.last_used.load(Ordering::Relaxed)) > ttl)
+                .filter(|s| self.expired(s, now))
                 .cloned()
                 .collect();
             for slot in expired {
@@ -690,6 +735,89 @@ mod tests {
         drop(held);
         s.patch(&id, &edit(4.0), None, None).unwrap();
         assert_eq!(s.recycled_reports(), 2);
+    }
+
+    #[test]
+    fn try_get_answers_an_uncontended_slot_with_the_published_version() {
+        let s = store(8, Duration::from_secs(60));
+        let created = s.create(ecs(4, 3), false, None).unwrap();
+        match s.try_get(&created.id) {
+            TryGet::Ready(snap) => assert!(Arc::ptr_eq(&snap, &created)),
+            other => panic!("expected Ready, got {other:?}"),
+        }
+        assert!(matches!(s.try_get("nope"), TryGet::Missing));
+    }
+
+    #[test]
+    fn try_get_reports_a_held_lock_without_waiting() {
+        let s = store(8, Duration::from_secs(60));
+        let id = Arc::clone(&s.create(ecs(4, 3), false, None).unwrap().id);
+        let slot = s.slot(&id).unwrap();
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _state = lock_recover(&slot.state);
+                held.wait();
+                release.wait();
+            });
+            held.wait();
+            let t0 = Instant::now();
+            let got = s.try_get(&id);
+            let waited = t0.elapsed();
+            release.wait();
+            assert!(matches!(got, TryGet::Busy), "{got:?}");
+            assert!(waited < Duration::from_millis(100), "waited {waited:?}");
+        });
+        // A held shard lock is reported the same way.
+        let shard = lock_recover(&s.shards[shard_of(&id)]);
+        assert!(matches!(s.try_get(&id), TryGet::Busy));
+        drop(shard);
+        assert!(matches!(s.try_get(&id), TryGet::Ready(_)));
+    }
+
+    #[test]
+    fn try_get_tells_closed_and_expired_sessions_apart_and_removes_neither() {
+        let s = store(8, Duration::from_millis(20));
+        let closed = Arc::clone(&s.create(ecs(3, 3), false, None).unwrap().id);
+        // A removal that lands between the shard lookup and the state lock.
+        lock_recover(&s.slot(&closed).unwrap().state).closed = true;
+        assert!(matches!(s.try_get(&closed), TryGet::Closed));
+        let idle = Arc::clone(&s.create(ecs(3, 3), false, None).unwrap().id);
+        std::thread::sleep(Duration::from_millis(40));
+        assert!(matches!(s.try_get(&idle), TryGet::Expired));
+        assert_eq!(s.len(), 2, "try_get removes nothing");
+        assert!(s.get(&idle).is_none(), "get removes the expired session");
+        assert!(matches!(s.try_get(&idle), TryGet::Missing));
+    }
+
+    #[test]
+    fn etc_edits_refuse_negative_infinity_like_any_negative_value() {
+        let s = store(8, Duration::from_secs(60));
+        let snap = s.create(ecs(3, 3), true, None).unwrap();
+        for value in [-4.0, f64::NEG_INFINITY] {
+            let edits = [Edit::Cell {
+                task: 0,
+                machine: 0,
+                value,
+            }];
+            match s.patch(&snap.id, &edits, None, None) {
+                Err(SessionError::Measure(MeasureError::InvalidEnvironment { reason })) => {
+                    assert!(reason.contains("finite and nonnegative"), "{reason}")
+                }
+                other => panic!("ETC {value} must be refused, got {other:?}"),
+            }
+        }
+        assert_eq!(s.get(&snap.id).unwrap().version, 1);
+        // `+inf` seconds still means "cannot run".
+        let cannot_run = [Edit::Cell {
+            task: 0,
+            machine: 0,
+            value: f64::INFINITY,
+        }];
+        assert_eq!(
+            s.patch(&snap.id, &cannot_run, None, None).unwrap().version,
+            2
+        );
     }
 
     #[test]

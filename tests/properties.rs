@@ -15,11 +15,16 @@
 //!   their line, and on seeded mutations of valid documents the parser
 //!   never panics, accepts only in-range edits without NaN, names a line
 //!   inside the document in every error, and accepts a canonical
-//!   re-rendering of what it accepted as the same edits, bit for bit.
+//!   re-rendering of what it accepted as the same edits, bit for bit;
+//! * the HTTP request parser: valid requests, alone and pipelined, read back
+//!   the same however the bytes are split across reads, and on seeded
+//!   mutations it never panics, refuses only with a 4xx, buffers no more than
+//!   a header block and a body, and reads the same in every split.
 //!
 //! Properties that draw from one input domain share a `check`; every
 //! failure message starts with the name of the property that failed.
 
+use hc_serve::http::{Request, RequestParser, MAX_HEADER_BYTES};
 use hc_session::{parse_edits, Edit};
 use hetero_measures::core::ecs::{Ecs, Etc};
 use hetero_measures::core::error::MeasureError;
@@ -955,6 +960,269 @@ fn edit_language_survives_mutated_documents() {
                     )?;
                 }
             }
+        }
+        Ok(())
+    });
+}
+
+/// Body cap of the parsers the HTTP property drives: small, so mutated
+/// `Content-Length` digits reach it.
+const HTTP_MAX_BODY: usize = 256;
+
+/// A raw request target, and the path and query it decodes to.
+type HttpTarget = (
+    &'static str,
+    &'static str,
+    &'static [(&'static str, &'static str)],
+);
+
+/// Request targets the HTTP property writes.
+const HTTP_TARGETS: [HttpTarget; 6] = [
+    ("/measure?ecs=1", "/measure", &[("ecs", "1")]),
+    ("/session", "/session", &[]),
+    ("/session/0a1b2c3d", "/session/0a1b2c3d", &[]),
+    ("/session/0a1b2c3d/etc", "/session/0a1b2c3d/etc", &[]),
+    (
+        "/metrics?format=prometheus&x=a%20b+c",
+        "/metrics",
+        &[("format", "prometheus"), ("x", "a b c")],
+    ),
+    ("/healthz?flag", "/healthz", &[("flag", "")]),
+];
+
+/// A valid request: GET, POST or PATCH, HTTP/1.1 or /1.0, with or without
+/// `Content-Length` on a GET, `Connection` absent, `close` or `keep-alive`,
+/// optional `X-Request-Id` and `If-Match`. Returns its bytes and the request
+/// and keep-alive decision the parser must read back.
+fn http_request(rng: &mut StdRng) -> (Vec<u8>, Request, bool) {
+    let method = ["GET", "POST", "PATCH"][rng.gen_range(0..3usize)];
+    let (target, path, query) = HTTP_TARGETS[rng.gen_range(0..HTTP_TARGETS.len())];
+    let http10 = rng.gen_bool(0.2);
+    let mut head = format!(
+        "{method} {target} HTTP/1.{}\r\nHost: x\r\n",
+        u8::from(!http10)
+    );
+    let request_id = rng
+        .gen_bool(0.5)
+        .then(|| format!("r-{}", rng.gen_range(0..1000u64)));
+    if let Some(id) = &request_id {
+        head.push_str(&format!("X-Request-Id: {id}\r\n"));
+    }
+    let if_match = rng.gen_bool(0.3).then(|| rng.gen_range(1..100u64));
+    if let Some(v) = if_match {
+        head.push_str(&format!("If-Match: {v}\r\n"));
+    }
+    let keep_alive = match rng.gen_range(0..3usize) {
+        0 => !http10,
+        1 => {
+            head.push_str("Connection: close\r\n");
+            false
+        }
+        _ => {
+            head.push_str("Connection: keep-alive\r\n");
+            true
+        }
+    };
+    let body: Vec<u8> = if method == "GET" {
+        Vec::new()
+    } else {
+        let len = rng.gen_range(0..48usize);
+        (0..len)
+            .map(|_| b"t1,m2,7.5\r\n"[rng.gen_range(0..11usize)])
+            .collect()
+    };
+    if method != "GET" || rng.gen_bool(0.5) {
+        head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    }
+    head.push_str("\r\n");
+    let mut bytes = head.into_bytes();
+    bytes.extend_from_slice(&body);
+    let request = Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        query: query
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
+        body,
+        request_id,
+        timeout_ms: None,
+        traceparent: None,
+        if_match,
+        malformed_headers: Vec::new(),
+    };
+    (bytes, request, keep_alive)
+}
+
+/// What a parser read from a byte stream: each request and keep-alive
+/// decision as `{:?}` writes them, then the error that ended the stream, or
+/// whether the parser stood idle at its end.
+type HttpReading = (Vec<String>, Option<(u16, String)>, bool);
+
+/// Feeds `bytes` to a fresh parser in chunks ending at `cuts`, polling after
+/// each feed until it needs more bytes. Every poll must return nothing yet,
+/// a request whose body is within the cap, or a 4xx, and between feeds the
+/// parser must buffer no more than a header block and a body.
+fn read_http(bytes: &[u8], cuts: &[usize]) -> Result<HttpReading, String> {
+    let mut parser = RequestParser::new(HTTP_MAX_BODY);
+    let mut requests = Vec::new();
+    let mut from = 0;
+    for &to in cuts.iter().chain(std::iter::once(&bytes.len())) {
+        parser.feed(&bytes[from..to]);
+        from = to;
+        loop {
+            match parser.poll() {
+                Ok(Some(read)) => {
+                    ensure(read.0.body.len() <= HTTP_MAX_BODY, || {
+                        format!("http_bodies_are_capped: {read:?}")
+                    })?;
+                    requests.push(format!("{read:?}"));
+                }
+                Ok(None) => break,
+                Err(e) if (400..500).contains(&e.status) => {
+                    return Ok((requests, Some((e.status, e.message)), false))
+                }
+                Err(e) => return Err(format!("http_errors_are_4xx: {e:?}")),
+            }
+        }
+        let held = parser.buffered();
+        ensure(held <= MAX_HEADER_BYTES + HTTP_MAX_BODY, || {
+            format!("http_parser_memory_is_bounded: {held} bytes buffered")
+        })?;
+    }
+    Ok((requests, None, parser.is_idle()))
+}
+
+/// Up to four seeded cut points in `0..=len`.
+fn http_cuts(rng: &mut StdRng, len: usize) -> Vec<usize> {
+    let mut cuts: Vec<usize> = (0..rng.gen_range(0..5usize))
+        .map(|_| rng.gen_range(0..len + 1))
+        .collect();
+    cuts.sort_unstable();
+    cuts
+}
+
+/// `bytes` with one to three tokens inserted, bytes deleted, or bytes
+/// replaced by tokens, at seeded positions.
+fn mutate_bytes(rng: &mut StdRng, bytes: &[u8], tokens: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for _ in 0..rng.gen_range(1..4usize) {
+        let pos = rng.gen_range(0..out.len() + 1);
+        let token = &tokens[rng.gen_range(0..tokens.len())];
+        let op = rng.gen_range(0..3usize);
+        if op > 0 && pos < out.len() {
+            out.remove(pos);
+        }
+        if op != 1 {
+            out.splice(pos..pos, token.iter().copied());
+        }
+    }
+    out
+}
+
+/// Each of seven broken parsers tried in a scratch copy fails this property:
+/// a header limit checked only while the terminator is missing, no body
+/// cap, a terminator left half in the buffer, a panic on an unparsable
+/// `Content-Length`, a 500 for it, duplicate `Content-Length`s summed, and
+/// a head that is not UTF-8 read lossily.
+#[test]
+fn http_parser_survives_mutated_requests() {
+    let mut tokens: Vec<Vec<u8>> = [
+        &b"\r"[..],
+        b"\n",
+        b"\r\n",
+        b"\r\n\r\n",
+        b":",
+        b" ",
+        b"\0",
+        b"\xff",
+        b"\xc3\x28",
+        b"0",
+        b"9",
+        b"+",
+        b"-",
+        b"Content-Length: 7\r\n",
+        b"Transfer-Encoding: chunked\r\n",
+    ]
+    .iter()
+    .map(|t| t.to_vec())
+    .collect();
+    tokens.push(format!("X-Pad: {}\r\n", "a".repeat(MAX_HEADER_BYTES)).into_bytes());
+    check("http_parser_survives_mutated_requests", |rng| {
+        let (mut bytes, first, keep) = http_request(rng);
+        let mut want = vec![format!("{:?}", (first, keep))];
+        if rng.gen_bool(0.3) {
+            let (more, second, keep) = http_request(rng);
+            bytes.extend_from_slice(&more);
+            want.push(format!("{:?}", (second, keep)));
+        }
+        let shown = String::from_utf8_lossy(&bytes).into_owned();
+        let whole = read_http(&bytes, &[])?;
+        ensure(whole == (want, None, true), || {
+            format!("http_requests_parse: {shown:?}: {whole:?}")
+        })?;
+        // A last `Content-Length` past the cap, and a byte that is not
+        // UTF-8 in the request line, refuse the first request.
+        let head_end = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap_or(0);
+        let long = format!("\r\nContent-Length: {}", HTTP_MAX_BODY + 1);
+        let space = bytes.iter().position(|&b| b == b' ').unwrap_or(0);
+        for (at, insert, status, message) in [
+            (
+                head_end,
+                long.as_bytes(),
+                413,
+                format!(
+                    "body of {} bytes exceeds limit of {HTTP_MAX_BODY}",
+                    HTTP_MAX_BODY + 1
+                ),
+            ),
+            (
+                space + 1,
+                &b"\xff"[..],
+                400,
+                "headers are not valid UTF-8".to_string(),
+            ),
+        ] {
+            let mut refused = bytes.clone();
+            refused.splice(at..at, insert.iter().copied());
+            let read = read_http(&refused, &[])?;
+            ensure(
+                read == (Vec::new(), Some((status, message.clone())), false),
+                || {
+                    let shown = String::from_utf8_lossy(&refused);
+                    format!(
+                        "http_requests_are_refused: {shown:?}: {read:?}, want {status} {message}"
+                    )
+                },
+            )?;
+        }
+        let every_byte: Vec<usize> = (1..bytes.len()).collect();
+        for cuts in [
+            every_byte,
+            http_cuts(rng, bytes.len()),
+            http_cuts(rng, bytes.len()),
+        ] {
+            let split = read_http(&bytes, &cuts)?;
+            ensure(split == whole, || {
+                format!("http_splits_parse_alike: {shown:?} cut at {cuts:?}: {split:?}")
+            })?;
+        }
+        for _ in 0..8 {
+            let mutated = mutate_bytes(rng, &bytes, &tokens);
+            let shown = String::from_utf8_lossy(&mutated).into_owned();
+            let read = |cuts: &[usize]| {
+                std::panic::catch_unwind(|| read_http(&mutated, cuts))
+                    .map_err(|_| format!("http_parser_never_panics: {shown:?} cut at {cuts:?}"))?
+                    .map_err(|e| format!("{e}: {shown:?} cut at {cuts:?}"))
+            };
+            let whole = read(&[])?;
+            let cuts = http_cuts(rng, mutated.len());
+            let split = read(&cuts)?;
+            ensure(split == whole, || {
+                format!(
+                    "http_splits_parse_alike: {shown:?} cut at {cuts:?}: {split:?} vs {whole:?}"
+                )
+            })?;
         }
         Ok(())
     });
