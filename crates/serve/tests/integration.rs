@@ -3,6 +3,7 @@
 //! observable via `/metrics`, load shedding under a burst, batch fan-out, and
 //! graceful shutdown.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -361,6 +362,192 @@ fn metrics_merge_library_registry_and_report_build_info() {
     assert!(hz.contains("\"build\":{\"version\":"), "{hz}");
     assert!(hz.contains(&frame), "{hz}");
     assert!(hz.contains("\"requests_in_flight\":"), "{hz}");
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// Every endpoint's request count, read from the `endpoints` object of the
+/// JSON `/metrics` document (the scrape itself is counted after it renders).
+fn endpoint_counts(addr: SocketAddr) -> BTreeMap<String, u64> {
+    let (status, _h, doc) = get(addr, "/metrics");
+    assert_eq!(status, 200, "{doc}");
+    let start = doc.find("\"endpoints\":{").expect("endpoints object") + "\"endpoints\":".len();
+    let mut depth = 0;
+    let len = doc[start..]
+        .find(|c| {
+            match c {
+                '{' => depth += 1,
+                '}' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        })
+        .expect("endpoints object closes");
+    let endpoints = &doc[start..=start + len];
+    let mut counts = BTreeMap::new();
+    for (at, marker) in endpoints.match_indices("\":{\"count\":") {
+        let key = &endpoints[endpoints[..at].rfind('"').expect("key opens") + 1..at];
+        let count: String = endpoints[at + marker.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        counts.insert(key.to_string(), count.parse().expect("numeric count"));
+    }
+    counts
+}
+
+/// Routing, pinned per request: every endpoint path, and `/session/`,
+/// `/session/x/etc`, `/session/x/watch`, `/debug/requests/x` and an unknown
+/// path, each with its own method and with a wrong one. For each answer: its
+/// status, its body if it is a 404 or 405, whether it says
+/// `Cache-Control: no-store`, and the one `/metrics` endpoint that counted
+/// it. `GET /debug/profile`'s status depends on the process-wide profiler,
+/// so only its routing is checked; `/quitquitquit` would end the server.
+#[test]
+fn routing_is_pinned_per_endpoint_and_method() {
+    const NO_STORE: [&str; 10] = [
+        "metrics",
+        "healthz",
+        "debug_requests",
+        "debug_request",
+        "debug_profile",
+        "debug_timeseries",
+        "session",
+        "session_id",
+        "session_etc",
+        "session_watch",
+    ];
+    let handle = start(test_config()).expect("start server");
+    let addr = handle.local_addr();
+    // `spec` is `METHOD TARGET STATUS ENDPOINT`; a STATUS of `-` is not checked.
+    let check = |spec: &str, body: &str, error: &str| {
+        let [method, target, status, endpoint] = spec.split(' ').collect::<Vec<_>>()[..] else {
+            panic!("bad case {spec:?}");
+        };
+        let before = endpoint_counts(addr);
+        let (got, head, got_body) = raw_request(addr, method, target, body);
+        let mut after = endpoint_counts(addr);
+        let case = format!("{spec}: {head}\n{got_body}");
+        if status != "-" {
+            assert_eq!(got.to_string(), status, "{case}");
+            if matches!(got, 404 | 405) {
+                assert_eq!(got_body, error, "{case}");
+            }
+        }
+        let no_store = head.contains("\r\nCache-Control: no-store");
+        assert_eq!(no_store, NO_STORE.contains(&endpoint), "{case}");
+        // The `before` scrape is counted once it has rendered.
+        *after.get_mut("metrics").expect("metrics counted") -= 1;
+        let moved: Vec<(&str, u64)> = after
+            .iter()
+            .map(|(key, n)| (key.as_str(), n - before.get(key).copied().unwrap_or(0)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        assert_eq!(moved, [(endpoint, 1)], "{case}");
+        got_body
+    };
+    let m = matrix(0);
+    let not_found = r#"{"error":"no such session (unknown id, expired, or deleted)","code":"session_not_found"}"#;
+
+    check("POST /measure 200 measure", &m, "");
+    check(
+        "GET /measure 405 measure",
+        "",
+        r#"{"error":"/measure requires POST"}"#,
+    );
+    check("POST /structure 200 structure", &m, "");
+    check(
+        "GET /structure 405 structure",
+        "",
+        r#"{"error":"/structure requires POST"}"#,
+    );
+    check(
+        "POST /generate?mode=range&tasks=2&machines=2 200 generate",
+        "",
+        "",
+    );
+    check(
+        "GET /generate 405 generate",
+        "",
+        r#"{"error":"/generate requires POST"}"#,
+    );
+    check("POST /schedule?heuristic=min-min 200 schedule", &m, "");
+    check(
+        "GET /schedule 405 schedule",
+        "",
+        r#"{"error":"/schedule requires POST"}"#,
+    );
+    check("POST /batch 200 batch", &m, "");
+    check(
+        "GET /batch 405 batch",
+        "",
+        r#"{"error":"/batch requires POST"}"#,
+    );
+
+    let created = check("POST /session 200 session", &m, "");
+    let id = created
+        .split("\"id\":\"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next())
+        .expect("session id");
+    check(
+        "GET /session 405 session",
+        "",
+        r#"{"error":"/session requires POST"}"#,
+    );
+    check(&format!("GET /session/{id} 200 session_id"), "", "");
+    let refused = r#"{"error":"/session/x requires GET or DELETE"}"#;
+    check("PATCH /session/x 405 session_id", "", refused);
+    check("GET /session/ 404 session_id", "", not_found);
+    let refused = r#"{"error":"/session/ requires GET or DELETE"}"#;
+    check("POST /session/ 405 session_id", "", refused);
+    let edit = "cell,t1,m1,2.5\n";
+    check(
+        &format!("PATCH /session/{id}/etc 200 session_etc"),
+        edit,
+        "",
+    );
+    check("PATCH /session/x/etc 404 session_etc", edit, not_found);
+    let refused = r#"{"error":"/session/x/etc requires PATCH"}"#;
+    check("GET /session/x/etc 405 session_etc", "", refused);
+    check(
+        &format!("GET /session/{id}/watch?version=1 200 session_watch"),
+        "",
+        "",
+    );
+    check("GET /session/x/watch 404 session_watch", "", not_found);
+    let refused = r#"{"error":"/session/x/watch requires GET"}"#;
+    check("POST /session/x/watch 405 session_watch", "", refused);
+    check(&format!("DELETE /session/{id} 200 session_id"), "", "");
+
+    check("GET /metrics 200 metrics", "", "");
+    check("GET /metrics?format=prometheus 200 metrics", "", "");
+    check(
+        "POST /metrics 405 metrics",
+        "",
+        r#"{"error":"/metrics requires GET"}"#,
+    );
+    check("GET /healthz 200 healthz", "", "");
+    check("POST /healthz 200 healthz", "", "");
+    check("GET /debug/requests 200 debug_requests", "", "");
+    let refused = r#"{"error":"/debug/requests requires GET"}"#;
+    check("POST /debug/requests 405 debug_requests", "", refused);
+    let unrecorded = r#"{"error":"request x is not in the flight recorder","code":"not_recorded"}"#;
+    check("GET /debug/requests/x 404 debug_request", "", unrecorded);
+    let refused = r#"{"error":"/debug/requests/x requires GET"}"#;
+    check("POST /debug/requests/x 405 debug_request", "", refused);
+    check("GET /debug/profile - debug_profile", "", "");
+    let refused = r#"{"error":"/debug/profile requires GET"}"#;
+    check("POST /debug/profile 405 debug_profile", "", refused);
+    check("GET /debug/timeseries 200 debug_timeseries", "", "");
+    let refused = r#"{"error":"/debug/timeseries requires GET"}"#;
+    check("POST /debug/timeseries 405 debug_timeseries", "", refused);
+    check("GET /sleepz?ms=0 200 sleepz", "", "");
+    check("POST /sleepz?ms=0 200 sleepz", "", "");
+    let unknown = r#"{"error":"no such endpoint /nope"}"#;
+    check("GET /nope 404 other", "", unknown);
+    check("POST /nope 404 other", "", unknown);
 
     handle.shutdown();
     handle.join();
