@@ -145,7 +145,7 @@ fn session_fixture(t: usize, m: usize) -> (SessionStore, Arc<str>) {
 
 /// One warm session read: what `GET /session/{id}` does below the router.
 fn read_session(store: &SessionStore, id: &str) {
-    let resp = hc_serve::session::get(store, id).expect("fixture session is live");
+    let resp = hc_serve::session::get(store, id, None).expect("fixture session is live");
     assert!(!resp.body.is_empty());
 }
 

@@ -443,6 +443,8 @@ pub(crate) struct ReqTask {
     /// The request. `request_id` and `traceparent` are written back on the
     /// first attempt so re-runs of a parked watch keep the same identity.
     pub request: Request,
+    /// The request's route, decided once from its path at dispatch.
+    pub route: &'static router::Route,
     /// When this request began on the connection: accept for the first
     /// request, first byte of the next request for keep-alive reuse. The
     /// latency/SLO/deadline clock.
@@ -487,7 +489,8 @@ pub(crate) fn run_attempt(st: &Arc<ServerState>, task: &mut ReqTask) -> AttemptO
     // Phase clock: queue = dispatch → worker pickup, parse = request arrival
     // + parsing on the reactor, compute = routing + handler, serialize =
     // response assembly. Goes out as `Server-Timing` and into the recorder.
-    let queue_us = if task.read.is_some() {
+    let read = task.read.take();
+    let queue_us = if read.is_some() {
         0
     } else {
         let queue_us = task.dispatched.elapsed().as_micros() as u64;
@@ -512,7 +515,8 @@ pub(crate) fn run_attempt(st: &Arc<ServerState>, task: &mut ReqTask) -> AttemptO
     let recording = st
         .recorder
         .begin(&id, &task.request.method, &task.request.path, &trace);
-    if task.park_deadline.is_none() {
+    let resumed = task.park_deadline;
+    if resumed.is_none() {
         warn_malformed_headers(&id, &task.request.malformed_headers);
     }
     // Why this request was (not) shed: class and ladder rung at admission,
@@ -526,39 +530,27 @@ pub(crate) fn run_attempt(st: &Arc<ServerState>, task: &mut ReqTask) -> AttemptO
     // this request a 500, not the worker its life or later requests their
     // poisoned locks.
     let compute_start = Instant::now();
-    crate::session::set_park_deadline(task.park_deadline);
-    crate::session::set_resolved_read(task.read.take());
-    let request = &task.request;
+    let (request, route) = (&task.request, task.route);
     let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        router::route(st, request, started, &id)
+        router::route(st, request, route, started, &id, resumed, read)
     }));
-    crate::session::set_park_deadline(None);
-    crate::session::set_resolved_read(None);
     let compute_us = compute_start.elapsed().as_micros() as u64;
-    // Taken unconditionally: a stale intent must never leak into the next
-    // job this pooled worker thread runs.
-    let intent = crate::session::take_park_intent();
-    if routed.is_ok() {
-        if let Some(intent) = intent {
-            // The placeholder response never reaches the client; dropping
-            // the recording abandons it without an outcome.
-            drop(recording);
-            return AttemptOutcome::Park(intent);
-        }
-    }
-    let panicked = routed.is_err();
-    let resp = match routed {
-        Ok(resp) => resp,
+    let (resp, panicked) = match routed {
+        Ok(AttemptOutcome::Respond(resp)) => (resp, false),
+        // Nothing reached the client: dropping the recording abandons it
+        // without an outcome.
+        Ok(park) => return park,
         Err(_) => {
             st.faults.panics.fetch_add(1, Ordering::Relaxed);
             st.metrics
                 .record("_panic", true, false, started.elapsed(), Duration::ZERO);
-            crate::http::HttpError::typed(
+            let resp = crate::http::HttpError::typed(
                 500,
                 "internal_panic",
                 format!("internal panic while handling request {id}"),
             )
-            .to_response()
+            .to_response();
+            (resp, true)
         }
     };
     let serialize_start = Instant::now();
