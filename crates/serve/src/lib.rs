@@ -53,8 +53,8 @@
 //! * [`metrics`] — per-endpoint counters and log₂ latency histograms,
 //!   rendered by `GET /metrics` with [`hc_obs::json`]'s writer, the one
 //!   every document uses ([`json`] keeps only the measure body).
-//! * [`handlers`] / [`router`] / [`server`] — pure endpoint logic, then
-//!   dispatch + caching + batching, then sockets and lifecycle.
+//! * [`handlers`] / [`router`] / [`server`] — pure endpoint logic, then the
+//!   route table, dispatch, caching and batching, then sockets and lifecycle.
 //! * [`signal`] — SIGINT/SIGTERM → atomic flag → graceful drain.
 //!
 //! Fault containment (DESIGN.md §10): every job runs under
