@@ -532,7 +532,8 @@ fn main() {
 
     // Profiler-overhead lane: the same warm 512×512 characterize with the
     // sampling profiler stopped vs running at the default 99 Hz. The delta is
-    // the cost of seqlock frame pushes on every span plus sampler contention;
+    // the cost of a clock read and a seqlock frame push or pop on every span
+    // open and close, plus the crediting of samples at tick crossings;
     // reported, not gated (tests/overhead.rs gates the budget at <3%).
     let profiler_overhead = {
         const SIZE: usize = 512;
@@ -550,8 +551,8 @@ fn main() {
         };
         timed(&mut an); // warm-up, not recorded
         let (mut off, mut on) = (Vec::new(), Vec::new());
-        // Interleaved for the same reason as the deadline lane; the sampler
-        // thread is started/stopped outside the timed regions.
+        // Interleaved for the same reason as the deadline lane; the profiler
+        // is started/stopped outside the timed regions.
         for _ in 0..3 {
             assert!(!hc_obs::profile::running(), "profiler must start stopped");
             off.push(timed(&mut an));

@@ -23,10 +23,12 @@
 //! * [`prom`] — Prometheus text exposition (format 0.0.4) over the metrics
 //!   registry: counters, gauges, and log₂ histograms as cumulative
 //!   `_bucket{le=...}` series.
-//! * [`profile`] — an always-on continuous sampling profiler: a sampler
-//!   thread snapshots every registered thread's live span stack through a
-//!   lock-free seqlock path and folds the samples into epoch ring buffers,
-//!   rendered as collapsed-stack text or a JSON top table.
+//! * [`profile`] — an always-on continuous sampling profiler with no
+//!   sampler thread: samples sit on a `k/hz` tick grid, and each thread
+//!   credits the ticks its span stack held when a span opens or closes (a
+//!   query credits every open stack up to now), through a lock-free seqlock
+//!   path, into epoch ring buffers rendered as collapsed-stack text or a
+//!   JSON top table.
 //! * [`slo`] — rolling multi-window availability/latency objectives with
 //!   Google-SRE fast/slow burn-rate alerting, feeding `/metrics` and the
 //!   `degraded` state on `/healthz`.

@@ -5,17 +5,21 @@
 //! clock. Each thread keeps its own stack of open span names, so parent and
 //! depth are tracked without any cross-thread synchronization.
 //!
-//! When no sink is installed and no flight record is active on the thread,
-//! [`span`] returns a disarmed guard without touching the thread-local stack
-//! or reading the clock: the total cost is two relaxed atomic loads (sink
-//! level + profiler gate) plus one thread-local flag read, which is what
+//! When no sink is installed, no flight record is active on the thread and
+//! the profiler is stopped, [`span`] returns a disarmed guard without
+//! touching the thread-local stack or reading the clock: the total cost is
+//! two relaxed atomic loads (sink level + profiler gate) plus one
+//! thread-local flag read, which is what
 //! keeps always-on instrumentation in the numeric hot paths affordable (see
 //! DESIGN.md §8, §11, and §13 for budgets).
 //!
 //! Every span — armed or not — additionally mirrors itself onto the
-//! continuous profiler's per-thread frame stack when the sampler is running
-//! (see [`crate::profile`]); that path is a seqlock'd pair of atomic stores
-//! and never blocks.
+//! continuous profiler's per-thread frame stack while the profiler runs
+//! (see [`crate::profile`]). That path reads the clock once per open and
+//! once per close, the same reads an armed span times itself with, and does
+//! a seqlock'd pair of atomic stores; when the change crosses one of the
+//! profiler's ticks it also credits the samples since the thread's last
+//! change to the stack it held. It never waits on a query.
 //!
 //! Armed spans fan out twice on drop: to the installed sinks (if any) and to
 //! the current thread's active flight record (if any) — so the recorder
@@ -50,12 +54,14 @@ pub struct SpanGuard {
 
 /// Opens a span named `name` on the current thread.
 ///
-/// If no sink is installed and no flight record is active (the common case),
-/// this is a no-op guard: no allocation, no clock read, no span-stack access.
-/// When the continuous profiler is sampling, the span is also mirrored onto
-/// the per-thread profile frame stack regardless of arming.
+/// If no sink is installed, no flight record is active and the profiler is
+/// stopped (the common case), this is a no-op guard: no allocation, no clock
+/// read, no span-stack access. While the continuous profiler runs, the span
+/// is also mirrored onto the per-thread profile frame stack regardless of
+/// arming.
 pub fn span(name: &'static str) -> SpanGuard {
-    let profiled = crate::profile::frame_push(name);
+    let pushed = crate::profile::frame_push(name);
+    let profiled = pushed.is_some();
     if !sink::enabled(Level::Info) && !recorder::recording() {
         return SpanGuard {
             name,
@@ -76,7 +82,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     });
     SpanGuard {
         name,
-        start: Some(Instant::now()),
+        start: Some(pushed.unwrap_or_else(Instant::now)),
         depth,
         parent,
         fields: Vec::new(),
@@ -132,8 +138,12 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
+        if !self.profiled && !self.armed {
+            return;
+        }
+        let now = Instant::now();
         if self.profiled {
-            crate::profile::frame_pop();
+            crate::profile::frame_pop(now);
         }
         if !self.armed {
             return;
@@ -141,7 +151,9 @@ impl Drop for SpanGuard {
         STACK.with(|s| {
             s.borrow_mut().pop();
         });
-        let dur_us = self.start.map(|t| t.elapsed().as_micros() as u64);
+        let dur_us = self
+            .start
+            .map(|t| now.saturating_duration_since(t).as_micros() as u64);
         let record = Record {
             kind: RecordKind::Span,
             level: Level::Info,

@@ -1,8 +1,9 @@
 //! Edge-case tests for the continuous profiler: thread churn races, empty
-//! stacks, and unwinding requests. The profiler is process-global (one
-//! sampler, one store), and each file under `tests/` is its own process, so
-//! this binary owns it outright — tests still serialize on a mutex because
-//! the harness runs them on multiple threads.
+//! stacks, unwinding requests, and the absence of a sampler thread. The
+//! profiler is process-global (one tick grid, one store), and each file
+//! under `tests/` is its own process, so this binary owns it outright —
+//! tests still serialize on a mutex because the harness runs them on
+//! multiple threads.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -14,20 +15,31 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Threads that register, push spans, and exit in a tight loop while the
-/// sampler runs must never panic or deadlock, and the registry must prune
-/// dead threads rather than grow without bound.
+/// profiler runs and a query credits their open stacks must never panic or
+/// deadlock, and the registry must prune dead threads rather than grow
+/// without bound.
 #[test]
-fn sampler_survives_thread_churn() {
+fn profiler_survives_thread_churn() {
     let _guard = serial();
     hc_obs::profile::reset_store();
     assert!(hc_obs::profile::start(997));
 
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let query = {
+        let done = std::sync::Arc::clone(&done);
+        std::thread::spawn(move || {
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                hc_obs::profile::render_folded(None);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
     for round in 0..8 {
         let workers: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(move || {
                     // Register with the profiler, hold nested spans briefly,
-                    // then exit — racing the sampler's snapshot walk.
+                    // then exit — racing the query's snapshot walk.
                     let _outer = hc_obs::span("profile.test.churn.outer");
                     {
                         let _inner = hc_obs::span("profile.test.churn.inner");
@@ -40,11 +52,16 @@ fn sampler_survives_thread_churn() {
             w.join().expect("churn worker exits cleanly");
         }
     }
-    // Give the sampler a few more ticks so its registry retain() runs after
-    // every churn thread has died.
-    std::thread::sleep(Duration::from_millis(30));
+    done.store(true, std::sync::atomic::Ordering::Relaxed);
+    query.join().expect("query thread exits cleanly");
+    // One more query after every churn thread has died prunes the registry.
+    let folded = hc_obs::profile::render_folded(None);
     hc_obs::profile::stop();
     assert!(!hc_obs::profile::running());
+    assert!(
+        folded.contains("profile.test.churn.outer;profile.test.churn.inner"),
+        "{folded}"
+    );
 }
 
 /// A registered thread holding no spans contributes idle ticks, not samples:
@@ -56,7 +73,7 @@ fn empty_stacks_produce_no_frames() {
     assert!(hc_obs::profile::start(997));
     {
         // Register this thread by opening and immediately closing a span,
-        // then sit idle long enough for several sampler ticks.
+        // then sit idle long enough for several ticks.
         drop(hc_obs::span("profile.test.idle.register"));
         std::thread::sleep(Duration::from_millis(40));
     }
@@ -121,4 +138,25 @@ fn zero_hz_disables_and_restart_works() {
     assert_eq!(hc_obs::profile::hz(), 251);
     hc_obs::profile::stop();
     assert!(!hc_obs::profile::running());
+}
+
+/// `start` spawns no thread: each thread samples its own stack at its span
+/// boundaries, so no `hc-profile-sampler` thread runs beside the profiler.
+#[test]
+fn start_spawns_no_sampler_thread() {
+    let _guard = serial();
+    assert!(hc_obs::profile::start(997));
+    drop(hc_obs::span("profile.test.no_sampler"));
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .collect();
+    hc_obs::profile::stop();
+    assert!(!names.is_empty());
+    // `comm` holds at most 15 bytes: "hc-profile-samp".
+    assert!(
+        !names.iter().any(|n| n.starts_with("hc-profile-samp")),
+        "threads: {names:?}"
+    );
 }

@@ -14,7 +14,7 @@
 //! The same argument gates the flight recorder (DESIGN.md §11): its armed
 //! per-capture cost, times the hard per-request capture cap, must also stay
 //! under 2% of a `characterize` run — and the continuous profiler
-//! (DESIGN.md §13): with the sampler running at the default rate, the
+//! (DESIGN.md §13): with the profiler running at the default rate, the
 //! per-span frame push/pop cost times a generous span-site estimate must
 //! stay under 3%.
 
@@ -26,9 +26,9 @@ use hetero_measures::core::standard::TmaOptions;
 use hetero_measures::core::weights::Weights;
 use hetero_measures::prelude::*;
 
-/// Timing tests must not share the process: the profiler test arms a global
-/// sampler that would tax every span, and parallel timing runs steal cycles
-/// from each other.
+/// Timing tests must not share the process: the profiler test starts a
+/// global profiler that would tax every span, and parallel timing runs steal
+/// cycles from each other.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -246,8 +246,8 @@ fn tsdb_collector_tick_stays_under_two_percent_of_a_second() {
 }
 
 /// Median per-span cost of the profiler's *armed* path, in nanoseconds: one
-/// seqlock frame push + pop per span open/close, measured with the sampler
-/// thread live so its snapshot traffic contends like production.
+/// clock read and one seqlock frame push or pop per span open and close,
+/// plus the crediting of the samples whenever a change crosses a tick.
 fn profiled_span_ns() -> f64 {
     const OPS: u32 = 20_000;
     let mut samples: Vec<u128> = (0..7)
@@ -263,12 +263,12 @@ fn profiled_span_ns() -> f64 {
     samples[samples.len() / 2] as f64 / f64::from(OPS)
 }
 
-/// The continuous profiler's budget (DESIGN.md §13): with the sampler running
-/// at the default 99 Hz, the per-span frame bookkeeping times a generous
-/// over-estimate of span sites per `characterize` run must cost less than 3%
-/// of the run. The sampler thread itself walks a handful of fixed-size
-/// snapshots per tick off the request path, so the span-side cost is the
-/// budget that scales with work.
+/// The continuous profiler's budget (DESIGN.md §13): with the profiler
+/// running at the default 99 Hz, the per-span frame bookkeeping times a
+/// generous over-estimate of span sites per `characterize` run must cost
+/// less than 3% of the run. There is no sampler thread: each span's two
+/// clock reads and its crediting at tick crossings are the whole cost, and
+/// it scales with work.
 #[test]
 fn profiler_overhead_stays_under_three_percent_budget() {
     let _serial = serial();
