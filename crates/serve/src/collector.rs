@@ -19,10 +19,11 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use hc_obs::json::{self, Array};
 use hc_obs::metrics::{quantile_upper, BUCKETS};
+use hc_obs::sync::lock_recover;
 use hc_obs::tsdb::{Kind, QueryResult, Tsdb};
 
 use crate::http::{HttpError, Request, Response};
@@ -31,9 +32,6 @@ use crate::server::ServerState;
 
 /// Collection cadence: one sample per second, matching the finest tier.
 const COLLECT_PERIOD: Duration = Duration::from_secs(1);
-
-/// Shutdown poll granularity inside the collection sleep.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(250);
 
 /// Default query window when `window` is absent (seconds).
 const DEFAULT_WINDOW_S: u64 = 300;
@@ -49,26 +47,38 @@ pub(crate) fn unix_now_s() -> u64 {
         .unwrap_or(0)
 }
 
-/// Spawns the collector thread (named `hc-serve-tsdb`). The thread samples
-/// immediately, then once per [`COLLECT_PERIOD`], and exits when the server's
-/// shutdown flag rises (checked every [`SHUTDOWN_POLL`]).
+/// Spawns the collector thread (named `hc-serve-tsdb`) and records it in
+/// `state` so teardown can wake it and [`crate::ServerHandle::join`] can
+/// join it. The thread samples immediately, then
+/// sleeps one [`COLLECT_PERIOD`] between samples, and exits when the
+/// server's shutdown flag rises: [`ServerState::stop_collector`] raises it
+/// and unparks the thread, ending its sleep early.
 pub(crate) fn spawn(state: Arc<ServerState>) {
-    let _ = std::thread::Builder::new()
+    let spawned = std::thread::Builder::new()
         .name("hc-serve-tsdb".to_string())
-        .spawn(move || {
-            let mut collector = Collector::default();
-            loop {
-                collector.collect(&state, unix_now_s());
-                let mut slept = Duration::ZERO;
-                while slept < COLLECT_PERIOD {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        return;
+        .spawn({
+            let state = Arc::clone(&state);
+            move || {
+                let mut collector = Collector::default();
+                loop {
+                    collector.collect(&state, unix_now_s());
+                    let wake = Instant::now() + COLLECT_PERIOD;
+                    loop {
+                        if state.shutdown.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        let now = Instant::now();
+                        if now >= wake {
+                            break;
+                        }
+                        std::thread::park_timeout(wake - now);
                     }
-                    std::thread::sleep(SHUTDOWN_POLL);
-                    slept += SHUTDOWN_POLL;
                 }
             }
         });
+    if let Ok(handle) = spawned {
+        *lock_recover(&state.collector) = Some(handle);
+    }
 }
 
 /// One stateless collection pass, for tests that cannot wait out the 1 Hz

@@ -208,7 +208,8 @@ enum WriteStep {
 }
 
 /// Runs the reactor until shutdown; owns teardown (session drain, pool
-/// shutdown) even when reactor construction itself fails.
+/// shutdown, the tsdb collector's exit) even when reactor construction
+/// itself fails.
 pub fn run(listener: TcpListener, state: Arc<ServerState>) {
     match Reactor::new(listener, Arc::clone(&state)) {
         Ok(mut reactor) => reactor.event_loop(),
@@ -218,6 +219,7 @@ pub fn run(listener: TcpListener, state: Arc<ServerState>) {
             state.pool.shutdown();
         }
     }
+    state.stop_collector();
 }
 
 struct Reactor {

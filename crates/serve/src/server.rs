@@ -12,11 +12,12 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use hc_obs::recorder::{FlightRecorder, Outcome, PhaseTimings};
+use hc_obs::sync::lock_recover;
 use hc_obs::trace::TraceContext;
 
 use crate::cache::ShardedCache;
@@ -221,6 +222,21 @@ pub struct ServerState {
     /// `hcm top`; `None` with `--tsdb-off`. Fed once per second by the
     /// collector thread (see [`crate::collector`]).
     pub tsdb: Option<Arc<hc_obs::tsdb::Tsdb>>,
+    /// The collector thread: unparked at teardown to end its sleep, joined
+    /// by [`ServerHandle::join`].
+    pub(crate) collector: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl ServerState {
+    /// Raises the shutdown flag and wakes the tsdb collector, which exits
+    /// instead of finishing its one-second sleep. The reactor calls this as
+    /// it tears down, on every shutdown path.
+    pub(crate) fn stop_collector(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(collector) = lock_recover(&self.collector).as_ref() {
+            collector.thread().unpark();
+        }
+    }
 }
 
 /// A running server; dropping it does NOT stop the server — call
@@ -247,10 +263,15 @@ impl ServerHandle {
         self.state.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Waits for the accept loop (and therefore the drained pool) to finish.
+    /// Waits for the accept loop (and therefore the drained pool) and the
+    /// tsdb collector to finish.
     pub fn join(mut self) {
         if let Some(handle) = self.accept_thread.take() {
             handle.join().expect("accept thread panicked");
+        }
+        let collector = lock_recover(&self.state.collector).take();
+        if let Some(handle) = collector {
+            handle.join().expect("tsdb collector panicked");
         }
     }
 }
@@ -319,15 +340,21 @@ pub fn start(config: Config) -> Result<ServerHandle, String> {
         in_flight: AtomicI64::new(0),
         faults: FaultCounters::default(),
         conns: ConnCounters::default(),
+        collector: Mutex::new(None),
     });
+    // The collector starts first, so the reactor's teardown always finds it
+    // to wake.
+    if state.tsdb.is_some() {
+        crate::collector::spawn(Arc::clone(&state));
+    }
     let accept_state = Arc::clone(&state);
     let accept_thread = std::thread::Builder::new()
         .name("hc-serve-accept".to_string())
         .spawn(move || crate::reactor::run(listener, accept_state))
-        .map_err(|e| format!("spawn accept thread: {e}"))?;
-    if state.tsdb.is_some() {
-        crate::collector::spawn(Arc::clone(&state));
-    }
+        .map_err(|e| {
+            state.stop_collector();
+            format!("spawn accept thread: {e}")
+        })?;
 
     Ok(ServerHandle {
         local_addr,

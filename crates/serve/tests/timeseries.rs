@@ -8,7 +8,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hc_serve::{start, Config};
 
@@ -269,6 +269,33 @@ fn tsdb_off_disables_the_endpoint() {
     assert!(body.contains("tsdb_disabled"), "{body}");
     handle.shutdown();
     handle.join();
+}
+
+/// The collector sleeps a whole second between samples and teardown wakes
+/// it: a server asked to stop while its collector sleeps joins, collector
+/// included, well inside that second, whether `shutdown` or
+/// `/quitquitquit` asked.
+#[test]
+fn teardown_wakes_the_sleeping_collector() {
+    for quit in [false, true] {
+        let handle = start(test_config()).expect("start server");
+        let addr = handle.local_addr();
+        // The collector samples at once, then sleeps.
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        if quit {
+            let (status, _head, body) = get(addr, "/quitquitquit");
+            assert_eq!(status, 200, "{body}");
+        } else {
+            handle.shutdown();
+        }
+        handle.join();
+        let took = asked.elapsed();
+        assert!(
+            took < Duration::from_millis(700),
+            "quit {quit}: took {took:?}"
+        );
+    }
 }
 
 /// Exemplar join under a 50-request flood: the Prometheus exposition of the
