@@ -507,7 +507,10 @@ fn parse_head(raw: &[u8], max_body: usize) -> Result<PendingHead, HttpError> {
     };
     // Framing (RFC 9112 §6.3): the body is `Content-Length` bytes, so any
     // `Transfer-Encoding`, or lengths that differ, leave it ambiguous and are
-    // refused; a length past the cap answers 413 whatever else is there.
+    // refused; a length past the cap answers 413 whatever else is there. A
+    // field line a proxy may read differently is refused the same way:
+    // whitespace before its colon (§5.1) or a line that starts with
+    // whitespace, an obsolete fold (§5.2).
     let mut content_length: Option<usize> = None;
     let mut oversized: Option<usize> = None;
     let mut framing: Option<HttpError> = None;
@@ -517,8 +520,30 @@ fn parse_head(raw: &[u8], max_body: usize) -> Result<PendingHead, HttpError> {
     let mut if_match: Option<u64> = None;
     let mut malformed_headers: Vec<(&'static str, String)> = Vec::new();
     for line in lines {
+        if line.starts_with([' ', '\t']) {
+            framing.get_or_insert_with(|| {
+                HttpError::typed(
+                    400,
+                    "header_line_folding",
+                    "a header line starts with whitespace (obsolete line folding)",
+                )
+            });
+            continue;
+        }
         if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
+            if name.ends_with([' ', '\t']) {
+                framing.get_or_insert_with(|| {
+                    HttpError::typed(
+                        400,
+                        "header_name_whitespace",
+                        format!(
+                            "whitespace between header name {:?} and its colon",
+                            name.trim()
+                        ),
+                    )
+                });
+                continue;
+            }
             if name.eq_ignore_ascii_case("content-length") {
                 // Digits only (RFC 9112 §8.6): `usize::from_str` also takes
                 // a leading `+`.
@@ -1134,6 +1159,57 @@ mod tests {
             let raw = format!("POST /m HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabcd");
             assert_framing(raw.as_bytes(), bad.clone());
         }
+    }
+
+    #[test]
+    fn framing_refuses_whitespace_before_a_header_colon() {
+        let refused = |name: &str| {
+            let message = format!("whitespace between header name {name:?} and its colon");
+            (
+                Vec::new(),
+                Some((400, Some("header_name_whitespace"), message)),
+            )
+        };
+        assert_framing(
+            b"POST /measure HTTP/1.1\r\nContent-Length : 13\r\n\r\ntask,m1\nt1,2\n",
+            refused("Content-Length"),
+        );
+        assert_framing(
+            b"POST /m HTTP/1.1\r\nContent-Length: 2\r\nX-Request-Id\t: a\r\n\r\nab",
+            refused("X-Request-Id"),
+        );
+        // The first request of a pipeline is read; the refusal closes.
+        assert_framing(
+            b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nHost : b\r\n\r\n",
+            (vec![("/a".to_string(), Vec::new())], refused("Host").1),
+        );
+        // Whitespace after the colon is optional whitespace, not a refusal.
+        assert_framing(
+            b"POST /m HTTP/1.1\r\nContent-Length:\t2 \r\n\r\nab",
+            (vec![("/m".to_string(), b"ab".to_vec())], None),
+        );
+    }
+
+    #[test]
+    fn framing_refuses_folded_header_lines() {
+        let refused = (
+            Vec::new(),
+            Some((
+                400,
+                Some("header_line_folding"),
+                "a header line starts with whitespace (obsolete line folding)".to_string(),
+            )),
+        );
+        assert_framing(
+            b"POST /measure HTTP/1.1\r\nHost: x\r\n Content-Length: 13\r\n\r\ntask,m1\nt1,2\n",
+            refused.clone(),
+        );
+        assert_framing(
+            b"GET /m HTTP/1.1\r\nX-Request-Id: a\r\n\tb\r\n\r\n",
+            refused.clone(),
+        );
+        // A fold right after the request line, before any field.
+        assert_framing(b"GET /m HTTP/1.1\r\n Host: x\r\n\r\n", refused);
     }
 
     #[test]

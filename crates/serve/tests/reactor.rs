@@ -330,9 +330,10 @@ fn reject_paths_close_the_connection() {
     handle.join();
 }
 
-/// A request whose framing is ambiguous (any `Transfer-Encoding`, or
-/// `Content-Length` values that differ) gets one typed `400` and the
-/// connection closes: the bytes after its head are never read as a request.
+/// A request whose framing is ambiguous (any `Transfer-Encoding`,
+/// `Content-Length` values that differ, whitespace before a header's colon,
+/// or a folded header line) gets one typed `400` and the connection closes:
+/// the bytes after its head are never read as a request.
 #[test]
 fn ambiguous_framing_answers_one_400_and_closes() {
     let handle = start(test_config()).expect("start server");
@@ -346,6 +347,14 @@ fn ambiguous_framing_answers_one_400_and_closes() {
             "POST /measure HTTP/1.1\r\nContent-Length: 16\r\nContent-Length: 0\r\n\r\n\
              GET /healthz\r\n\r\n",
             "content_length_conflict",
+        ),
+        (
+            "POST /measure HTTP/1.1\r\nContent-Length : 13\r\n\r\ntask,m1\nt1,2\n",
+            "header_name_whitespace",
+        ),
+        (
+            "POST /measure HTTP/1.1\r\nHost: x\r\n Content-Length: 13\r\n\r\ntask,m1\nt1,2\n",
+            "header_line_folding",
         ),
     ] {
         let mut conn = KeepAliveConn::connect(addr);
