@@ -52,15 +52,23 @@ fn validate_names(
             ),
         });
     }
-    unique(task_names, "task")?;
-    unique(machine_names, "machine")
+    check_names(task_names, "task")?;
+    check_names(machine_names, "machine")
 }
 
-/// Rejects a repeated name, naming it and the 1-based positions of its first
-/// two occurrences. Two empty names are a repeat too.
-fn unique(names: &[String], axis: &'static str) -> Result<(), MeasureError> {
+/// Rejects a name holding a line break, which fits on no CSV line, and a
+/// repeated name, naming it and the 1-based positions of its first two
+/// occurrences. Two empty names are a repeat too.
+fn check_names(names: &[String], axis: &'static str) -> Result<(), MeasureError> {
     let mut seen = std::collections::HashMap::with_capacity(names.len());
     for (i, name) in names.iter().enumerate() {
+        if name.contains('\n') {
+            return Err(MeasureError::NameWithLineBreak {
+                axis,
+                name: name.clone(),
+                position: i + 1,
+            });
+        }
         if let Some(first) = seen.insert(name.as_str(), i) {
             return Err(MeasureError::DuplicateName {
                 axis,
@@ -474,6 +482,37 @@ mod tests {
             }
         );
         assert!(Ecs::with_names(m(), names(&["t", "T"]), names(&["a", "b", "c"])).is_ok());
+    }
+
+    #[test]
+    fn names_with_line_breaks_are_refused() {
+        let m = || Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = Etc::with_names(m(), names(&["t1", "t2"]), names(&["m1", "a\nb"])).unwrap_err();
+        assert_eq!(
+            err,
+            MeasureError::NameWithLineBreak {
+                axis: "machine",
+                name: "a\nb".into(),
+                position: 2,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid HC environment: machine name \"a\\nb\" (machine 2) holds a line break; \
+             a name must fit on one CSV line"
+        );
+        let err = Ecs::with_names(m(), names(&["t\r\n", "t\r\n"]), names(&["a", "b"])).unwrap_err();
+        assert!(matches!(
+            err,
+            MeasureError::NameWithLineBreak {
+                axis: "task",
+                position: 1,
+                ..
+            }
+        ));
+        // A carriage return alone fits on a line: `to_csv` quotes it.
+        assert!(Etc::with_names(m(), names(&["t\r", "\r"]), names(&["a\r", "b"])).is_ok());
     }
 
     #[test]

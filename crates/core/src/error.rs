@@ -38,6 +38,16 @@ pub enum MeasureError {
         /// 1-based positions of its first two occurrences.
         positions: (usize, usize),
     },
+    /// A task or machine name holds a line break, so it fits on no CSV line
+    /// and could not be written out and read back.
+    NameWithLineBreak {
+        /// `"task"` or `"machine"`.
+        axis: &'static str,
+        /// The name.
+        name: String,
+        /// Its 1-based position.
+        position: usize,
+    },
     /// A weights vector has the wrong length or non-positive entries.
     InvalidWeights {
         /// What is wrong.
@@ -81,6 +91,15 @@ impl fmt::Display for MeasureError {
                 f,
                 "invalid HC environment: {axis} name {name:?} appears twice \
                  ({axis}s {first} and {second}); names must be unique"
+            ),
+            MeasureError::NameWithLineBreak {
+                axis,
+                name,
+                position,
+            } => write!(
+                f,
+                "invalid HC environment: {axis} name {name:?} ({axis} {position}) holds a \
+                 line break; a name must fit on one CSV line"
             ),
             MeasureError::InvalidWeights { reason } => write!(f, "invalid weights: {reason}"),
             MeasureError::DeadlineExceeded {

@@ -53,11 +53,15 @@ impl ReqCtx<'_> {
 
 /// Maps a measurement failure to its HTTP error: deadline expiry becomes a
 /// typed `504` carrying partial-progress diagnostics, a repeated task or
-/// machine name a typed `400`, everything else a plain `400`.
+/// machine name, or one holding a line break, a typed `400`, everything else
+/// a plain `400`.
 pub(crate) fn measure_error(e: MeasureError) -> HttpError {
     match e {
         MeasureError::DuplicateName { .. } => {
             HttpError::typed(400, "duplicate_name", e.to_string())
+        }
+        MeasureError::NameWithLineBreak { .. } => {
+            HttpError::typed(400, "name_line_break", e.to_string())
         }
         MeasureError::DeadlineExceeded {
             op,
@@ -559,6 +563,21 @@ mod tests {
         assert!(err
             .message
             .contains("machine name \"\" appears twice (machines 1 and 2)"));
+    }
+
+    #[test]
+    fn names_with_line_breaks_answer_typed_400() {
+        let err = measure_error(MeasureError::NameWithLineBreak {
+            axis: "task",
+            name: "a\nb".into(),
+            position: 3,
+        });
+        assert_eq!(
+            body_text(&err.to_response()),
+            "{\"error\":\"invalid HC environment: task name \\\"a\\\\nb\\\" (task 3) holds a \
+             line break; a name must fit on one CSV line\",\"code\":\"name_line_break\"}"
+        );
+        assert_eq!(err.status, 400);
     }
 
     #[test]

@@ -40,8 +40,11 @@ pub fn to_csv(etc: &Etc) -> String {
     out
 }
 
+/// Quotes a name that holds a `,`, a `"` or a `\r`: quoted, a `\r` at the
+/// end of a line is not read as half of its `\r\n`. (`Etc` refuses a name
+/// holding a `\n`, which fits on no line.)
 fn escape(s: &str) -> Cow<'_, str> {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
+    if s.contains([',', '"', '\r']) {
         Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
     } else {
         Cow::Borrowed(s)

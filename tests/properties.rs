@@ -615,9 +615,10 @@ fn simulator_on_random_workloads() {
     });
 }
 
-/// Characters of generated names: the CSV metacharacters `,` and `"`, spaces
-/// and non-ASCII ones among letters. A name cannot hold a line break.
-const NAME_CHARS: [char; 10] = ['a', 'b', 'Z', '0', ',', '"', ' ', '-', 'é', '\u{a0}'];
+/// Characters of generated names: the CSV metacharacters `,` and `"`, a
+/// carriage return, spaces and non-ASCII ones among letters. A name cannot
+/// hold a `\n` (`Etc` refuses it).
+const NAME_CHARS: [char; 11] = ['a', 'b', 'Z', '0', ',', '"', '\r', ' ', '-', 'é', '\u{a0}'];
 
 /// `n` distinct names of up to six [`NAME_CHARS`].
 fn names(rng: &mut StdRng, n: usize) -> Vec<String> {
