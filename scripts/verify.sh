@@ -433,6 +433,21 @@ curl -sS "http://$ADDR/healthz" | grep -q '"status":"ok"' \
     || { echo "profiling server healthz not ok"; exit 1; }
 echo "healthz ok under profiling"
 
+# An idle server's threads wake about 11 times a second: the reactor's
+# 100 ms tick and the tsdb collector's 1 s. The profiler adds no wakeup of
+# its own, since each thread samples its stack at its own span boundaries.
+# The third field of a thread's schedstat counts the times it ran, so the
+# check counts wakeups rather than timing anything.
+sleep 2
+wakeups() { cat /proc/"$PROF_PID"/task/*/schedstat | awk '{ n += $3 } END { print n + 0 }'; }
+W0=$(wakeups)
+sleep 2
+W1=$(wakeups)
+WAKE_RATE=$(( (W1 - W0) / 2 ))
+[ "$WAKE_RATE" -le 20 ] \
+    || { echo "idle profiling server wakes $WAKE_RATE times a second (limit 20)"; exit 1; }
+echo "idle profiling server: $WAKE_RATE wakeups/s"
+
 curl -sS "http://$ADDR/quitquitquit" >/dev/null
 wait "$PROF_PID"
 trap - EXIT
