@@ -4,6 +4,8 @@
 
 use std::collections::BTreeMap;
 
+use hc_gen::params::Params;
+
 /// Parsed arguments: positionals in order plus `--key [value]` options.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -57,39 +59,34 @@ impl Args {
     pub fn get(&self, name: &str) -> Option<&str> {
         self.options.get(name).and_then(|v| v.as_deref())
     }
+}
 
-    /// Required typed value with a domain error message.
-    pub fn require<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
-        let raw = self
-            .get(name)
-            .ok_or_else(|| format!("missing required option --{name}"))?;
-        raw.parse::<T>()
-            .map_err(|_| format!("--{name}: cannot parse {raw:?}"))
+/// The flags as the shared typed reader sees them: `require`, `get_or` and
+/// `check_allowed` come from [`Params`].
+impl Params for Args {
+    fn raw(&self, name: &str) -> Option<&str> {
+        self.get(name)
     }
 
-    /// Optional typed value with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse::<T>()
-                .map_err(|_| format!("--{name}: cannot parse {raw:?}")),
-        }
+    /// Every option given except the [`GLOBAL_OPTIONS`], which every
+    /// subcommand allows.
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.options
+            .keys()
+            .map(String::as_str)
+            .filter(|name| !GLOBAL_OPTIONS.contains(name))
     }
 
-    /// Names of all options present (for unknown-flag checks).
-    pub fn option_names(&self) -> impl Iterator<Item = &str> {
-        self.options.keys().map(String::as_str)
+    fn missing(name: &str) -> String {
+        format!("missing required option --{name}")
     }
 
-    /// Rejects any option not in `allowed` or in [`GLOBAL_OPTIONS`].
-    pub fn check_allowed(&self, allowed: &[&str]) -> Result<(), String> {
-        for name in self.option_names() {
-            if !allowed.contains(&name) && !GLOBAL_OPTIONS.contains(&name) {
-                return Err(format!("unknown option --{name}"));
-            }
-        }
-        Ok(())
+    fn malformed(name: &str, raw: &str) -> String {
+        format!("--{name}: cannot parse {raw:?}")
+    }
+
+    fn unknown(name: &str, _allowed: &[&str]) -> String {
+        format!("unknown option --{name}")
     }
 }
 

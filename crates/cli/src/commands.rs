@@ -2,16 +2,14 @@
 
 use crate::args::{parse, Args};
 use hc_core::canonical::canonical_form;
-use hc_core::ecs::{Ecs, Etc};
+use hc_core::ecs::Ecs;
 use hc_core::standard::{TmaOptions, ZeroPolicy};
 use hc_core::whatif;
-use hc_gen::cvb::{cvb, CvbParams};
-use hc_gen::range_based::{range_based, RangeParams};
-use hc_gen::targeted::{targeted, TargetSpec};
-use hc_sched::exact::{optimal, simulated_annealing, tabu, SaParams, TabuParams};
-use hc_sched::ga::{ga, GaParams};
-use hc_sched::heuristics::{all_heuristics, Heuristic, HeuristicKind};
+use hc_gen::mode::Mode;
+use hc_gen::params::Params;
 use hc_sched::problem::{makespan_lower_bound, MappingProblem};
+use hc_sched::select::select;
+use hc_session::{SessionConfig, SessionError, SessionStore};
 use hc_sinkhorn::structure::analyze_structure;
 use hc_spec::csv;
 
@@ -173,127 +171,40 @@ fn cmd_canonical(args: &Args, input: &dyn InputSource) -> Result<String, String>
 }
 
 fn cmd_generate(args: &Args) -> Result<String, String> {
-    let kind = args
+    let name = args
         .positional(1)
-        .ok_or_else(|| "generate needs a mode: targeted | range | cvb".to_string())?;
-    let etc: Etc = match kind {
-        "targeted" => {
-            args.check_allowed(&["tasks", "machines", "mph", "tdh", "tma", "seed", "jitter"])?;
-            let spec = TargetSpec {
-                tasks: args.require("tasks")?,
-                machines: args.require("machines")?,
-                mph: args.require("mph")?,
-                tdh: args.require("tdh")?,
-                tma: args.require("tma")?,
-                jitter: args.get_or("jitter", 0.5)?,
-            };
-            let seed: u64 = args.get_or("seed", 0)?;
-            let ecs = targeted(&spec, seed).map_err(|e| e.to_string())?;
-            ecs.to_etc()
-        }
-        "range" => {
-            args.check_allowed(&["tasks", "machines", "rtask", "rmach", "seed"])?;
-            let params = RangeParams {
-                tasks: args.require("tasks")?,
-                machines: args.require("machines")?,
-                r_task: args.get_or("rtask", 100.0)?,
-                r_mach: args.get_or("rmach", 100.0)?,
-            };
-            range_based(&params, args.get_or("seed", 0)?).map_err(|e| e.to_string())?
-        }
-        "cvb" => {
-            args.check_allowed(&["tasks", "machines", "vtask", "vmach", "seed"])?;
-            let params = CvbParams::new(
-                args.require("tasks")?,
-                args.require("machines")?,
-                args.get_or("vtask", 0.3)?,
-                args.get_or("vmach", 0.3)?,
-            );
-            cvb(&params, args.get_or("seed", 0)?).map_err(|e| e.to_string())?
-        }
-        other => return Err(format!("unknown generate mode {other:?}")),
-    };
-    Ok(csv::to_csv(&etc))
-}
-
-fn parse_heuristic(name: &str) -> Result<Option<HeuristicKind>, String> {
-    match name {
-        // Meta-selectors handled by the caller, not direct heuristics.
-        "all" | "ga" | "sa" | "tabu" | "optimal" => Ok(None),
-        other => other.parse::<HeuristicKind>().map(Some),
-    }
+        .ok_or_else(|| format!("generate needs a mode: {}", Mode::choices()))?;
+    let mode = Mode::parse(name).ok_or_else(|| format!("unknown generate mode {name:?}"))?;
+    args.check_allowed(mode.params())?;
+    Ok(csv::to_csv(&mode.generate(args)?))
 }
 
 fn cmd_schedule(args: &Args, input: &dyn InputSource) -> Result<String, String> {
-    args.check_allowed(&["ecs", "heuristic", "seed"])?;
+    args.check_allowed(&["ecs", "heuristic"])?;
     let ecs = load_env(args, input, 1)?;
     let etc = ecs.to_etc();
     let p = MappingProblem::from_etc(&etc);
-    let which = args.get("heuristic").unwrap_or("all");
-
-    let mut rows: Vec<(String, hc_sched::Schedule)> = Vec::new();
-    match which {
-        "all" => {
-            for h in all_heuristics() {
-                rows.push((h.name().to_string(), h.map(&p).map_err(|e| e.to_string())?));
-            }
-            rows.push((
-                "GA".into(),
-                ga(&p, &GaParams::default()).map_err(|e| e.to_string())?,
-            ));
-            rows.push((
-                "SA".into(),
-                simulated_annealing(&p, &SaParams::default()).map_err(|e| e.to_string())?,
-            ));
-        }
-        "ga" => rows.push((
-            "GA".into(),
-            ga(&p, &GaParams::default()).map_err(|e| e.to_string())?,
-        )),
-        "sa" => rows.push((
-            "SA".into(),
-            simulated_annealing(&p, &SaParams::default()).map_err(|e| e.to_string())?,
-        )),
-        "optimal" => rows.push((
-            "optimal".into(),
-            optimal(&p, 1e7).map_err(|e| e.to_string())?,
-        )),
-        "tabu" => rows.push((
-            "Tabu".into(),
-            tabu(&p, &TabuParams::default()).map_err(|e| e.to_string())?,
-        )),
-        named => {
-            let h = parse_heuristic(named)?
-                .ok_or_else(|| format!("heuristic {named:?} not directly mappable"))?;
-            rows.push((h.name().to_string(), h.map(&p).map_err(|e| e.to_string())?));
-        }
-    }
-
-    let lb = makespan_lower_bound(&p);
+    let selection = select(&p, args.get("heuristic").unwrap_or("all"))?;
     let mut out = format!(
         "{} tasks on {} machines; makespan lower bound {:.4}\n\n",
         p.num_tasks(),
         p.num_machines(),
-        lb
+        makespan_lower_bound(&p)
     );
-    for (name, s) in &rows {
-        let mk = s.makespan(&p).map_err(|e| e.to_string())?;
-        out.push_str(&format!("{name:10} makespan = {mk:.4}\n"));
+    for run in &selection.runs {
+        out.push_str(&format!("{:10} makespan = {:.4}\n", run.name, run.makespan));
     }
-    if let Some((name, s)) = rows.iter().min_by(|a, b| {
-        a.1.makespan(&p)
-            .unwrap_or(f64::INFINITY)
-            .partial_cmp(&b.1.makespan(&p).unwrap_or(f64::INFINITY))
-            .expect("finite")
-    }) {
-        out.push_str(&format!("\nbest: {name}\nassignment (task -> machine):\n"));
-        for (i, &j) in s.assignment.iter().enumerate() {
-            out.push_str(&format!(
-                "  {} -> {}\n",
-                etc.task_names()[i],
-                etc.machine_names()[j]
-            ));
-        }
+    let best = &selection.runs[selection.best];
+    out.push_str(&format!(
+        "\nbest: {}\nassignment (task -> machine):\n",
+        best.name
+    ));
+    for (i, &j) in best.schedule.assignment.iter().enumerate() {
+        out.push_str(&format!(
+            "  {} -> {}\n",
+            etc.task_names()[i],
+            etc.machine_names()[j]
+        ));
     }
     Ok(out)
 }
@@ -391,94 +302,72 @@ fn cmd_simulate(args: &Args, input: &dyn InputSource) -> Result<String, String> 
     Ok(out)
 }
 
-/// Applies one parsed edit to the in-process engine (mirrors the daemon's
-/// store loop, minus the undo log: a CLI demo aborts on the first bad edit).
-fn apply_session_edit(
-    engine: &mut hc_session::SessionEngine,
-    edit: &hc_session::Edit,
-    etc_units: bool,
-) -> Result<(), String> {
-    let set = |engine: &mut hc_session::SessionEngine, t: usize, m: usize, v: f64| {
-        engine
-            .set(t, m, hc_session::to_ecs_value(v, etc_units))
-            .map_err(|e| e.to_string())
-    };
-    match edit {
-        hc_session::Edit::Cell {
-            task,
-            machine,
-            value,
-        } => set(engine, *task, *machine, *value),
-        hc_session::Edit::Row { task, values } => values
-            .iter()
-            .enumerate()
-            .try_for_each(|(m, v)| set(engine, *task, m, *v)),
-        hc_session::Edit::Col { machine, values } => values
-            .iter()
-            .enumerate()
-            .try_for_each(|(t, v)| set(engine, t, *machine, *v)),
-    }
-}
-
 fn cmd_session(args: &Args, input: &dyn InputSource) -> Result<String, String> {
     args.check_allowed(&["ecs", "edits"])?;
     let ecs = load_env(args, input, 1)?;
     let etc_units = !args.has("ecs");
-    let task_names = ecs.task_names().to_vec();
-    let machine_names = ecs.machine_names().to_vec();
-    let mut engine = hc_session::SessionEngine::new(ecs);
+    // The edit script when no --edits file is given: a built-in perturbation
+    // that nudges up to three entries so the warm path has something to absorb.
+    let mut nudges = String::new();
+    for (t, factor) in [1.15, 0.85, 1.10]
+        .into_iter()
+        .enumerate()
+        .take(ecs.num_tasks())
+    {
+        let Some(m) = (0..ecs.num_machines()).find(|&m| ecs.get(t, m) > 0.0) else {
+            continue;
+        };
+        let speed = ecs.get(t, m) * factor;
+        let value = if etc_units { 1.0 / speed } else { speed };
+        nudges.push_str(&format!("cell,{},{},{value}\n", t + 1, m + 1));
+    }
 
-    let (report, stats) = engine.recompute(None).map_err(|e| e.to_string())?;
-    let cold_iters = stats.sinkhorn_iterations;
+    // The daemon's store: create is `POST /session`, each patch one atomic
+    // `PATCH /session/{id}/etc`.
+    let store = SessionStore::new(SessionConfig::default());
+    let failed = |e: SessionError| match e {
+        SessionError::Measure(e) => e.to_string(),
+        other => format!("session store: {other:?}"),
+    };
+    let v1 = store.create(ecs, etc_units, None).map_err(failed)?;
+    let cold_iters = v1.stats.sinkhorn_iterations;
     let mut out = format!(
         "session demo: {} task types x {} machines (edits in {})\n\
          v1 cold: MPH {:.4}  TDH {:.4}  TMA {:.4}   \
          ({} Sinkhorn + {} SVD iterations)\n",
-        task_names.len(),
-        machine_names.len(),
+        v1.task_names.len(),
+        v1.machine_names.len(),
         if etc_units {
             "ETC seconds"
         } else {
             "ECS speeds"
         },
-        report.mph,
-        report.tdh,
-        report.tma,
-        stats.sinkhorn_iterations,
-        stats.svd_iterations,
+        v1.report.mph,
+        v1.report.tdh,
+        v1.report.tma,
+        v1.stats.sinkhorn_iterations,
+        v1.stats.svd_iterations,
     );
-    let mut prev = (report.mph, report.tdh, report.tma);
+    let mut prev_tma = v1.report.tma;
 
-    // Edit script: an explicit --edits file, or a built-in perturbation that
-    // nudges up to three entries so the warm path has something to absorb.
     let text = match args.get("edits") {
         Some(path) => input.read(path)?,
-        None => {
-            let mut lines = String::new();
-            for (t, &factor) in [1.15, 0.85, 1.10].iter().enumerate().take(task_names.len()) {
-                let Some(m) = (0..machine_names.len()).find(|&m| engine.ecs().get(t, m) > 0.0)
-                else {
-                    continue;
-                };
-                let speed = engine.ecs().get(t, m) * factor;
-                let value = if etc_units { 1.0 / speed } else { speed };
-                lines.push_str(&format!("cell,{},{},{value}\n", t + 1, m + 1));
-            }
-            lines
-        }
+        None => nudges,
     };
-    let edits =
-        hc_session::parse_edits(&text, &task_names, &machine_names).map_err(|e| e.to_string())?;
+    let edits = hc_session::parse_edits(&text, &v1.task_names, &v1.machine_names)
+        .map_err(|e| e.to_string())?;
 
     // One version per edit, like a client issuing sequential PATCHes.
     let mut warm_iters = Vec::new();
-    for (k, edit) in edits.iter().enumerate() {
-        apply_session_edit(&mut engine, edit, etc_units)?;
-        let (report, stats) = engine.recompute(None).map_err(|e| e.to_string())?;
+    for edit in &edits {
+        let v = store
+            .patch(&v1.id, std::slice::from_ref(edit), None, None)
+            .map_err(failed)?;
+        let (report, stats) = (&v.report, v.stats);
         out.push_str(&format!(
             "v{} {}: MPH {:.4}  TDH {:.4}  TMA {:.4}  (dTMA {:+.4})   \
              ({} Sinkhorn + {} SVD iterations)\n",
-            k + 2,
+            v.version,
             if stats.fallback {
                 "cold*" // warm path missed tolerance; silently recomputed cold
             } else if stats.warm {
@@ -489,11 +378,11 @@ fn cmd_session(args: &Args, input: &dyn InputSource) -> Result<String, String> {
             report.mph,
             report.tdh,
             report.tma,
-            report.tma - prev.2,
+            report.tma - prev_tma,
             stats.sinkhorn_iterations,
             stats.svd_iterations,
         ));
-        prev = (report.mph, report.tdh, report.tma);
+        prev_tma = report.tma;
         if stats.warm && !stats.fallback {
             warm_iters.push(stats.sinkhorn_iterations);
         }
@@ -691,6 +580,18 @@ mod tests {
             &[("in.csv", SAMPLE)]
         )
         .is_err());
+    }
+
+    #[test]
+    fn schedule_refuses_seed() {
+        // No selector value reads a seed, so it is refused like any other
+        // unknown option, as `POST /schedule` refuses `seed`.
+        let err = run(
+            &["schedule", "in.csv", "--seed", "7"],
+            &[("in.csv", SAMPLE)],
+        )
+        .unwrap_err();
+        assert_eq!(err, "unknown option --seed");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::net::ToSocketAddrs;
 
 use crate::args::Args;
+use hc_gen::params::Params;
 use hc_serve::Config;
 
 /// Parses `hcm serve` arguments into a server [`Config`].
@@ -110,22 +111,10 @@ pub fn parse_config(args: &Args) -> Result<(Config, bool), String> {
     // 0 is valid: it disables adaptive admission, leaving the fixed
     // --queue-depth cutoff as the only shed (the legacy comparison mode).
     cfg.target_queue_delay_ms = args.get_or("target-queue-delay-ms", cfg.target_queue_delay_ms)?;
-    // 0 for either bound means "same as --workers"; a max above the min turns
-    // autoscaling on.
+    // A max above the min turns autoscaling on.
     cfg.workers_min = args.get_or("workers-min", cfg.workers_min)?;
     cfg.workers_max = args.get_or("workers-max", cfg.workers_max)?;
-    let (lo, hi) = (
-        if cfg.workers_min == 0 {
-            cfg.workers
-        } else {
-            cfg.workers_min
-        },
-        if cfg.workers_max == 0 {
-            cfg.workers
-        } else {
-            cfg.workers_max
-        },
-    );
+    let (lo, hi) = cfg.worker_bounds();
     if hi < lo {
         return Err(format!(
             "--workers-max {hi} is below the effective --workers-min {lo}"

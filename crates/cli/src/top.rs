@@ -12,6 +12,7 @@
 //! rendering are plain string functions, unit-tested without a server.
 
 use crate::args::Args;
+use hc_gen::params::Params;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;

@@ -23,7 +23,9 @@
 //!   are the target MPH and TDH.
 //!
 //! [`ensemble`] provides deterministic, seed-addressed parallel batch generation
-//! for the benchmark sweeps.
+//! for the benchmark sweeps. [`mode`] is the generator table that `hcm
+//! generate` and `POST /generate` share, read through [`params::Params`], the
+//! one typed parameter reader both front ends implement.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -33,6 +35,8 @@ pub mod consistency;
 pub mod cvb;
 pub mod dist;
 pub mod ensemble;
+pub mod mode;
+pub mod params;
 pub mod range_based;
 pub mod rng;
 pub mod targeted;

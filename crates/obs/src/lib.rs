@@ -43,8 +43,8 @@
 //! Two fault-containment utilities also live here, at the bottom of the
 //! dependency graph so both the kernels and the daemon can share them:
 //! [`sync`] (poison-recovering lock helpers) and [`failpoints`] (the
-//! `HC_FAILPOINT` chaos-injection registry). So does [`json`], the
-//! workspace's one JSON writer.
+//! `HC_FAILPOINT` chaos-injection registry). So do [`json`], the
+//! workspace's one JSON writer, and [`hash`], its one FNV-1a.
 //!
 //! The crate is std-only by design: it sits below `hc-linalg` in the
 //! dependency graph so every other crate in the workspace can instrument
@@ -67,6 +67,7 @@
 #![forbid(unsafe_code)]
 
 pub mod failpoints;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod profile;

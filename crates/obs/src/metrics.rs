@@ -240,13 +240,8 @@ fn registry() -> &'static [Mutex<BTreeMap<&'static str, Metric>>; SHARDS] {
 }
 
 fn shard_of(name: &str) -> usize {
-    // FNV-1a over the name; only first-registration and export take this path.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) % SHARDS
+    // Only first-registration and export take this path.
+    (crate::hash::fnv1a(name.as_bytes()) as usize) % SHARDS
 }
 
 /// Interns `name` so dynamically-built metric names (e.g. per-heuristic

@@ -597,15 +597,10 @@ fn store() -> &'static [Mutex<Shard>; SHARDS] {
 }
 
 fn shard_of(key: &[u32]) -> usize {
-    // FNV-1a over the id bytes; only distribution matters here.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for id in key {
-        for b in id.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    (h as usize) % SHARDS
+    let h = key.iter().fold(crate::hash::Fnv1a::default(), |h, id| {
+        h.write(&id.to_le_bytes())
+    });
+    (h.finish() as usize) % SHARDS
 }
 
 /// Folds `ticks` samples of `key` at `epoch` into its shard, waiting for the

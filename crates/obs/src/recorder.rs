@@ -362,13 +362,7 @@ pub struct FlightRecorder {
 }
 
 fn shard_of(id: &str) -> usize {
-    // FNV-1a, as in the metrics registry.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) % SHARDS
+    (crate::hash::fnv1a(id.as_bytes()) as usize) % SHARDS
 }
 
 impl FlightRecorder {

@@ -126,13 +126,7 @@ pub struct Tsdb {
 }
 
 fn shard_of(name: &str) -> usize {
-    // FNV-1a over the name, as everywhere else in the workspace.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) % SHARDS
+    (crate::hash::fnv1a(name.as_bytes()) as usize) % SHARDS
 }
 
 /// Approximate heap bytes of one series: per-tier slot storage (epoch + value

@@ -9,7 +9,8 @@
 //! (MPH, TDH, TMA) measures.
 //!
 //! Heuristics implemented: OLB, MET, MCT, Min-Min, Max-Min, Sufferage, KPB, and
-//! a GA seeded by Min-Min. All operate on an ETC matrix where row `i` is a task
+//! a GA seeded by Min-Min. [`select`] is the `heuristic` selector `hcm
+//! schedule` and `POST /schedule` share. All operate on an ETC matrix where row `i` is a task
 //! (an instance to execute once) and column `j` a machine; `∞` marks
 //! incompatibility.
 
@@ -22,6 +23,7 @@ pub mod ga;
 pub mod heuristics;
 pub mod problem;
 pub mod robustness;
+pub mod select;
 
 pub use heuristics::{all_heuristics, Heuristic, HeuristicKind};
 pub use problem::{MappingProblem, Schedule};

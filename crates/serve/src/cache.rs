@@ -11,26 +11,20 @@
 //! The LRU list is intrusive over a slab (`Vec`) of entries with index links —
 //! no allocation per touch, O(1) get/put/evict.
 
-/// 64-bit FNV-1a over arbitrary bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use hc_obs::hash::fnv1a;
+use hc_obs::hash::Fnv1a;
 
 /// Builds a cache key from the endpoint name, its canonicalized options, and
-/// the request body.
+/// the request body: the FNV-1a of `endpoint \0 options \0 body`, fed in
+/// turn rather than copied into one buffer.
 pub fn cache_key(endpoint: &str, options: &str, body: &[u8]) -> u64 {
-    let mut content = Vec::with_capacity(endpoint.len() + options.len() + body.len() + 2);
-    content.extend_from_slice(endpoint.as_bytes());
-    content.push(0);
-    content.extend_from_slice(options.as_bytes());
-    content.push(0);
-    content.extend_from_slice(body);
-    fnv1a(&content)
+    Fnv1a::default()
+        .write(endpoint.as_bytes())
+        .write(&[0])
+        .write(options.as_bytes())
+        .write(&[0])
+        .write(body)
+        .finish()
 }
 
 /// A cached response: content type + body.
@@ -330,6 +324,23 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, cache_key("measure", "ecs=1", b"body"));
+    }
+
+    #[test]
+    fn key_is_the_hash_of_the_joined_content() {
+        for (endpoint, options, body) in [
+            ("measure", "", &b"task,m1\nt1,2\n"[..]),
+            ("schedule", "ecs=1&heuristic=all", b"x"),
+            ("", "", b""),
+        ] {
+            let mut joined = Vec::new();
+            joined.extend_from_slice(endpoint.as_bytes());
+            joined.push(0);
+            joined.extend_from_slice(options.as_bytes());
+            joined.push(0);
+            joined.extend_from_slice(body);
+            assert_eq!(cache_key(endpoint, options, body), fnv1a(&joined));
+        }
     }
 
     #[test]

@@ -6,21 +6,20 @@
 //! All analysis endpoints accept the same CSV ETC matrix format as the CLI
 //! (`task,m1,m2\nt1,2.0,8.0\n…`) as the POST body, and CLI flags become query
 //! parameters (`--ecs` → `?ecs=1`, `--zero-policy reg=1e-4` →
-//! `?zero-policy=reg%3D1e-4`).
+//! `?zero-policy=reg%3D1e-4`), read through the same typed reader
+//! ([`Params`]). `/generate` and `/schedule` run what `hcm generate` and `hcm
+//! schedule` run: the generator table ([`hc_gen::mode`]) and the selector
+//! ([`hc_sched::select`]); this module only reads the query and renders.
 
 use std::cell::RefCell;
-use std::str::FromStr;
 
-use hc_core::ecs::{Ecs, Etc};
+use hc_core::ecs::Ecs;
 use hc_core::standard::{TmaOptions, ZeroPolicy};
 use hc_core::Analyzer;
-use hc_gen::cvb::{cvb, CvbParams};
-use hc_gen::range_based::{range_based, RangeParams};
-use hc_gen::targeted::{targeted, TargetSpec};
-use hc_sched::exact::{optimal, simulated_annealing, tabu, SaParams, TabuParams};
-use hc_sched::ga::{ga, GaParams};
-use hc_sched::heuristics::{all_heuristics, Heuristic, HeuristicKind};
+use hc_gen::mode::{self, Mode};
+use hc_gen::params::Params;
 use hc_sched::problem::{makespan_lower_bound, MappingProblem};
+use hc_sched::select::select;
 use hc_sinkhorn::structure::analyze_structure;
 use hc_spec::csv;
 
@@ -81,37 +80,34 @@ pub(crate) fn measure_error(e: MeasureError) -> HttpError {
     }
 }
 
-/// Rejects query parameters outside `allowed` so malformed requests fail loudly
-/// and equivalent requests share one canonical cache key space.
-pub fn check_allowed(req: &Request, allowed: &[&str]) -> Result<(), HttpError> {
-    for key in req.query.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(HttpError::bad(format!(
-                "unknown query parameter {key:?} (allowed: {})",
-                allowed.join(", ")
-            )));
-        }
+/// The query string as the shared typed reader sees it. Every endpoint
+/// checks its allowed set ([`Params::check_allowed`], a scan of the keys that
+/// allocates only to refuse), so malformed requests fail loudly and
+/// equivalent requests share one canonical cache key space. Each message
+/// becomes a `400`.
+impl Params for Request {
+    fn raw(&self, name: &str) -> Option<&str> {
+        self.param(name)
     }
-    Ok(())
-}
 
-fn q_opt<T: FromStr>(req: &Request, name: &str) -> Result<Option<T>, HttpError> {
-    match req.param(name) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| HttpError::bad(format!("query parameter {name}={raw:?} is malformed"))),
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.query.keys().map(String::as_str)
     }
-}
 
-fn q_or<T: FromStr>(req: &Request, name: &str, default: T) -> Result<T, HttpError> {
-    Ok(q_opt(req, name)?.unwrap_or(default))
-}
+    fn missing(name: &str) -> String {
+        format!("missing required query parameter {name:?}")
+    }
 
-fn q_req<T: FromStr>(req: &Request, name: &str) -> Result<T, HttpError> {
-    q_opt(req, name)?
-        .ok_or_else(|| HttpError::bad(format!("missing required query parameter {name:?}")))
+    fn malformed(name: &str, raw: &str) -> String {
+        format!("query parameter {name}={raw:?} is malformed")
+    }
+
+    fn unknown(name: &str, allowed: &[&str]) -> String {
+        format!(
+            "unknown query parameter {name:?} (allowed: {})",
+            allowed.join(", ")
+        )
+    }
 }
 
 /// Rejects matrices above `max_cells` with a typed `422` — before any matrix
@@ -164,7 +160,8 @@ thread_local! {
 
 /// `POST /measure` — MPH/TDH/TMA plus per-machine and per-task factors.
 pub fn measure(req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError> {
-    check_allowed(req, &["ecs", "zero-policy"])?;
+    req.check_allowed(&["ecs", "zero-policy"])
+        .map_err(HttpError::bad)?;
     let ecs = load_ecs(req, ctx)?;
     let opts = tma_options(req)?;
     ANALYZER.with(|cell| {
@@ -182,7 +179,7 @@ pub fn measure(req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError> {
 
 /// `POST /structure` — zero-pattern / balanceability report.
 pub fn structure(req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError> {
-    check_allowed(req, &["ecs"])?;
+    req.check_allowed(&["ecs"]).map_err(HttpError::bad)?;
     let ecs = load_ecs(req, ctx)?;
     let rep = analyze_structure(ecs.matrix());
     Ok(Response::json(json::object(|o| {
@@ -202,147 +199,57 @@ pub fn structure(req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError>
 
 /// `POST /generate` — synthesize an ETC matrix; returns `text/csv`.
 ///
-/// `?mode=targeted|range|cvb` selects the generator; remaining parameters
-/// mirror the CLI flags of `hcm generate`.
+/// `?mode=targeted|range|cvb` selects the generator; the other parameters
+/// are `hcm generate`'s flags.
 pub fn generate(req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError> {
-    let mode: String = q_req(req, "mode")?;
+    let name: String = req.require("mode").map_err(HttpError::bad)?;
     // The cell guard applies before any generator runs: tasks × machines is
     // known from the query alone.
-    if let (Ok(Some(t)), Ok(Some(m))) = (
-        q_opt::<usize>(req, "tasks"),
-        q_opt::<usize>(req, "machines"),
-    ) {
-        check_cells(t.saturating_mul(m), ctx.max_cells)?;
+    if let Some(cells) = mode::cells(req) {
+        check_cells(cells, ctx.max_cells)?;
     }
-    let etc: Etc = match mode.as_str() {
-        "targeted" => {
-            check_allowed(
-                req,
-                &[
-                    "mode", "tasks", "machines", "mph", "tdh", "tma", "seed", "jitter",
-                ],
-            )?;
-            let spec = TargetSpec {
-                tasks: q_req(req, "tasks")?,
-                machines: q_req(req, "machines")?,
-                mph: q_req(req, "mph")?,
-                tdh: q_req(req, "tdh")?,
-                tma: q_req(req, "tma")?,
-                jitter: q_or(req, "jitter", 0.5)?,
-            };
-            let seed: u64 = q_or(req, "seed", 0)?;
-            targeted(&spec, seed)
-                .map_err(|e| HttpError::bad(e.to_string()))?
-                .to_etc()
-        }
-        "range" => {
-            check_allowed(
-                req,
-                &["mode", "tasks", "machines", "rtask", "rmach", "seed"],
-            )?;
-            let params = RangeParams {
-                tasks: q_req(req, "tasks")?,
-                machines: q_req(req, "machines")?,
-                r_task: q_or(req, "rtask", 100.0)?,
-                r_mach: q_or(req, "rmach", 100.0)?,
-            };
-            range_based(&params, q_or(req, "seed", 0)?)
-                .map_err(|e| HttpError::bad(e.to_string()))?
-        }
-        "cvb" => {
-            check_allowed(
-                req,
-                &["mode", "tasks", "machines", "vtask", "vmach", "seed"],
-            )?;
-            let params = CvbParams::new(
-                q_req(req, "tasks")?,
-                q_req(req, "machines")?,
-                q_or(req, "vtask", 0.3)?,
-                q_or(req, "vmach", 0.3)?,
-            );
-            cvb(&params, q_or(req, "seed", 0)?).map_err(|e| HttpError::bad(e.to_string()))?
-        }
-        other => {
-            return Err(HttpError::bad(format!(
-                "unknown generate mode {other:?} (targeted | range | cvb)"
-            )))
-        }
-    };
+    let mode = Mode::parse(&name).ok_or_else(|| {
+        HttpError::bad(format!(
+            "unknown generate mode {name:?} ({})",
+            Mode::choices()
+        ))
+    })?;
+    let allowed: Vec<&str> = std::iter::once("mode")
+        .chain(mode.params().iter().copied())
+        .collect();
+    req.check_allowed(&allowed).map_err(HttpError::bad)?;
+    let etc = mode.generate(req).map_err(HttpError::bad)?;
     Ok(Response::csv(csv::to_csv(&etc)))
 }
 
 /// `POST /schedule` — run mapping heuristics over the posted matrix.
 ///
-/// `?heuristic=` accepts everything the CLI does: `all` (default), a named
-/// heuristic (`min-min`, `sufferage`, `kpb=25`, …), or `ga`/`sa`/`tabu`/
-/// `optimal`.
+/// `?heuristic=` takes what `hcm schedule --heuristic` takes: `all`
+/// (default), a named heuristic (`min-min`, `sufferage`, `kpb=25`, …), or
+/// `ga`/`sa`/`tabu`/`optimal`.
 pub fn schedule(req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError> {
-    check_allowed(req, &["ecs", "heuristic"])?;
+    req.check_allowed(&["ecs", "heuristic"])
+        .map_err(HttpError::bad)?;
     let ecs = load_ecs(req, ctx)?;
     let etc = ecs.to_etc();
     let p = MappingProblem::from_etc(&etc);
-    let which = req.param("heuristic").unwrap_or("all");
-
-    let lib_err = |e: hc_core::error::MeasureError| HttpError::bad(e.to_string());
-    let mut rows: Vec<(String, hc_sched::Schedule)> = Vec::new();
-    match which {
-        "all" => {
-            for h in all_heuristics() {
-                rows.push((h.name().to_string(), h.map(&p).map_err(lib_err)?));
-            }
-            rows.push(("GA".into(), ga(&p, &GaParams::default()).map_err(lib_err)?));
-            rows.push((
-                "SA".into(),
-                simulated_annealing(&p, &SaParams::default()).map_err(lib_err)?,
-            ));
-        }
-        "ga" => rows.push(("GA".into(), ga(&p, &GaParams::default()).map_err(lib_err)?)),
-        "sa" => rows.push((
-            "SA".into(),
-            simulated_annealing(&p, &SaParams::default()).map_err(lib_err)?,
-        )),
-        "tabu" => rows.push((
-            "Tabu".into(),
-            tabu(&p, &TabuParams::default()).map_err(lib_err)?,
-        )),
-        "optimal" => rows.push(("optimal".into(), optimal(&p, 1e7).map_err(lib_err)?)),
-        named => {
-            let h = named.parse::<HeuristicKind>().map_err(HttpError::bad)?;
-            rows.push((h.name().to_string(), h.map(&p).map_err(lib_err)?));
-        }
-    }
-
-    let mut makespans = Vec::with_capacity(rows.len());
-    let mut best: Option<(&str, f64, &hc_sched::Schedule)> = None;
-    for (name, s) in &rows {
-        let mk = s.makespan(&p).map_err(lib_err)?;
-        makespans.push((name, mk));
-        if best.is_none() || mk < best.expect("set").1 {
-            best = Some((name, mk, s));
-        }
-    }
+    let selection = select(&p, req.param("heuristic").unwrap_or("all")).map_err(HttpError::bad)?;
+    let best = &selection.runs[selection.best];
     Ok(Response::json(json::object(|o| {
         o.u64("tasks", p.num_tasks() as u64)
             .u64("machines", p.num_machines() as u64)
             .f64("lower_bound", makespan_lower_bound(&p));
         {
             let mut results = o.object("results");
-            for (name, mk) in &makespans {
-                results.f64(name, *mk);
+            for run in &selection.runs {
+                results.f64(run.name, run.makespan);
             }
         }
-        match best {
-            Some((name, mk, s)) => {
-                let mut entry = o.object("best");
-                entry.str("name", name).f64("makespan", mk);
-                let mut assignment = entry.object("assignment");
-                for (i, &j) in s.assignment.iter().enumerate() {
-                    assignment.str(&etc.task_names()[i], &etc.machine_names()[j]);
-                }
-            }
-            None => {
-                o.null("best");
-            }
+        let mut entry = o.object("best");
+        entry.str("name", best.name).f64("makespan", best.makespan);
+        let mut assignment = entry.object("assignment");
+        for (i, &j) in best.schedule.assignment.iter().enumerate() {
+            assignment.str(&etc.task_names()[i], &etc.machine_names()[j]);
         }
     })))
 }

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use hc_gen::params::Params;
 use hc_linalg::Budget;
 
 use crate::cache::{cache_key, CachedResponse};
@@ -284,7 +285,8 @@ fn error_response(state: &ServerState, e: &HttpError) -> Response {
 /// deadline-exceeded part yields a per-item error object (`"code"` set) while
 /// every other part completes normally — one bad matrix never fails the batch.
 fn batch(state: &Arc<ServerState>, req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError> {
-    handlers::check_allowed(req, &["ecs", "zero-policy"])?;
+    req.check_allowed(&["ecs", "zero-policy"])
+        .map_err(HttpError::bad)?;
     let text = req.body_text()?;
     let parts: Vec<String> = split_batch(text);
     if parts.is_empty() {

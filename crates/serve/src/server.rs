@@ -106,22 +106,15 @@ pub struct Config {
 
 impl Config {
     /// The effective `[min, max]` worker bounds: a zero `workers_min` /
-    /// `workers_max` falls back to `workers`, and the ceiling never sits
-    /// below the floor. `min == max` means autoscaling is off.
+    /// `workers_max` falls back to `workers`, and the floor is at least 1.
+    /// `max <= min` means autoscaling is off (`hcm serve` refuses a ceiling
+    /// below the floor).
     pub fn worker_bounds(&self) -> (usize, usize) {
-        let min = if self.workers_min == 0 {
-            self.workers
-        } else {
-            self.workers_min
-        }
-        .max(1);
-        let max = if self.workers_max == 0 {
-            self.workers
-        } else {
-            self.workers_max
-        }
-        .max(min);
-        (min, max)
+        let or_workers = |bound: usize| if bound == 0 { self.workers } else { bound };
+        (
+            or_workers(self.workers_min).max(1),
+            or_workers(self.workers_max),
+        )
     }
 }
 

@@ -19,6 +19,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hc_gen::params::Params;
 use hc_session::snapshot::{timed_out_document, watch_document};
 use hc_session::{parse_edits, SessionError, SessionSnapshot, SessionStore, TryGet, TryWatch};
 
@@ -96,7 +97,7 @@ fn document(snap: &SessionSnapshot) -> Response {
 
 /// `POST /session` — register a matrix and run the first (cold) analysis.
 pub fn create(state: &ServerState, req: &Request, ctx: &ReqCtx<'_>) -> Result<Response, HttpError> {
-    handlers::check_allowed(req, &["ecs"])?;
+    req.check_allowed(&["ecs"]).map_err(HttpError::bad)?;
     let ecs = handlers::load_ecs(req, ctx)?;
     // Sessions registered from ETC seconds keep accepting edits in seconds;
     // `?ecs=1` registers (and edits) raw speeds.
@@ -129,7 +130,7 @@ pub fn patch(
     id: &str,
     ctx: &ReqCtx<'_>,
 ) -> Result<Response, HttpError> {
-    handlers::check_allowed(req, &[])?;
+    req.check_allowed(&[]).map_err(HttpError::bad)?;
     let text = req.body_text()?;
     if text.trim().is_empty() {
         return Err(HttpError::bad(
@@ -182,13 +183,8 @@ pub(crate) fn watch(
     ctx: &ReqCtx<'_>,
     resumed: Option<Instant>,
 ) -> Result<AttemptOutcome, HttpError> {
-    handlers::check_allowed(req, &["version"])?;
-    let since: u64 = match req.param("version") {
-        None => 0,
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| HttpError::bad(format!("query parameter version={raw:?} is malformed")))?,
-    };
+    req.check_allowed(&["version"]).map_err(HttpError::bad)?;
+    let since: u64 = req.get_or("version", 0).map_err(HttpError::bad)?;
     let deadline = resumed.unwrap_or_else(|| {
         // Under overload, cap the park so watchers cycle their reactor slots
         // quickly; already-parked watchers keep their original deadline.

@@ -64,16 +64,14 @@ pub fn pattern_graph(m: &Matrix) -> Bipartite {
     Bipartite::from_pattern(m.rows(), m.cols(), |i, j| m[(i, j)] > 0.0)
 }
 
-/// Tests whether every positive entry of a square matrix lies on a positive
-/// diagonal, given a perfect matching. Orient matched edges right→left and free
-/// edges left→right; an edge `(i, j)` lies on some perfect matching iff it is
-/// matched or its endpoints are in one SCC of that digraph.
-fn total_support_with_matching(m: &Matrix, g: &Bipartite, matching: &Matching) -> bool {
-    let n = m.rows();
-    debug_assert_eq!(matching.size, n);
-    // Digraph over left vertices: i → i' when i has an edge to the column matched
-    // to i' (the standard contraction of the alternating-path digraph).
-    let mut adj = vec![Vec::new(); n];
+/// The strongly connected components of the matching-contracted digraph of
+/// a square pattern with a perfect matching: one vertex per row, and `i → i'`
+/// when row `i` has an edge to the column matched to row `i'` (orient matched
+/// edges right→left and free edges left→right, then contract each matched
+/// edge). Returns each row's component.
+fn contracted_components(g: &Bipartite, matching: &Matching) -> Vec<usize> {
+    debug_assert_eq!(matching.size, g.n_left);
+    let mut adj = vec![Vec::new(); g.n_left];
     for (i, nbrs) in g.adj.iter().enumerate() {
         for &j in nbrs {
             let i2 = matching.right_match[j].expect("perfect matching");
@@ -82,19 +80,24 @@ fn total_support_with_matching(m: &Matrix, g: &Bipartite, matching: &Matching) -
             }
         }
     }
-    let comp = tarjan_scc(&adj);
-    for (i, nbrs) in g.adj.iter().enumerate() {
-        for &j in nbrs {
-            if matching.left_match[i] == Some(j) {
-                continue; // matched edges are on a perfect matching by definition
-            }
-            let i2 = matching.right_match[j].expect("perfect matching");
-            if comp[i] != comp[i2] {
-                return false;
-            }
-        }
-    }
-    true
+    tarjan_scc(&adj)
+}
+
+/// Whether the positive entry `(i, j)` lies on a positive diagonal: it is
+/// matched, or its row and the row matched to its column share a component
+/// of [`contracted_components`].
+fn on_a_diagonal(matching: &Matching, comp: &[usize], i: usize, j: usize) -> bool {
+    matching.left_match[i] == Some(j)
+        || comp[i] == comp[matching.right_match[j].expect("perfect matching")]
+}
+
+/// Whether every positive entry lies on a positive diagonal (total support),
+/// given a perfect matching and its [`contracted_components`].
+fn every_entry_on_a_diagonal(g: &Bipartite, matching: &Matching, comp: &[usize]) -> bool {
+    g.adj
+        .iter()
+        .enumerate()
+        .all(|(i, nbrs)| nbrs.iter().all(|&j| on_a_diagonal(matching, comp, i, j)))
 }
 
 /// Analyzes a **square** nonnegative matrix.
@@ -125,7 +128,7 @@ pub fn analyze_square(m: &Matrix) -> StructureReport {
     let has_total_support = if all_positive {
         true
     } else if has_support {
-        total_support_with_matching(m, &g, &matching)
+        every_entry_on_a_diagonal(&g, &matching, &contracted_components(&g, &matching))
     } else {
         false
     };
@@ -391,25 +394,11 @@ pub fn diagonal_support_mask(m: &Matrix) -> Option<Vec<Vec<bool>>> {
     if matching.size != n {
         return None;
     }
-    let mut adj = vec![Vec::new(); n];
-    for (i, nbrs) in g.adj.iter().enumerate() {
-        for &j in nbrs {
-            let i2 = matching.right_match[j].expect("perfect matching");
-            if i2 != i {
-                adj[i].push(i2);
-            }
-        }
-    }
-    let comp = tarjan_scc(&adj);
+    let comp = contracted_components(&g, &matching);
     let mut mask = vec![vec![false; n]; n];
     for (i, nbrs) in g.adj.iter().enumerate() {
         for &j in nbrs {
-            if matching.left_match[i] == Some(j) {
-                mask[i][j] = true;
-            } else {
-                let i2 = matching.right_match[j].expect("perfect matching");
-                mask[i][j] = comp[i] == comp[i2];
-            }
+            mask[i][j] = on_a_diagonal(&matching, &comp, i, j);
         }
     }
     Some(mask)
@@ -477,20 +466,10 @@ pub fn fine_blocks(m: &Matrix) -> Option<Vec<(Vec<usize>, Vec<usize>)>> {
     if matching.size != n {
         return None;
     }
-    if !total_support_with_matching(m, &g, &matching) {
+    let comp = contracted_components(&g, &matching);
+    if !every_entry_on_a_diagonal(&g, &matching, &comp) {
         return None;
     }
-    // Contracted digraph over left vertices.
-    let mut adj = vec![Vec::new(); n];
-    for (i, nbrs) in g.adj.iter().enumerate() {
-        for &j in nbrs {
-            let i2 = matching.right_match[j].expect("perfect matching");
-            if i2 != i {
-                adj[i].push(i2);
-            }
-        }
-    }
-    let comp = tarjan_scc(&adj);
     let n_comp = comp.iter().copied().max().map(|c| c + 1).unwrap_or(0);
     let mut blocks: Vec<(Vec<usize>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); n_comp];
     for (i, &c) in comp.iter().enumerate() {

@@ -11,6 +11,9 @@ cd "$(dirname "$0")/.."
 echo "== fmt =="
 cargo fmt --all -- --check
 
+echo "== Rust line counts (scripts/loc.sh) =="
+bash scripts/loc.sh | grep -E '^(total|examples|hcbench) '
+
 echo "== no hand-written JSON =="
 # Every JSON document is written through hc_obs::json, which escapes keys and
 # strings and writes non-finite floats as null; no other production source
